@@ -208,7 +208,8 @@ def hermitian_eigenvalues(mat: np.ndarray, tol: float = TAU_EIG) -> np.ndarray:
         if scale == 0.0:
             return np.zeros(n)
         raise InputError("eigenvalue iteration needs finite entries")
-    a = a / scale
+    # complex division by a subnormal scale overflows; real division does not
+    a = a.real / scale + 1j * (a.imag / scale)
     total = np.linalg.norm(a)
     for _ in range(100):
         stripped = a.copy()
@@ -318,7 +319,8 @@ def min_enclosing_radius(points) -> tuple[float, complex]:
 
     The optimal centre is a midpoint of two points or the circumcentre of
     three, so all such candidates are enumerated and the one whose maximal
-    distance to the set is smallest wins.  Point counts here are tiny.
+    distance to the set is smallest wins: O(k^3) candidates for k distinct
+    points, each checked against all k.  q_term pools n * sum(m) entries.
     """
     zs = np.unique(np.asarray(points, dtype=complex).ravel())
     if zs.size == 0:

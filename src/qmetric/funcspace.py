@@ -8,13 +8,13 @@ the spec's q kind, which measures how far the function is from scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import algebra as alg
-from .algebra import Algebra, AlgElement, TAU_SA
+from .algebra import Algebra, AlgElement, TAU_SA, _frozen
 from .errors import InputError, UnsupportedSpec
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
@@ -27,11 +27,13 @@ LP_EXACT_Q_KINDS = ("quotient_C", "state", "conv", "conv_K")
 
 @dataclass(frozen=True, eq=False)
 class MatrixFunction:
-    """One algebra element per point of a finite metric space."""
+    """One algebra element per point of a finite metric space, also kept as
+    one read-only stack of shape (n_points, m, m) per block."""
 
     space: FiniteMetricSpace
     algebra: Algebra
     values: tuple[AlgElement, ...]
+    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.space.size:
@@ -41,13 +43,16 @@ class MatrixFunction:
             if val.algebra.block_sizes != self.algebra.block_sizes:
                 raise InputError("value block sizes do not match the algebra")
         object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "stacks", tuple(
+            _frozen(np.stack([v.blocks[l] for v in self.values]))
+            for l in range(self.algebra.n_blocks)))
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
-        return all(v.is_self_adjoint(tol) for v in self.values)
+        return all(_hermitian_defect(s).max() <= tol for s in self.stacks)
 
     def entry_values(self, block: int, j: int, k: int) -> np.ndarray:
         """The complex entry (j, k) of one block, sampled over all points (0-based)."""
-        return np.array([v.blocks[block][j, k] for v in self.values])
+        return np.array(self.stacks[block][:, j, k])
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,6 +72,57 @@ class MatrixFunction:
         algebra = Algebra.from_json_dict(data["algebra"])
         values = tuple(AlgElement.from_json_dict(algebra, v) for v in data["values"])
         return cls(space, algebra, values)
+
+
+def channel_slots(algebra: Algebra) -> list:
+    """Where each block sits in one point's real channels of a self-adjoint element.
+
+    One (diag, re, im) triple of index arrays per block: its real diagonal
+    entries, then the real and imaginary parts of its strictly upper
+    entries in row-major order, interleaved as (Re, Im) pairs.  A block of
+    size m takes m^2 consecutive channels, in block order.
+    """
+    slots, off = [], 0
+    for m in algebra.block_sizes:
+        re = off + m + 2 * np.arange(m * (m - 1) // 2)
+        slots.append((np.arange(off, off + m), re, re + 1))
+        off += m * m
+    return slots
+
+
+def to_channels(fn: MatrixFunction) -> np.ndarray:
+    """The real channels of a self-adjoint function, shape (n_points, sum m^2).
+
+    The lower triangle and the imaginary parts of the diagonal are not read.
+    """
+    chans = np.empty((fn.space.size, sum(m * m for m in fn.algebra.block_sizes)))
+    for s, (diag, re, im) in zip(fn.stacks, channel_slots(fn.algebra)):
+        rows, cols = np.triu_indices(s.shape[1], 1)
+        chans[:, diag] = np.diagonal(s, axis1=1, axis2=2).real
+        chans[:, re] = s[:, rows, cols].real
+        chans[:, im] = s[:, rows, cols].imag
+    return chans
+
+
+def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> MatrixFunction:
+    """The self-adjoint function whose real channels are given; inverts to_channels."""
+    chans = np.asarray(channels, dtype=float)
+    width = sum(m * m for m in algebra.block_sizes)
+    if chans.shape != (space.size, width):
+        raise InputError("channel array must be %dx%d, got %r"
+                         % (space.size, width, chans.shape))
+    stacks = []
+    for m, (diag, re, im) in zip(algebra.block_sizes, channel_slots(algebra)):
+        s = np.zeros((space.size, m, m), dtype=complex)
+        s[:, range(m), range(m)] = chans[:, diag]
+        z = chans[:, re] + 1j * chans[:, im]
+        rows, cols = np.triu_indices(m, 1)
+        s[:, rows, cols] = z
+        s[:, cols, rows] = np.conj(z)
+        stacks.append(s)
+    values = tuple(AlgElement(algebra, tuple(s[p] for s in stacks))
+                   for p in range(space.size))
+    return MatrixFunction(space, algebra, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,40 +178,60 @@ def conv_spec() -> SeminormSpec:
     return SeminormSpec("real_max", "conv")
 
 
-def _norm_of(elem: AlgElement, norm_kind: str, tol: float) -> float:
+def _hermitian_defect(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of |b - b^*| for each matrix b of a (k, m, m) stack."""
+    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+
+
+def stack_norms(algebra: Algebra, stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
+    """Norm of each element held as per-block stacks of shape (k, m, m): the
+    same values, and for real_max the same InputError, as algebra's norms."""
     if norm_kind == "operator":
-        return alg.op_norm(elem)
+        return np.array([alg.op_norm(AlgElement(algebra, tuple(s[p] for s in stacks)))
+                         for p in range(len(stacks[0]))])
     if norm_kind == "max":
-        return alg.max_norm(elem)
-    return alg.real_max_norm(elem, tol)
+        return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
+    if not all((_hermitian_defect(s) <= tol).all() for s in stacks):
+        raise InputError("operation needs a self-adjoint element")
+    return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
+                              np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
 
 
 def sup_norm(fn: MatrixFunction, norm_kind: str = "operator", tol: float = TAU_SA) -> float:
     """Largest norm of any value; the C*-norm of the function when norm_kind is operator."""
-    return max(_norm_of(v, norm_kind, tol) for v in fn.values)
+    return float(stack_norms(fn.algebra, fn.stacks, norm_kind, tol).max())
 
 
 def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
-    """Worst normed difference quotient over unordered point pairs; 0 on one point."""
+    """Worst normed difference quotient over unordered point pairs; 0 on one point.
+
+    Takes one row of pairs (i against every j > i) at a time, in O(n) memory."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
     if norm_kind == "real_max" and not fn.is_self_adjoint(tol):
         raise InputError("the real max norm applies to self-adjoint functions only")
-    n = fn.space.size
     best = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = fn.values[i] - fn.values[j]
-            best = max(best, _norm_of(diff, norm_kind, tol) / fn.space.dist[i, j])
+    for i in range(fn.space.size - 1):
+        diffs = [s[i] - s[i + 1:] for s in fn.stacks]
+        norms = stack_norms(fn.algebra, diffs, norm_kind, tol)
+        best = max(best, float((norms / fn.space.dist[i, i + 1:]).max()))
     return best
+
+
+def _real_diagonals(fn: MatrixFunction) -> np.ndarray:
+    return np.concatenate([np.diagonal(s, axis1=1, axis2=2).real.ravel()
+                           for s in fn.stacks])
 
 
 def _pooled_real_max_quotient(fn: MatrixFunction, tol: float) -> float:
     """Distance to real scalars under the real max norm, pooled over all points."""
     if not fn.is_self_adjoint(tol):
         raise InputError("this quotient term applies to self-adjoint functions only")
-    off = max(alg.offdiag_real_max(v) for v in fn.values)
-    diags = np.concatenate([alg.diag_entries(v).real for v in fn.values])
+    # a real scalar moves only the real diagonal; the rest is a floor
+    fixed = [s - np.diagonal(s, axis1=1, axis2=2).real[:, :, None] * np.eye(s.shape[1])
+             for s in fn.stacks]
+    off = float(stack_norms(fn.algebra, fixed, "real_max", tol).max())
+    diags = _real_diagonals(fn)
     return max(off, 0.5 * (float(diags.max()) - float(diags.min())))
 
 
@@ -185,7 +261,8 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
             if abs(m.imag) > tol:
                 raise InputError("reference state value is not real; function must be self-adjoint")
             m = m.real
-        return max(_norm_of(v - fn.algebra.scalar(m), spec.norm_kind, tol) for v in fn.values)
+        shifted = [s - e for s, e in zip(fn.stacks, fn.algebra.scalar(m).blocks)]
+        return float(stack_norms(fn.algebra, shifted, spec.norm_kind, tol).max())
 
     base = _pooled_real_max_quotient(fn, tol)
     if spec.q_kind == "conv":
@@ -200,7 +277,7 @@ def lipnorm(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> floa
 
 def optimal_conv_shift(fn: MatrixFunction) -> float:
     """The real scalar attaining the pooled real max quotient term."""
-    diags = np.concatenate([alg.diag_entries(v).real for v in fn.values])
+    diags = _real_diagonals(fn)
     return 0.5 * (float(diags.max()) + float(diags.min()))
 
 

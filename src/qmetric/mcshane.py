@@ -39,14 +39,15 @@ class ExtensionProblem:
         k = float(self.lip_bound)
         if k < 0:
             raise InputError("the Lipschitz bound must be nonnegative")
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                gap = abs(vals[a] - vals[b])
-                allowed = k * self.space.dist[idx[a], idx[b]] + self.tol
-                if gap > allowed:
-                    raise InputError(
-                        "input is not %.12g-Lipschitz: points %d and %d differ by %.12g"
-                        % (k, idx[a], idx[b], gap))
+        v = np.array(vals)
+        gap = np.abs(v[:, None] - v[None, :])
+        allowed = k * self.space.dist[np.ix_(idx, idx)] + self.tol
+        bad = np.argwhere(np.triu(gap > allowed, 1))
+        if len(bad):
+            a, b = bad[0]  # row-major: lowest a, then lowest b
+            raise InputError(
+                "input is not %.12g-Lipschitz: points %d and %d differ by %.12g"
+                % (k, idx[a], idx[b], gap[a, b]))
         object.__setattr__(self, "subset", idx)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "lip_bound", k)
@@ -85,6 +86,22 @@ def extend(problem: ExtensionProblem) -> np.ndarray:
     out = np.clip(cost.min(axis=1), lo, hi)
     out[idx] = vals
     return out
+
+
+def extend_channels(space: FiniteMetricSpace, subset, channels) -> np.ndarray:
+    """Extend each column of a float array (len(subset), c) to all of space.
+
+    Each column goes through extend on its own, with its own realized
+    Lipschitz constant on the subset; returns a (space.size, c) array.
+    """
+    idx = tuple(subset)
+    dist = space.dist[np.ix_(idx, idx)]
+    consts = np.zeros(channels.shape[1])
+    for a in range(len(idx) - 1):
+        quot = np.abs(channels[a] - channels[a + 1:]) / dist[a, a + 1:, None]
+        consts = np.maximum(consts, quot.max(axis=0))
+    return np.column_stack([extend(ExtensionProblem(space, idx, tuple(col), k))
+                            for col, k in zip(channels.T, consts)])
 
 
 def extend_as_map(problem: ExtensionProblem) -> dict:

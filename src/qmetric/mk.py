@@ -17,11 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgElement, check_state_shapes
+from .algebra import Algebra, check_state_shapes
 from .errors import BoundViolation, InputError, UnsupportedSpec
-from .funcspace import MatrixFunction, SeminormSpec, lipnorm
+from .funcspace import (MatrixFunction, SeminormSpec, channel_slots, from_channels,
+                        lipnorm)
 from .lpcore import TAU_LP, LinearProgram, solve
-from .mcshane import ExtensionProblem, extend
+from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, diameter
 from .states import FunctionalState, evaluate, tracial_functional
 
@@ -48,35 +49,19 @@ class MkResult:
 class _SupportLayout:
     """Real coordinates of a self-adjoint element sampled on support points.
 
-    Per point and block: the real diagonal entries first, then (Re, Im)
-    per strictly-upper entry.  An optional trailing variable holds the
-    global recentring scalar.
+    Per point, the real channels of funcspace.channel_slots; an optional
+    trailing variable holds the global recentring scalar.
     """
 
     def __init__(self, algebra: Algebra, n_points: int, with_shift: bool):
-        self.algebra = algebra
         self.n_points = n_points
-        self.pairs = [[(j, k) for j in range(m) for k in range(j + 1, m)]
-                      for m in algebra.block_sizes]
-        self.block_base = []
-        off = 0
-        for m in algebra.block_sizes:
-            self.block_base.append(off)
-            off += m * m
-        self.per_point = off
-        self.n_base = off * n_points
+        self.slots = channel_slots(algebra)
+        self.diag, re, im = (np.concatenate(part) for part in zip(*self.slots))
+        self.pairs = list(zip(re, im))
+        self.per_point = sum(m * m for m in algebra.block_sizes)
+        self.n_base = self.per_point * n_points
         self.shift = self.n_base if with_shift else None
         self.n_vars = self.n_base + (1 if with_shift else 0)
-
-    def diag(self, p: int, l: int, j: int) -> int:
-        return p * self.per_point + self.block_base[l] + j
-
-    def re(self, p: int, l: int, t: int) -> int:
-        m = self.algebra.block_sizes[l]
-        return p * self.per_point + self.block_base[l] + m + 2 * t
-
-    def im(self, p: int, l: int, t: int) -> int:
-        return self.re(p, l, t) + 1
 
 
 def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
@@ -91,15 +76,13 @@ def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
     for w, x_idx, phi in state.terms:
         if w == 0.0:
             continue
-        p = positions[x_idx]
-        for l, (t_l, rho) in enumerate(zip(phi.weights, phi.densities)):
+        base = positions[x_idx] * layout.per_point
+        for (diag, re, im), t_l, rho in zip(layout.slots, phi.weights, phi.densities):
             wt = w * t_l
-            m = layout.algebra.block_sizes[l]
-            for j in range(m):
-                coefs[layout.diag(p, l, j)] += wt * rho[j, j].real
-            for t, (j, k) in enumerate(layout.pairs[l]):
-                coefs[layout.re(p, l, t)] += wt * 2.0 * rho[j, k].real
-                coefs[layout.im(p, l, t)] += wt * 2.0 * rho[j, k].imag
+            upper = rho[np.triu_indices(len(rho), 1)]
+            coefs[base + diag] += wt * rho.diagonal().real
+            coefs[base + re] += wt * 2.0 * upper.real
+            coefs[base + im] += wt * 2.0 * upper.imag
     return coefs
 
 
@@ -115,7 +98,7 @@ def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
     rows: list[np.ndarray] = []
     bounds: list[float] = []
     discs: list[tuple[np.ndarray, np.ndarray, float]] = []
-    nv = layout.n_vars
+    nv, pp = layout.n_vars, layout.per_point
 
     def box(vec, b):
         rows.append(vec)
@@ -123,23 +106,20 @@ def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
         rows.append(-vec)
         bounds.append(b)
 
+    def gap(p, q, c):
+        vec = np.zeros(nv)
+        vec[p * pp + c] = 1.0
+        if q is not None:
+            vec[q * pp + c] = -1.0
+        return vec
+
     for p in range(layout.n_points):
         for q in range(p + 1, layout.n_points):
             d = float(d_sub[p, q])
-            for l, m in enumerate(layout.algebra.block_sizes):
-                for j in range(m):
-                    vec = np.zeros(nv)
-                    vec[layout.diag(p, l, j)] = 1.0
-                    vec[layout.diag(q, l, j)] = -1.0
-                    box(vec, d)
-                for t in range(len(layout.pairs[l])):
-                    vre = np.zeros(nv)
-                    vre[layout.re(p, l, t)] = 1.0
-                    vre[layout.re(q, l, t)] = -1.0
-                    vim = np.zeros(nv)
-                    vim[layout.im(p, l, t)] = 1.0
-                    vim[layout.im(q, l, t)] = -1.0
-                    discs.append((vre, vim, d))
+            for c in layout.diag:
+                box(gap(p, q, c), d)
+            for c_re, c_im in layout.pairs:
+                discs.append((gap(p, q, c_re), gap(p, q, c_im), d))
 
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
     if spec.q_kind == "state":
@@ -148,17 +128,12 @@ def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
         shift = np.zeros(nv)
         shift[layout.shift] = 1.0
     for p in range(layout.n_points):
-        for l, m in enumerate(layout.algebra.block_sizes):
-            for j in range(m):
-                vec = -shift.copy()
-                vec[layout.diag(p, l, j)] += 1.0
-                box(vec, beta)
-            for t in range(len(layout.pairs[l])):
-                vre = np.zeros(nv)
-                vre[layout.re(p, l, t)] = 1.0
-                vim = np.zeros(nv)
-                vim[layout.im(p, l, t)] = 1.0
-                discs.append((vre, vim, beta))
+        for c in layout.diag:
+            vec = -shift.copy()
+            vec[p * pp + c] += 1.0
+            box(vec, beta)
+        for c_re, c_im in layout.pairs:
+            discs.append((gap(p, None, c_re), gap(p, None, c_im), beta))
     return rows, bounds, discs
 
 
@@ -217,61 +192,17 @@ def _solve_support_lp(space, algebra, mu, nu, spec, gon_gamma=None,
     return max(float(sol.optimum), 0.0), sol.x, layout, support
 
 
-def _support_matrices(layout: _SupportLayout, x: np.ndarray) -> list:
-    mats = []
-    for p in range(layout.n_points):
-        blocks = []
-        for l, m in enumerate(layout.algebra.block_sizes):
-            blk = np.zeros((m, m), dtype=complex)
-            for j in range(m):
-                blk[j, j] = x[layout.diag(p, l, j)]
-            for t, (j, k) in enumerate(layout.pairs[l]):
-                z = x[layout.re(p, l, t)] + 1j * x[layout.im(p, l, t)]
-                blk[j, k] = z
-                blk[k, j] = np.conj(z)
-            blocks.append(blk)
-        mats.append(blocks)
-    return mats
-
-
 def _witness_from_solution(space, algebra, support, layout, x) -> MatrixFunction:
     """Extend the LP optimizer from the support to the whole space.
 
-    Each real channel is extended with its own realized Lipschitz constant
-    and clamped to its support range, which preserves every box constraint
-    the LP certified."""
-    mats = _support_matrices(layout, x)
-    ns = len(support)
-    if ns == space.size:
-        values = tuple(AlgElement(algebra, tuple(bl)) for bl in mats)
-        return MatrixFunction(space, algebra, values)
-
-    d_sup = space.dist[np.ix_(support, support)]
-
-    def channel(vals):
-        vals = np.asarray(vals, dtype=float)
-        k = 0.0
-        for a in range(ns):
-            for b in range(a + 1, ns):
-                k = max(k, abs(vals[a] - vals[b]) / d_sup[a, b])
-        return extend(ExtensionProblem(space, tuple(support), tuple(vals), k))
-
-    full = [[np.zeros((m, m), dtype=complex) for m in algebra.block_sizes]
-            for _ in range(space.size)]
-    for l, m in enumerate(algebra.block_sizes):
-        for j in range(m):
-            ext = channel([mats[p][l][j, j].real for p in range(ns)])
-            for z in range(space.size):
-                full[z][l][j, j] = ext[z]
-        for (j, k) in layout.pairs[l]:
-            ext_re = channel([mats[p][l][j, k].real for p in range(ns)])
-            ext_im = channel([mats[p][l][j, k].imag for p in range(ns)])
-            for z in range(space.size):
-                val = ext_re[z] + 1j * ext_im[z]
-                full[z][l][j, k] = val
-                full[z][l][k, j] = np.conj(val)
-    values = tuple(AlgElement(algebra, tuple(bl)) for bl in full)
-    return MatrixFunction(space, algebra, values)
+    The optimizer's per-point coordinates are already the function's real
+    channels.  Each channel is extended with its own realized Lipschitz
+    constant and clamped to its support range, which preserves every box
+    constraint the LP certified."""
+    chans = x[:layout.n_base].reshape(len(support), -1)
+    if len(support) < space.size:
+        chans = extend_channels(space, support, chans)
+    return from_channels(space, algebra, chans)
 
 
 def _certify_witness(space, algebra, mu, nu, spec, witness, optimum):

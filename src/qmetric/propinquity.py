@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, AlgElement, real_max_norm
+from .algebra import Algebra
 from .errors import BoundViolation, InputError
-from .funcspace import MatrixFunction, conv_spec, lipnorm, optimal_conv_shift
+from .funcspace import (MatrixFunction, conv_spec, from_channels, lipnorm,
+                        optimal_conv_shift, stack_norms, to_channels)
 from .generate import random_product_state
 from .lpcore import TAU_LP
-from .mcshane import ExtensionProblem, extend
+from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, JoinedSpace, epsilon_net, hausdorff
 from .mk import mk_distance
 
@@ -104,48 +105,17 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
                          % l_a)
 
     algebra = bridge.algebra
-    nx, ny = bridge.x.size, bridge.y.size
-    x_idx = tuple(range(nx))
-    dist_x = bridge.x.dist
-
-    def transport(vals):
-        vals = np.asarray(vals, dtype=float)
-        k = 0.0
-        for a in range(nx):
-            for b in range(a + 1, nx):
-                k = max(k, abs(vals[a] - vals[b]) / dist_x[a, b])
-        ext = extend(ExtensionProblem(bridge.joined_metric, x_idx,
-                                      tuple(vals), k))
-        return ext[nx:]
-
-    pairs = [[(j, k) for j in range(m) for k in range(j + 1, m)]
-             for m in algebra.block_sizes]
-    out = [[np.zeros((m, m), dtype=complex) for m in algebra.block_sizes]
-           for _ in range(ny)]
-    for l, m in enumerate(algebra.block_sizes):
-        for j in range(m):
-            ext = transport([a_fn.values[p].blocks[l][j, j].real
-                             for p in range(nx)])
-            for z in range(ny):
-                out[z][l][j, j] = ext[z]
-        for (j, k) in pairs[l]:
-            ext_re = transport([a_fn.values[p].blocks[l][j, k].real
-                                for p in range(nx)])
-            ext_im = transport([a_fn.values[p].blocks[l][j, k].imag
-                                for p in range(nx)])
-            for z in range(ny):
-                val = ext_re[z] + 1j * ext_im[z]
-                out[z][l][j, k] = val
-                out[z][l][k, j] = np.conj(val)
-    b_fn = MatrixFunction(bridge.y, algebra,
-                          tuple(AlgElement(algebra, tuple(bl)) for bl in out))
+    nx = bridge.x.size
+    chans = extend_channels(bridge.joined_metric, range(nx), to_channels(a_fn))
+    b_fn = from_channels(bridge.y, algebra, chans[nx:])
 
     l_b = lipnorm(b_fn, spec)
     r_a = optimal_conv_shift(a_fn)
-    shift = algebra.scalar(r_a)
-    q_at_shift = max(real_max_norm(v - shift) for v in b_fn.values)
-    w_defect = max((real_max_norm(a_fn.values[i] - b_fn.values[j])
-                    for i, j in bridge.w_set), default=0.0)
+    shifted = [s - e for s, e in zip(b_fn.stacks, algebra.scalar(r_a).blocks)]
+    q_at_shift = float(stack_norms(algebra, shifted, "real_max").max())
+    src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
+    pair_diffs = [sa[src] - sb[dst] for sa, sb in zip(a_fn.stacks, b_fn.stacks)]
+    w_defect = float(stack_norms(algebra, pair_diffs, "real_max").max(initial=0.0))
     certificate = {
         "lipnorm_source": l_a,
         "lipnorm_matched": l_b,

@@ -135,3 +135,59 @@ def lp_by_vertices(objective, rows, bounds, tol=1e-9):
             if best is None or val > best:
                 best = val
     return best
+
+
+def brute_lip_part(fn, norm_kind):
+    """Lipschitz part of a matrix function by the pairwise loop.
+
+    One AlgElement difference and one per-element norm per unordered pair,
+    exactly as the definition reads; lip_part must equal it bit for bit.
+    """
+    from qmetric import algebra as alg
+
+    norm = {"operator": alg.op_norm, "max": alg.max_norm,
+            "real_max": alg.real_max_norm}[norm_kind]
+    n = fn.space.size
+    best = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = fn.values[i] - fn.values[j]
+            best = max(best, norm(diff) / fn.space.dist[i, j])
+    return best
+
+
+def loop_transport(bridge, a_fn):
+    """Matched Y-side blocks of a self-adjoint X-side function, one channel at a time.
+
+    Every real entry channel (real diagonals, real and imaginary parts of
+    the upper entries) gets its realized Lipschitz constant from a pairwise
+    loop, is extended over the joined space and restricted to Y.  Returns
+    one list of blocks per Y point.
+    """
+    from qmetric.mcshane import ExtensionProblem, extend
+
+    nx, ny = bridge.x.size, bridge.y.size
+    x_idx = tuple(range(nx))
+
+    def transport(vals):
+        vals = np.asarray(vals, dtype=float)
+        k = brute_lipschitz(bridge.x.dist, vals)
+        ext = extend(ExtensionProblem(bridge.joined_metric, x_idx,
+                                      tuple(vals), k))
+        return ext[nx:]
+
+    out = [[np.zeros((m, m), dtype=complex) for m in bridge.algebra.block_sizes]
+           for _ in range(ny)]
+    for l, m in enumerate(bridge.algebra.block_sizes):
+        for j in range(m):
+            ext = transport([v.blocks[l][j, j].real for v in a_fn.values])
+            for z in range(ny):
+                out[z][l][j, j] = ext[z]
+        for j, k in combinations(range(m), 2):
+            ext_re = transport([v.blocks[l][j, k].real for v in a_fn.values])
+            ext_im = transport([v.blocks[l][j, k].imag for v in a_fn.values])
+            for z in range(ny):
+                val = ext_re[z] + 1j * ext_im[z]
+                out[z][l][j, k] = val
+                out[z][l][k, j] = np.conj(val)
+    return out

@@ -151,6 +151,10 @@ def test_eigenvalues_of_known_matrices():
     assert sorted(hermitian_eigenvalues(h)) == pytest.approx([-1.0, 1.0])
     assert np.allclose(sorted(hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]))),
                        [1.0, 2.0, 3.0])
+    # subnormal scale: the unit-scale step must not overflow
+    tiny = np.array([[2.0, 1.0 + 1.0j], [1.0 - 1.0j, 3.0]]) * 1e-310
+    assert np.allclose(hermitian_eigenvalues(tiny) / 1e-310, [1.0, 4.0],
+                       rtol=1e-9, atol=0.0)
 
 
 def test_eigenvalues_reject_non_square_and_non_hermitian():

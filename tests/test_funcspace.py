@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_lipschitz
-from qmetric.algebra import Algebra, op_norm
+from oracles import brute_lip_part, brute_lipschitz
+from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, op_norm
 from qmetric.errors import InputError
 from qmetric.funcspace import (
     MatrixFunction,
@@ -11,6 +11,7 @@ from qmetric.funcspace import (
     classical_embed,
     conv_spec,
     default_leibniz_constants,
+    from_channels,
     jordan_product,
     lie_product,
     lip_part,
@@ -19,6 +20,7 @@ from qmetric.funcspace import (
     q_term,
     quasi_leibniz_check,
     sup_norm,
+    to_channels,
 )
 from qmetric.generate import random_planar_space, random_sa_function
 from qmetric.metric import FiniteMetricSpace
@@ -95,6 +97,41 @@ def test_lip_part_on_one_point_space(rng):
     assert lip_part(fn, "operator") == 0.0
 
 
+def test_lip_part_equals_the_pairwise_loop(rng):
+    """The row-vectorized Lipschitz part is the pairwise definition, bit for bit."""
+    spaces = [FiniteMetricSpace(("o",), np.zeros((1, 1))),
+              FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.7], [0.7, 0.0]])),
+              random_planar_space(7, rng)]
+    for space in spaces:
+        for _ in range(3):
+            fn = random_sa_function(space, M23, rng)
+            for kind in NORM_KINDS:
+                assert lip_part(fn, kind) == brute_lip_part(fn, kind)
+
+
+def test_channels_round_trip_bit_for_bit(rng):
+    for space in (PATH3, random_planar_space(5, rng)):
+        fn = random_sa_function(space, M23, rng)
+        chans = to_channels(fn)
+        assert chans.shape == (space.size, 2 * 2 + 3 * 3)
+        back = from_channels(space, M23, chans)
+        for x, y in zip(back.values, fn.values):
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(x.blocks, y.blocks))
+    with pytest.raises(InputError, match="channel array"):
+        from_channels(PATH3, M23, np.zeros((3, 12)))
+
+
+def test_real_max_rejects_a_non_self_adjoint_difference(rng):
+    """Each value passes the self-adjointness slack, their difference does not."""
+    skew = AlgElement(M2, (np.array([[0.0, 0.4e-9], [-0.4e-9, 0.0]]),))
+    base = random_sa_function(PATH3, M2, rng)
+    vals = (base.values[0] + skew, base.values[1] - skew, base.values[2])
+    fn = MatrixFunction(PATH3, M2, vals)
+    assert fn.is_self_adjoint()
+    with pytest.raises(InputError):
+        lip_part(fn, "real_max")
+
+
 def test_conv_term_is_half_range_for_diagonal_functions():
     space = PATH3
     vals = np.array([-1.0, 0.5, 3.0])
@@ -145,6 +182,7 @@ def test_state_term_kills_scalars_and_ignores_shifts(rng):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), c=st.floats(-4.0, 4.0))
+@example(seed=0, c=1e-310)
 def test_seminorm_homogeneity_and_subadditivity(seed, c):
     rng = np.random.default_rng(seed)
     f = _sa_fn(rng)

@@ -94,6 +94,10 @@ def test_constant_data_allows_zero_slope():
 def test_steep_data_is_rejected():
     with pytest.raises(InputError, match="Lipschitz"):
         extend(ExtensionProblem(_path(3), (0, 2), (0.0, 5.0), 1.0))
+    # two violating pairs, (p2, p0) and (p0, p1): the message names the
+    # first in subset order, not the steeper second one
+    with pytest.raises(InputError, match=r"points 2 and 0 differ by 3$"):
+        ExtensionProblem(_path(3), (2, 0, 1), (0.0, 3.0, 0.5), 1.0)
 
 
 def test_subset_bounds_checked():

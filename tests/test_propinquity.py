@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import loop_transport
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
 from qmetric.funcspace import conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
-from qmetric.metric import FiniteMetricSpace
+from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
 from qmetric.propinquity import (Bridge, approx_table, build_bridge,
                                  match_element, propinquity_upper_bound)
@@ -100,6 +101,22 @@ def test_certificate_shape_and_bound_formula(rng):
         assert cert["w_defect"] <= cert["threshold"] + 1e-7
         assert cert["w_defect_op_bound"] == pytest.approx(
             math.sqrt(2.0) * 2 * cert["w_defect"], rel=1e-12)
+
+
+def test_transport_equals_the_per_channel_loop(rng):
+    """Channel-array transport matches the one-channel-at-a-time loop bit for bit."""
+    m23 = Algebra((2, 3))
+    x = circle_net(10, "chord")
+    net = epsilon_net(x, 0.6)
+    x_n = x.subspace(net)
+    bridge = build_bridge(x_n, x, x.dist[np.ix_(net, range(x.size))], EPS, m23)
+    for _ in range(3):
+        mu = random_product_state(x_n, m23, rng)
+        nu = random_product_state(x_n, m23, rng)
+        a_fn = mk_distance(x_n, m23, mu, nu, conv_spec()).witness
+        b_fn, _ = match_element(bridge, a_fn)
+        for got, want in zip(b_fn.values, loop_transport(bridge, a_fn)):
+            assert all(p.tobytes() == q.tobytes() for p, q in zip(got.blocks, want))
 
 
 def test_bound_is_direction_independent():
