@@ -388,11 +388,14 @@ class AlgState:
             arr = np.array(rho, dtype=complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise InputError("densities must be square matrices")
+            if not np.isfinite(arr).all():
+                raise InputError("densities must have finite entries")
             if np.abs(arr - arr.conj().T).max() > self.tol:
                 raise InputError("densities must be Hermitian")
             if abs(np.trace(arr) - 1.0) > self.tol:
                 raise InputError("densities must have trace 1")
-            if float(hermitian_eigenvalues(arr)[0]) < -self.tol:
+            smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
+            if float(smallest) < -self.tol:
                 raise InputError("densities must be positive semidefinite")
             mats.append(_frozen(arr))
         object.__setattr__(self, "weights", w)

@@ -385,7 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true",
                    help="tighten the interval under the max norm")
     p.add_argument("--dump-lp", metavar="<path>",
-                   help="write solver tableaus as CSV")
+                   help="write the exact solve as CSV: per-channel supplies, "
+                        "flows and potentials, or the simplex tableaus for "
+                        "--spec-q state")
     p.set_defaults(func=cmd_mk)
 
     p = sub.add_parser("embed-check", parents=[out_p, spec_p],

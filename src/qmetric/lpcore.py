@@ -1,13 +1,17 @@
-"""Dense two-phase primal simplex over free real variables.
+"""Linear programming: a dense two-phase simplex and an uncapacitated
+min-cost flow.
 
-Solves: maximize c.x subject to A x <= b, x unrestricted in sign.
-
-Deliberately dense and unfactorized: an auditable pivot loop is worth more
+``solve`` maximizes c.x subject to A x <= b, x unrestricted in sign.  It is
+deliberately dense and unfactorized: an auditable pivot loop is worth more
 than speed.  The tableau is m rows by 2n + m + 1 doubles (plus a column per
-negative bound): 78 rows by 27 variables for a two-point M2+M3 distance, but
-3536 by 209, about 112 MB, with full support on 16 points.  Bland's rule is
-always on because the constraint geometry is highly degenerate (many
-symmetric box rows).
+negative bound), which grows as n^2 * sum m^2 for a distance LP on n support
+points, so it serves only the LPs whose channels couple (the state q kind and
+the 16-gon refinements).  Bland's rule is always on because the constraint
+geometry is highly degenerate (many symmetric box rows).
+
+``min_cost_flow`` solves the transport problems that the other exact specs
+split into, one per real channel: successive shortest paths on the complete
+graph of the support plus one anchor node, in O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ TAU_LP = 1e-7
 PIVOT_TOL = 1e-9
 
 _MAX_PIVOTS = 200_000
+
+# Excess below this share of the total supply counts as delivered: it is
+# the rounding left by the augmentations, not unmet demand.
+_FLOW_EPS = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,3 +241,94 @@ def solve(lp: LinearProgram, dump_csv: str | None = None) -> LpSolution:
     if abs(optimum - (-obj[-1])) > TAU_LP * max(1.0, abs(optimum)):
         raise ArithmeticError("tableau objective and recomputed optimum disagree")
     return LpSolution("optimal", optimum, x)
+
+
+@dataclass(frozen=True, eq=False)
+class FlowSolution:
+    """A min-cost flow with the node potentials that prove it optimal.
+
+    flow[i, j] >= 0 is the amount on arc i -> j.  The potentials y satisfy
+    y_i - y_j <= cost[i, j], with equality wherever flow[i, j] > 0, and
+    y = 0 on the last node.
+    """
+
+    flow: np.ndarray
+    potential: np.ndarray
+
+
+def _nearest_sink(reduced: np.ndarray, sources: np.ndarray, sinks: np.ndarray):
+    """Dense Dijkstra from every source at once, stopped at the first sink.
+
+    Returns (distance labels, predecessor per node, that sink); labels of
+    nodes not yet settled are upper bounds.
+    """
+    dist = np.where(sources, 0.0, np.inf)
+    pred = np.full(dist.size, -1)
+    open_ = np.ones(dist.size, dtype=bool)
+    while True:
+        u = int(np.argmin(np.where(open_, dist, np.inf)))
+        if sinks[u]:
+            return dist, pred, u
+        open_[u] = False
+        reach = dist[u] + reduced[u]
+        better = open_ & (reach < dist)
+        dist[better] = reach[better]
+        pred[better] = u
+
+
+def min_cost_flow(cost, supply) -> FlowSolution:
+    """Cheapest flow on the complete directed graph that meets every supply.
+
+    Node i sends out supply[i] more than it takes in (a negative supply is a
+    demand); arc i -> j carries any nonnegative amount at cost[i, j] >= 0 per
+    unit.  This is the dual of: maximize supply . y subject to
+    y_i - y_j <= cost[i, j] and y = 0 on the last node, and the returned
+    potentials solve that problem, with supply . y equal to the cost of the
+    returned flow.
+
+    Successive shortest paths: each round finds, over reduced costs, the
+    nearest node with unmet demand from any node with excess left, moves
+    the potentials by the distance labels, and pushes as much as the path
+    allows.  A path that crosses an arc backwards cancels flow on it.
+    """
+    c = np.asarray(cost, dtype=float)
+    excess = np.array(supply, dtype=float)
+    n = excess.size
+    if excess.ndim != 1 or n == 0 or c.shape != (n, n):
+        raise InputError("need a nonempty supply vector and a square cost "
+                         "matrix of the same size")
+    if not (np.isfinite(c).all() and np.isfinite(excess).all()):
+        raise InputError("flow data must be finite")
+    if (c < 0).any():
+        raise InputError("arc costs must be nonnegative")
+    tiny = _FLOW_EPS * float(np.abs(excess).sum())
+    if abs(float(excess.sum())) > tiny:
+        raise InputError("supplies must sum to zero")
+
+    flow = np.zeros((n, n))
+    pi = np.zeros(n)
+    for _ in range(_MAX_PIVOTS):
+        sources, sinks = excess > tiny, excess < -tiny
+        if not (sources.any() and sinks.any()):
+            break
+        reduced = c + pi[:, None] - pi[None, :]
+        back = flow.T > 0.0  # arc i -> j can cancel flow on j -> i
+        reduced = np.maximum(np.where(back, -reduced.T, reduced), 0.0)
+        dist, pred, t = _nearest_sink(reduced, sources, sinks)
+        pi += np.minimum(dist, dist[t])
+        path, v = [], t
+        while pred[v] >= 0:
+            path.append((int(pred[v]), v))
+            v = int(pred[v])
+        delta = min([excess[v], -excess[t]]
+                    + [flow[j, i] for i, j in path if back[i, j]])
+        for i, j in path:
+            if back[i, j]:
+                flow[j, i] -= delta
+            else:
+                flow[i, j] += delta
+        excess[v] -= delta
+        excess[t] += delta
+    else:
+        raise ArithmeticError("min-cost flow augmentation cap exceeded")
+    return FlowSolution(flow, pi[-1] - pi)

@@ -37,8 +37,19 @@ class FiniteMetricSpace:
     dist: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        d = np.array(self.dist, dtype=float)
+        self._validate(self.labels, self.dist, triangle=True)
+
+    @classmethod
+    def _triangle_checked(cls, labels, dist) -> "FiniteMetricSpace":
+        """Build from a matrix whose triangle inequality the caller has
+        already verified at TAU_METRIC; every other axiom is checked."""
+        space = object.__new__(cls)
+        space._validate(labels, dist, triangle=False)
+        return space
+
+    def _validate(self, labels, dist, triangle: bool) -> None:
+        labels = tuple(str(x) for x in labels)
+        d = np.array(dist, dtype=float)
         n = len(labels)
         if len(set(labels)) != n:
             raise InputError("point labels must be distinct")
@@ -57,7 +68,7 @@ class FiniteMetricSpace:
         if off.min() <= TAU_METRIC:
             i, j = np.unravel_index(int(off.argmin()), off.shape)
             raise InputError("distance between distinct points %d and %d is not positive" % (i, j))
-        trip = _triangle_violation(d, TAU_METRIC)
+        trip = _triangle_violation(d, TAU_METRIC) if triangle else None
         if trip is not None:
             i, k, j = trip
             raise InputError(
@@ -237,6 +248,12 @@ class JoinedSpace:
 
     def full_matrix(self) -> np.ndarray:
         return np.block([[self.x.dist, self.cross], [self.cross.T, self.y.dist]])
+
+    def metric_space(self, labels) -> FiniteMetricSpace:
+        """The union as a metric space, X points first.  Its triangle
+        inequality was checked at construction; the other axioms, including
+        positive cross distances, are checked here."""
+        return FiniteMetricSpace._triangle_checked(labels, self.full_matrix())
 
     def hausdorff_between(self) -> float:
         """Hausdorff distance between the X part and the Y part of the union."""

@@ -3,10 +3,21 @@
 For entrywise-box seminorm specs the Lip-ball, sampled on the support
 points of the two states, is a polytope, so the defining sup is a finite
 linear program; the optimizer then extends channel by channel to a
-certified witness on the whole space.  Operator- and max-norm specs get
-two-sided intervals instead, from the nested unit balls of the norm
-sandwich, optionally tightened by 16-gon inner/outer approximations of
-each complex-modulus constraint.
+certified witness on the whole space.
+
+Under the conv, conv_K and quotient_C q kinds the pairing kills constants,
+(mu - nu)(1) = 0, so the recentring scalar drops out and the LP splits into
+one problem per real channel: maximize c.y subject to |y_p - y_q| <= d_pq
+and |y_p| <= beta.  That is the dual of a transport problem on the support
+plus an anchor node at distance beta from every point, solved as a
+min-cost flow.  Its potentials are the witness channels (lower bound) and
+its flow is a dual certificate (upper bound); both are re-verified on every
+call.  The state q kind couples the channels through one equality and
+keeps the dense simplex.
+
+Operator- and max-norm specs get two-sided intervals instead, from the
+nested unit balls of the norm sandwich, optionally tightened by 16-gon
+inner/outer approximations of each complex-modulus constraint (dense LPs).
 """
 
 from __future__ import annotations
@@ -17,14 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, check_state_shapes
+from .algebra import Algebra, check_state_shapes, tracial_state
 from .errors import BoundViolation, InputError, UnsupportedSpec
 from .funcspace import (MatrixFunction, SeminormSpec, channel_slots, from_channels,
                         lipnorm)
-from .lpcore import TAU_LP, LinearProgram, solve
+from .lpcore import TAU_LP, LinearProgram, min_cost_flow, solve
 from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, diameter
-from .states import FunctionalState, evaluate, tracial_functional
+from .states import FunctionalState, delta_embed, evaluate
 
 _ROOT2 = math.sqrt(2.0)
 
@@ -162,18 +173,25 @@ def _check_states(space: FiniteMetricSpace, algebra: Algebra,
             check_state_shapes(phi, algebra)
 
 
+def _support_points(mu, nu, spec) -> list:
+    support = set(mu.support()) | set(nu.support())
+    if spec.q_kind == "state":
+        support |= set(spec.state.support())
+    return sorted(support)
+
+
 def _solve_support_lp(space, algebra, mu, nu, spec, gon_gamma=None,
                       dump_csv=None):
     """Maximize (mu - nu)(a) over the Lip ball restricted to support points.
 
     The restriction is exact for these specs: any feasible assignment on
     the support extends channel by channel (clamped inf-convolution) to a
-    feasible element of the full ball with the same pairing values.
+    feasible element of the full ball with the same pairing values.  One
+    dense LP over every channel; it serves the state q kind, whose channels
+    couple, and the 16-gon refinements.  Returns (value, per-point channels
+    on the support, support).
     """
-    support = set(mu.support()) | set(nu.support())
-    if spec.q_kind == "state":
-        support |= set(spec.state.support())
-    support = sorted(support)
+    support = _support_points(mu, nu, spec)
     positions = {s: i for i, s in enumerate(support)}
     d_sub = space.dist[np.ix_(support, support)]
 
@@ -189,17 +207,100 @@ def _solve_support_lp(space, algebra, mu, nu, spec, gon_gamma=None,
         raise ArithmeticError(
             "Lip-ball LP reported %s; the ball always contains 0 and the "
             "pairing is bounded on it" % sol.status)
-    return max(float(sol.optimum), 0.0), sol.x, layout, support
+    chans = sol.x[:layout.n_base].reshape(len(support), -1)
+    return max(float(sol.optimum), 0.0), chans, support
 
 
-def _witness_from_solution(space, algebra, support, layout, x) -> MatrixFunction:
-    """Extend the LP optimizer from the support to the whole space.
+def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
+    """The same optimum as _solve_support_lp for the conv, conv_K and
+    quotient_C q kinds, as one min-cost flow per real channel.
 
-    The optimizer's per-point coordinates are already the function's real
-    channels.  Each channel is extended with its own realized Lipschitz
-    constant and clamped to its support range, which preserves every box
-    constraint the LP certified."""
-    chans = x[:layout.n_base].reshape(len(support), -1)
+    Arcs between support points cost their distance, arcs to and from the
+    anchor (the last node) cost beta, and each point supplies its pairing
+    coefficient in the channel.  Channels the pairing does not read stay 0.
+    """
+    support = _support_points(mu, nu, spec)
+    n = len(support)
+    positions = {s: i for i, s in enumerate(support)}
+    layout = _SupportLayout(algebra, n, with_shift=False)
+    gain = (_pairing_vector(layout, mu, positions)
+            - _pairing_vector(layout, nu, positions)).reshape(n, -1)
+    beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
+    cost = np.full((n + 1, n + 1), beta)
+    cost[:n, :n] = space.dist[np.ix_(support, support)]
+    cost[n, n] = 0.0
+
+    chans = np.zeros_like(gain)
+    flows = []
+    for ch in np.flatnonzero(gain.any(axis=0)):
+        supply = np.append(gain[:, ch], -gain[:, ch].sum())
+        sol = min_cost_flow(cost, supply)
+        chans[:, ch] = sol.potential[:n]
+        flows.append((int(ch), supply, sol))
+    value = max(float((gain * chans).sum()), 0.0)
+    if dump_csv:
+        _dump_flows(dump_csv, [space.labels[s] for s in support], flows)
+    _certify_flows(cost, beta, flows, value)
+    return value, chans, support
+
+
+def _solve_support(space, algebra, mu, nu, spec, dump_csv=None):
+    """The exact support optimum: per-channel flows unless the state q kind
+    couples the channels."""
+    solver = _solve_support_lp if spec.q_kind == "state" else _solve_support_flows
+    return solver(space, algebra, mu, nu, spec, dump_csv=dump_csv)
+
+
+def _certify_flows(cost, beta, flows, value) -> None:
+    """Re-verify that no element of the ball pairs above the value.
+
+    For every feasible y (|y_p - y_q| <= d_pq, |y_p| <= beta, 0 at the
+    anchor) and every flow f >= 0 whose net outflow misses the supplies by
+    r, c.y = sum_ij f_ij (y_i - y_j) + r.y <= sum_ij f_ij cost_ij
+    + beta |r|_1.  Nonnegative flows that conserve every supply and cost
+    the value therefore prove it optimal.  Slack is relative to
+    beta sum |c|, which bounds the value.
+    """
+    slack = TAU_LP * beta * sum(float(np.abs(s[:-1]).sum()) for _, s, _ in flows)
+    upper = leak = 0.0
+    for ch, supply, sol in flows:
+        if (sol.flow < 0).any():
+            raise BoundViolation("channel %d carries a negative flow" % ch)
+        net = sol.flow.sum(axis=1) - sol.flow.sum(axis=0)
+        leak += beta * float(np.abs(net - supply).sum())
+        upper += float((sol.flow * cost).sum())
+    if leak > slack:
+        raise BoundViolation("flows miss the supplies by %.3g (slack %.3g)"
+                             % (leak, slack))
+    if abs(upper - value) > slack:
+        raise BoundViolation("flow cost %.12g does not certify the optimum %.12g"
+                             % (upper, value))
+
+
+def _dump_flows(path, labels, flows) -> None:
+    """One CSV section per solved channel: each node's supply, potential
+    and outgoing flows, the anchor last."""
+    import csv  # only the dump needs it; kept off the import path
+
+    names = [str(lab) for lab in labels] + ["anchor"]
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        if not flows:
+            fh.write("# no channel carries a pairing\n")
+        for ch, supply, sol in flows:
+            fh.write("# channel %d\n" % ch)
+            out.writerow(["node", "supply", "potential"]
+                         + ["flow to %s" % name for name in names])
+            for name, s, y, row in zip(names, supply, sol.potential, sol.flow):
+                out.writerow([name] + ["%.12g" % v for v in (s, y, *row)])
+
+
+def _witness_from_channels(space, algebra, support, chans) -> MatrixFunction:
+    """Extend the optimizer's channels from the support to the whole space.
+
+    Each channel is extended with its own realized Lipschitz constant and
+    clamped to its support range, which preserves every box constraint the
+    solver certified."""
     if len(support) < space.size:
         chans = extend_channels(space, support, chans)
     return from_channels(space, algebra, chans)
@@ -242,7 +343,9 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
         yield intervals.
       refine: for the max norm, tighten the interval with 16-gon inner and
         outer polygon relaxations of each modulus constraint.
-      dump_csv: optional path for the underlying solver tableau.
+      dump_csv: optional CSV path for the exact solve: per-channel
+        supplies, flows and potentials, or the simplex tableaus for the
+        state q kind.
 
     Returns:
       MkResult; exact results carry a self-verified witness.
@@ -256,25 +359,25 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
             "no exact LP or sandwich interval is available for it")
 
     if spec.norm_kind == "real_max":
-        optimum, x, layout, support = _solve_support_lp(
-            space, algebra, mu, nu, spec, dump_csv=dump_csv)
-        witness = _witness_from_solution(space, algebra, support, layout, x)
+        optimum, chans, support = _solve_support(space, algebra, mu, nu, spec,
+                                                 dump_csv=dump_csv)
+        witness = _witness_from_channels(space, algebra, support, chans)
         witness = _certify_witness(space, algebra, mu, nu, spec, witness,
                                    optimum)
         return MkResult("exact", value=optimum, witness=witness)
 
     rm_spec = SeminormSpec("real_max", spec.q_kind, K=spec.K,
                            state=spec.state)
-    v_rm, _, _, _ = _solve_support_lp(space, algebra, mu, nu, rm_spec)
+    v_rm = _solve_support(space, algebra, mu, nu, rm_spec)[0]
     if spec.norm_kind == "operator":
         return MkResult("interval", lower=v_rm / (_ROOT2 * algebra.max_block),
                         upper=v_rm)
     lower, upper = v_rm / _ROOT2, v_rm
     if refine:
-        inner, _, _, _ = _solve_support_lp(space, algebra, mu, nu, rm_spec,
-                                           gon_gamma=math.cos(math.pi / 16.0))
-        outer, _, _, _ = _solve_support_lp(space, algebra, mu, nu, rm_spec,
-                                           gon_gamma=1.0)
+        inner = _solve_support_lp(space, algebra, mu, nu, rm_spec,
+                                  gon_gamma=math.cos(math.pi / 16.0))[0]
+        outer = _solve_support_lp(space, algebra, mu, nu, rm_spec,
+                                  gon_gamma=1.0)[0]
         lower, upper = max(lower, inner), min(upper, outer)
     return MkResult("interval", lower=lower, upper=upper)
 
@@ -331,13 +434,13 @@ def embed_check(space: FiniteMetricSpace, algebra: Algebra, v,
         raise UnsupportedSpec("embedding checks need an exact seminorm spec")
     diam = diameter(space)
     lower_c = 1.0 if diam <= 0 else _LOWER_CONSTANT[spec.q_kind](diam, spec)
+    phi = tracial_state(algebra, v)
+    points = [delta_embed(phi, x) for x in range(space.size)]
     rows = []
     max_upper = max_lower = max_defect = 0.0
     for x in range(space.size):
         for y in range(x + 1, space.size):
-            mu = tracial_functional(algebra, v, x)
-            nu = tracial_functional(algebra, v, y)
-            val = mk_distance(space, algebra, mu, nu, spec).value
+            val = mk_distance(space, algebra, points[x], points[y], spec).value
             d = float(space.dist[x, y])
             max_upper = max(max_upper, val - d)
             max_lower = max(max_lower, lower_c * d - val)

@@ -66,7 +66,7 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
     joined = JoinedSpace(x, y, cross + offset, epsilon)
     labels = (tuple("X|%s" % lab for lab in x.labels)
               + tuple("Y|%s" % lab for lab in y.labels))
-    joined_metric = FiniteMetricSpace(labels, joined.full_matrix())
+    joined_metric = joined.metric_space(labels)
 
     delta_xy = max(float(cross.min(axis=1).max()),
                    float(cross.min(axis=0).max()))

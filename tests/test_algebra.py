@@ -280,6 +280,8 @@ def test_state_validation_rejects_bad_inputs():
         AlgState((0.5, 0.4), (np.eye(2) / 2, np.eye(2) / 2))  # weights sum .9
     with pytest.raises(InputError):
         AlgState((1.0,), (np.array([[0.5, 0.5], [0.0, 0.5]]),))  # not hermitian
+    with pytest.raises(InputError, match="finite"):
+        AlgState((1.0,), (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
 
 
 def test_apply_state_is_linear_and_unital(rng):

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import lp_by_vertices
 from qmetric.errors import InputError
-from qmetric.lpcore import LinearProgram, solve
+from qmetric.lpcore import LinearProgram, min_cost_flow, solve
 
 
 def _lp(obj, pairs):
@@ -143,3 +143,59 @@ def test_tableau_dump_is_written(tmp_path):
     text = out.read_text()
     assert "phase" in text
     assert len(text.splitlines()) > 2
+
+
+def test_min_cost_flow_on_a_known_instance():
+    # three points on a line and an anchor at distance 1 from each: each
+    # outer supply goes straight to p1 (cost 1.5), not through the anchor (2)
+    d = np.array([[0.0, 1.5, 3.0], [1.5, 0.0, 1.5], [3.0, 1.5, 0.0]])
+    cost = np.ones((4, 4))
+    cost[:3, :3] = d
+    cost[3, 3] = 0.0
+    sol = min_cost_flow(cost, [0.5, -1.0, 0.5, 0.0])
+    assert float((sol.flow * cost).sum()) == pytest.approx(1.5, abs=1e-15)
+    assert np.array_equal(sol.flow[[0, 2], 1], [0.5, 0.5])
+    assert sol.potential[3] == 0.0
+    assert sol.potential @ [0.5, -1.0, 0.5, 0.0] == pytest.approx(1.5, abs=1e-15)
+
+
+def test_min_cost_flow_matches_vertex_enumeration(rng):
+    """Potentials solve the dual LP, and its value is the flow's cost."""
+    for _ in range(25):
+        n = int(rng.integers(2, 5))
+        cost = rng.uniform(0.1, 2.0, size=(n, n))
+        np.fill_diagonal(cost, 0.0)
+        supply = rng.normal(size=n)
+        supply[-1] = -supply[:-1].sum()
+        sol = min_cost_flow(cost, supply)
+        rows, bounds = [], []
+        for i in range(n - 1):  # y[-1] = 0 drops out
+            for j in range(n):
+                if i != j:
+                    r = np.zeros(n - 1)
+                    r[i] = 1.0
+                    if j < n - 1:
+                        r[j] = -1.0
+                    rows.append(r)
+                    bounds.append(cost[i, j])
+                    rows.append(-r)
+                    bounds.append(cost[j, i])
+        ref = lp_by_vertices(supply[:-1], rows, bounds)
+        y = sol.potential
+        assert float((sol.flow * cost).sum()) == pytest.approx(ref, abs=1e-9)
+        assert float(supply @ y) == pytest.approx(ref, abs=1e-9)
+        assert (y[:, None] - y[None, :] <= cost + 1e-12).all()
+        assert sol.flow.min() >= 0.0
+        net = sol.flow.sum(axis=1) - sol.flow.sum(axis=0)
+        assert np.abs(net - supply).max() <= 1e-12
+
+
+def test_min_cost_flow_input_checks():
+    with pytest.raises(InputError, match="sum to zero"):
+        min_cost_flow(np.ones((2, 2)), [1.0, 0.0])
+    with pytest.raises(InputError, match="nonnegative"):
+        min_cost_flow(-np.ones((2, 2)), [1.0, -1.0])
+    with pytest.raises(InputError, match="square"):
+        min_cost_flow(np.ones((2, 3)), [1.0, -1.0])
+    sol = min_cost_flow(np.ones((2, 2)), [0.0, 0.0])
+    assert not sol.flow.any() and not sol.potential.any()

@@ -119,3 +119,53 @@ def test_json_round_trip():
 def test_map_form_uses_labels():
     out = extend_as_map(ExtensionProblem(_path(4), (0, 3), (0.0, 3.0), 1.0))
     assert out == {"p0": 0.0, "p1": 1.0, "p2": 2.0, "p3": 3.0}
+
+
+def _columnwise(space, subset, chans, consts):
+    return np.column_stack([extend(ExtensionProblem(space, subset, tuple(col), k))
+                            for col, k in zip(chans.T, consts)])
+
+
+def test_batched_channels_equal_column_by_column(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        space = _random_space(rng, n) if n > 1 else _path(1)
+        k = int(rng.integers(1, n + 1))
+        subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        chans = rng.normal(size=(k, int(rng.integers(1, 6))))
+        consts = rng.uniform(0.0, 3.0, size=chans.shape[1])
+        if k > 1:
+            d = space.dist[np.ix_(subset, subset)] + np.eye(k)
+            slopes = np.abs(chans[:, None, :] - chans[None, :, :]) / d[:, :, None]
+            consts = consts + slopes.max(axis=(0, 1))
+        batched = extend(ExtensionProblem(space, subset, chans, tuple(consts)))
+        assert batched.shape == (n, chans.shape[1])
+        assert np.array_equal(batched, _columnwise(space, subset, chans, consts))
+
+
+def test_batched_channels_report_the_first_failing_column():
+    # column 0 is fine; column 1 fails on (p2, p1) only; column 2 fails on
+    # (p2, p3), a pair earlier in subset order.  Column by column, column 1
+    # raises first.
+    space = _path(4)
+    subset = (2, 3, 1)
+    chans = np.array([[0.0, 0.0, 0.0],
+                      [0.0, 1.0, 2.0],
+                      [0.0, 1.5, 0.0]])
+    consts = (1.0, 1.0, 1.0)
+    with pytest.raises(InputError) as columnwise:
+        _columnwise(space, subset, chans, consts)
+    with pytest.raises(InputError) as batched:
+        ExtensionProblem(space, subset, chans, consts)
+    assert str(batched.value) == str(columnwise.value)
+    assert str(batched.value).endswith("points 2 and 1 differ by 1.5")
+
+
+def test_channel_constants_must_match_the_channels():
+    with pytest.raises(InputError, match="one per channel"):
+        ExtensionProblem(_path(3), (0, 2), np.zeros((2, 3)), (1.0, 1.0))
+    batched = ExtensionProblem(_path(3), (0, 2), np.zeros((2, 3)), 1.0)
+    assert batched.lip_bound == (1.0, 1.0, 1.0)
+    back = ExtensionProblem.from_json_dict(batched.to_json_dict())
+    assert back.values == batched.values
+    assert back.lip_bound == batched.lip_bound

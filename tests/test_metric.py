@@ -148,6 +148,22 @@ def test_joined_space_full_matrix_and_hausdorff():
     assert joined.hausdorff_between() == 0.5
 
 
+def test_joined_metric_space_checks_the_other_axioms():
+    two = FiniteMetricSpace(("u", "v"), np.array([[0.0, 2.0], [2.0, 0.0]]))
+    cross = np.array([[0.5, 2.5], [0.5, 1.5], [1.5, 0.5], [2.5, 0.5]])
+    labels = tuple("abcd") + ("u", "v")
+    space = JoinedSpace(PATH4, two, cross).metric_space(labels)
+    assert space.labels == labels
+    assert np.array_equal(space.dist, JoinedSpace(PATH4, two, cross).full_matrix())
+    # u sits on a and v on c: a pseudometric, fine as a join, not as a space
+    touching = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+    joined = JoinedSpace(PATH4, two, touching)
+    with pytest.raises(InputError, match="not positive"):
+        joined.metric_space(labels)
+    with pytest.raises(InputError, match="distinct"):
+        JoinedSpace(PATH4, two, cross).metric_space(("a",) * 6)
+
+
 def test_gh_upper_dominates_exact():
     two = FiniteMetricSpace(("u", "v"), np.array([[0.0, 2.0], [2.0, 0.0]]))
     cross = np.array([[0.5, 2.5], [0.5, 1.5], [1.5, 0.5], [2.5, 0.5]])

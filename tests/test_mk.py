@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qmetric import lpcore, mk
 from qmetric.algebra import Algebra, AlgState
-from qmetric.errors import InputError, UnsupportedSpec
+from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
 from qmetric.funcspace import MatrixFunction, SeminormSpec, conv_spec, lipnorm
-from qmetric.generate import random_alg_state, random_product_state
+from qmetric.generate import (circle_net, random_alg_state, random_planar_space,
+                              random_product_state)
 from qmetric.metric import FiniteMetricSpace
 from qmetric.mk import diameter_cap, embed_check, mk_diameter_report, mk_distance
 from qmetric.states import FunctionalState, delta_embed, evaluate, tracial_functional
@@ -223,3 +225,145 @@ def test_state_with_wrong_block_shapes_is_rejected(rng):
     mu = tracial_functional(M23, (0.5, 0.5), 1)
     with pytest.raises(InputError):
         mk_distance(space, M23, mu, wrong, conv_spec())
+
+
+def _spread_state(space, algebra, rng, points):
+    """Random weights and a random algebra state on each of the given points."""
+    w = rng.dirichlet(np.ones(len(points)))
+    return FunctionalState(tuple((float(wt), int(p), random_alg_state(algebra, rng))
+                                 for wt, p in zip(w, points)))
+
+
+def _flow_spec(q_kind, rng):
+    if q_kind == "conv_K":
+        return SeminormSpec("real_max", "conv_K", K=float(rng.uniform(0.2, 3.0)))
+    return SeminormSpec("real_max", q_kind)
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C"])
+@pytest.mark.parametrize("algebra", [M1, M2, M23], ids=["M1", "M2", "M23"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_flow_path_equals_the_dense_support_lp(n, algebra, q_kind, rng):
+    space = random_planar_space(n, rng, box=float(rng.choice([0.3, 1.0, 4.0])))
+    spec = _flow_spec(q_kind, rng)
+    some = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    rest = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    mu = _spread_state(space, algebra, rng, some)
+    cases = [(mu, _spread_state(space, algebra, rng, rest)),  # partial support
+             (_spread_state(space, algebra, rng, range(n)),
+              _spread_state(space, algebra, rng, range(n))),
+             (mu, mu),
+             # tracial points: every off-diagonal channel is identically zero
+             (tracial_functional(algebra, (1.0 / algebra.n_blocks,) * algebra.n_blocks, 0),
+              tracial_functional(algebra, (1.0 / algebra.n_blocks,) * algebra.n_blocks,
+                                 n - 1))]
+    for a, b in cases:
+        flow_value, chans, support = mk._solve_support_flows(space, algebra, a, b, spec)
+        dense_value = mk._solve_support_lp(space, algebra, a, b, spec)[0]
+        assert flow_value == pytest.approx(dense_value, rel=1e-12, abs=0.0)
+        assert chans.shape == (len(support), sum(m * m for m in algebra.block_sizes))
+
+
+def _recorded_flows(monkeypatch):
+    """Route mk's flow solves through a recorder; forbid the dense simplex."""
+    seen = []
+
+    def record(cost, supply):
+        sol = lpcore.min_cost_flow(cost, supply)
+        seen.append((np.array(cost), np.array(supply), sol))
+        return sol
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("a dense tableau was built")
+
+    monkeypatch.setattr(mk, "min_cost_flow", record)
+    monkeypatch.setattr(mk, "solve", no_tableau)
+    return seen
+
+
+def test_flow_certificate_rejects_tampered_flows(monkeypatch, rng):
+    space = _path(4)
+    spec = SeminormSpec("real_max", "conv_K", K=1.5)
+    mu = _spread_state(space, M2, rng, [0, 1])
+    nu = _spread_state(space, M2, rng, [2, 3])
+    seen = _recorded_flows(monkeypatch)
+    value = mk_distance(space, M2, mu, nu, spec).value
+    flows = [(ch, supply, sol) for ch, (_, supply, sol) in enumerate(seen)]
+    cost = seen[0][0]
+    mk._certify_flows(cost, 0.75, flows, value)  # the genuine flows pass
+
+    def tampered(edit):
+        ch, supply, sol = flows[0]
+        flow = sol.flow.copy()
+        edit(flow)
+        bad = lpcore.FlowSolution(flow, sol.potential)
+        return [(ch, supply, bad)] + flows[1:]
+
+    def bump(flow):
+        flow[0, 1] += 0.1
+
+    def circulate(flow):
+        flow[0, 2] += 0.1
+        flow[2, 0] += 0.1
+
+    def reverse(flow):
+        flow[1, 0] = -0.1
+
+    for edit, match in ((bump, "miss the supplies"),
+                        (circulate, "does not certify"),
+                        (reverse, "negative flow")):
+        with pytest.raises(BoundViolation, match=match):
+            mk._certify_flows(cost, 0.75, tampered(edit), value)
+    with pytest.raises(BoundViolation, match="does not certify"):
+        mk._certify_flows(cost, 0.75, flows, value * (1.0 + 1e-5))
+
+
+def test_32_point_full_support_is_certified_from_both_sides(monkeypatch, rng):
+    space = circle_net(32, "chord")
+    mu = _spread_state(space, M23, rng, range(32))
+    nu = _spread_state(space, M23, rng, range(32))
+    spec = conv_spec()
+    seen = _recorded_flows(monkeypatch)
+    res = mk_distance(space, M23, mu, nu, spec)
+    assert res.kind == "exact"
+    lower = _pairing(mu, nu, res.witness) / max(1.0, lipnorm(res.witness, spec))
+    upper = 0.0
+    for cost, supply, sol in seen:
+        assert sol.flow.min() >= 0.0
+        net = sol.flow.sum(axis=1) - sol.flow.sum(axis=0)
+        assert np.abs(net - supply).max() <= 1e-12
+        upper += float((sol.flow * cost).sum())
+    assert len(seen) == 13  # every channel of M2+M3 carries pairing mass
+    assert upper - lower <= lpcore.TAU_LP * max(1.0, res.value)
+    assert lower <= res.value <= upper + 1e-12
+
+
+def test_flow_dump_has_one_section_per_channel(tmp_path):
+    out = tmp_path / "mk.csv"
+    mu = tracial_functional(M23, (0.5, 0.5), 0)
+    nu = tracial_functional(M23, (0.5, 0.5), 2)
+    mk_distance(_path(3), M23, mu, nu, conv_spec(), dump_csv=str(out))
+    lines = out.read_text().splitlines()
+    # tracial states read the five diagonal channels only
+    assert [ln for ln in lines if ln.startswith("#")] == [
+        "# channel %d" % ch for ch in (0, 1, 4, 5, 6)]
+    assert lines[1] == ("node,supply,potential,flow to p0,flow to p2,"
+                        "flow to anchor")
+    assert [ln.split(",")[0] for ln in lines[2:5]] == ["p0", "p2", "anchor"]
+    # the state q kind still solves, and dumps, one coupled tableau
+    state_spec = SeminormSpec("real_max", "state", state=mu)
+    mk_distance(_path(3), M23, mu, nu, state_spec, dump_csv=str(out))
+    assert "phase" in out.read_text()
+
+
+def test_embedding_builds_one_tracial_state(monkeypatch):
+    calls = []
+    real = mk.tracial_state
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mk, "tracial_state", counted)
+    embed_check(_path(4), M2, (1.0,), conv_spec())
+    assert len(calls) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import loop_transport
+from qmetric import metric
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
 from qmetric.funcspace import conv_spec, lipnorm
@@ -178,3 +179,25 @@ def test_bridge_is_a_plain_record():
     assert isinstance(bridge, Bridge)
     assert bridge.epsilon == EPS
     assert bridge.x is x and bridge.y is x
+
+
+def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
+    x = circle_net(8, "chord")
+    shapes = []
+    real = metric._triangle_violation
+
+    def counted(d, tol):
+        shapes.append(d.shape)
+        return real(d, tol)
+
+    monkeypatch.setattr(metric, "_triangle_violation", counted)
+    bridge = build_bridge(x, x, x.dist, EPS, M2)
+    assert shapes == [(16, 16)]
+    monkeypatch.undo()
+    full = FiniteMetricSpace(bridge.joined_metric.labels, bridge.joined.full_matrix())
+    assert np.array_equal(bridge.joined_metric.dist, full.dist)
+    # a cross matrix that breaks the triangle inequality still fails there
+    far = np.full((3, 3), 5.0)
+    far[0, 0] = far[0, 2] = 0.0
+    with pytest.raises(InputError, match="joined metric fails the triangle"):
+        build_bridge(_path(3), _path(3), far, EPS, M2)
