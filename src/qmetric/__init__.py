@@ -11,7 +11,6 @@ from .algebra import (
     Algebra,
     AlgState,
     apply_state,
-    hermitian_eigenvalues,
     jordan,
     lie,
     matrix_unit,
@@ -101,7 +100,6 @@ __all__ = [
     "gh_exact",
     "gh_upper",
     "hausdorff",
-    "hermitian_eigenvalues",
     "interval_net",
     "jordan",
     "lie",

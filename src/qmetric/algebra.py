@@ -5,6 +5,12 @@ the complex numbers, described by its list of block sizes.  Elements carry
 one square complex matrix per block.  Three norms are provided: the C*-norm
 (largest singular value), the entrywise max-modulus norm, and the entrywise
 real/imaginary max norm on self-adjoint elements.
+
+Norms and distances to scalars are computed on per-block stacks of shape
+(k, m, m), so one call covers many elements: stack_norms gives each
+element's norm and scalar_distance the distance from all of them to one
+common scalar.  The per-element functions are one-element stacks.  The
+C*-norm and the spectral spread come from LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import numpy as np
 
 from .errors import InputError
 
-TAU_EIG = 1e-11   # Jacobi stops once relative off-diagonal mass falls below this
 TAU_SA = 1e-9     # self-adjointness slack
 TAU_STATE = 1e-8  # state validity slack
 
@@ -147,11 +152,6 @@ def _check_same_algebra(a: AlgElement, b: AlgElement) -> None:
         raise InputError("elements belong to different algebras")
 
 
-def require_self_adjoint(a: AlgElement, tol: float = TAU_SA) -> None:
-    if not a.is_self_adjoint(tol):
-        raise InputError("operation needs a self-adjoint element")
-
-
 def jordan(a: AlgElement, b: AlgElement) -> AlgElement:
     """Jordan product (ab + ba)/2; self-adjoint whenever a and b are."""
     return (a @ b + b @ a).scaled(0.5)
@@ -178,126 +178,57 @@ def matrix_unit(algebra: Algebra, k: int, p: int, q: int) -> AlgElement:
     return AlgElement(algebra, tuple(blocks))
 
 
-def hermitian_eigenvalues(mat: np.ndarray, tol: float = TAU_EIG) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+def _hermitian_defect(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of |b - b^*| for each matrix b of a (k, m, m) stack."""
+    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
 
-    Each rotation conjugates by the exact eigenbasis of the 2x2 pivot
-    block, which annihilates that entry.  Sweeps continue until the
-    off-diagonal Frobenius mass is at most tol times the total mass.
 
-    Args:
-      mat: square Hermitian ndarray, up to roundoff; the sweep
-        re-symmetrises to contain drift.
-      tol: relative off-diagonal mass at which the iteration stops.
+def _require_self_adjoint(stacks, tol: float) -> None:
+    if not all((_hermitian_defect(s) <= tol).all() for s in stacks):
+        raise InputError("operation needs a self-adjoint element")
 
-    Returns:
-      Eigenvalues in ascending order.
+
+def _require_finite(stacks) -> None:
+    # LAPACK does not converge on NaN or inf; say so instead of failing there
+    if not all(np.isfinite(s).all() for s in stacks):
+        raise InputError("the operator norm needs finite entries")
+
+
+def stack_norms(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
+    """Norm of each element held as per-block stacks of shape (k, m, m).
+
+    "real_max" raises InputError unless every element is self-adjoint
+    within tol; "operator" raises it on NaN or inf entries.
     """
-    a = np.array(mat, dtype=complex)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise InputError("eigenvalue iteration needs a square matrix")
-    drift = np.abs(a - a.conj().T).max()
-    if drift > 1e-8 * max(1.0, np.abs(a).max()):
-        raise InputError("eigenvalue iteration needs a Hermitian matrix")
-    if n == 1:
-        return np.array([a[0, 0].real])
-    # work at unit scale so squared entries can neither under- nor overflow
-    scale = float(np.abs(a).max())
-    if scale == 0.0 or not math.isfinite(scale):
-        if scale == 0.0:
-            return np.zeros(n)
-        raise InputError("eigenvalue iteration needs finite entries")
-    # complex division by a subnormal scale overflows; real division does not
-    a = a.real / scale + 1j * (a.imag / scale)
-    total = np.linalg.norm(a)
-    for _ in range(100):
-        stripped = a.copy()
-        np.fill_diagonal(stripped, 0.0)
-        if np.linalg.norm(stripped) <= tol * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) <= 1e-18 * total:
-                    continue
-                # Eigenvectors of [[alpha, g], [conj(g), beta]]: the plus
-                # eigenvector is (g, rho - delta); the stable form of
-                # rho - delta avoids cancellation when delta > 0.
-                delta = (a[p, p].real - a[q, q].real) / 2.0
-                rho = math.hypot(delta, abs(g))
-                u2 = abs(g) ** 2 / (rho + delta) if delta >= 0.0 else rho - delta
-                nrm = math.sqrt(abs(g) ** 2 + u2 * u2)
-                jpp, jpq = g / nrm, -u2 / nrm
-                jqp, jqq = u2 / nrm, np.conj(g) / nrm
-                colp = a[:, p] * jpp + a[:, q] * jqp
-                colq = a[:, p] * jpq + a[:, q] * jqq
-                a[:, p], a[:, q] = colp, colq
-                rowp = np.conj(jpp) * a[p, :] + np.conj(jqp) * a[q, :]
-                rowq = np.conj(jpq) * a[p, :] + np.conj(jqq) * a[q, :]
-                a[p, :], a[q, :] = rowp, rowq
-        a = 0.5 * (a + a.conj().T)
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge in 100 sweeps")
-    return np.sort(np.diag(a).real) * scale
+    if norm_kind == "operator":
+        _require_finite(stacks)
+        return np.max([np.linalg.norm(s, 2, axis=(1, 2)) for s in stacks], axis=0)
+    if norm_kind == "max":
+        return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
+    if norm_kind != "real_max":
+        raise InputError("unknown norm kind %r" % (norm_kind,))
+    _require_self_adjoint(stacks, tol)
+    return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
+                              np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
 
 
-def op_norm(a: AlgElement, tol: float = TAU_EIG) -> float:
+def _one(a: AlgElement) -> tuple:
+    return tuple(b[None] for b in a.blocks)
+
+
+def op_norm(a: AlgElement) -> float:
     """C*-norm: the largest singular value over all blocks."""
-    best = 0.0
-    for blk in a.blocks:
-        evs = hermitian_eigenvalues(blk.conj().T @ blk, tol)
-        best = max(best, math.sqrt(max(float(evs[-1]), 0.0)))
-    return best
+    return float(stack_norms(_one(a), "operator")[0])
 
 
 def max_norm(a: AlgElement) -> float:
     """Largest modulus of any entry in any block."""
-    return max(float(np.abs(blk).max()) for blk in a.blocks)
+    return float(stack_norms(_one(a), "max")[0])
 
 
 def real_max_norm(a: AlgElement, tol: float = TAU_SA) -> float:
     """Largest of |Re| and |Im| over all entries; a norm on self-adjoint elements only."""
-    require_self_adjoint(a, tol)
-    best = 0.0
-    for blk in a.blocks:
-        best = max(best, float(np.abs(blk.real).max()), float(np.abs(blk.imag).max()))
-    return best
-
-
-def diag_entries(a: AlgElement) -> np.ndarray:
-    """Diagonal entries of all blocks, concatenated."""
-    return np.concatenate([np.diag(blk) for blk in a.blocks])
-
-
-def offdiag_max_modulus(a: AlgElement) -> float:
-    """Largest modulus among strictly off-diagonal entries; 0 when there are none."""
-    best = 0.0
-    for blk in a.blocks:
-        m = blk.shape[0]
-        if m < 2:
-            continue
-        mask = ~np.eye(m, dtype=bool)
-        best = max(best, float(np.abs(blk[mask]).max()))
-    return best
-
-
-def offdiag_real_max(a: AlgElement) -> float:
-    """Entrywise real/imaginary max over off-diagonal entries plus diagonal imaginary parts.
-
-    This is exactly the part of the real max norm that a real multiple of
-    the identity cannot move.
-    """
-    best = 0.0
-    for blk in a.blocks:
-        m = blk.shape[0]
-        best = max(best, float(np.abs(np.diag(blk).imag).max()))
-        if m < 2:
-            continue
-        mask = ~np.eye(m, dtype=bool)
-        off = blk[mask]
-        best = max(best, float(np.abs(off.real).max()), float(np.abs(off.imag).max()))
-    return best
+    return float(stack_norms(_one(a), "real_max", tol)[0])
 
 
 def _circumcentre(z1: complex, z2: complex, z3: complex):
@@ -344,27 +275,38 @@ def min_enclosing_radius(points) -> tuple[float, complex]:
     return best_r, complex(best_c)
 
 
-def dist_to_scalars(a: AlgElement, norm_kind: str, tol: float = TAU_SA) -> float:
-    """Distance from an element to the scalar multiples of the identity.
+def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
+    """Distance from all the elements in per-block (k, m, m) stacks to one common scalar.
 
-    Kind "operator" uses the closed spectral form (max - min)/2 over the
-    joint spectrum and needs a self-adjoint input; "max" solves a smallest
-    enclosing circle over the pooled diagonal entries; "real_max" uses the
-    diagonal spread closed form and also needs a self-adjoint input.
+    Kind "operator" is half the spread of the joint spectrum and needs
+    self-adjoint, finite input.  The entrywise kinds split each element
+    into the part a scalar can move and the rest, whose norm is a floor:
+    "max" moves the complex diagonal, whose cost is the smallest circle
+    enclosing all diagonal entries; "real_max" moves the real diagonal,
+    whose cost is half its spread, and needs self-adjoint input.
     """
-    if norm_kind not in NORM_KINDS:
-        raise InputError("unknown norm kind %r" % (norm_kind,))
     if norm_kind == "operator":
-        require_self_adjoint(a, tol)
-        evs = np.concatenate([hermitian_eigenvalues(blk) for blk in a.blocks])
+        _require_finite(stacks)
+        _require_self_adjoint(stacks, tol)
+        evs = np.concatenate([np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2))).ravel()
+                              for s in stacks])
         return 0.5 * (float(evs.max()) - float(evs.min()))
-    if norm_kind == "max":
-        radius, _ = min_enclosing_radius(diag_entries(a))
-        return max(offdiag_max_modulus(a), radius)
-    require_self_adjoint(a, tol)
-    re_diag = diag_entries(a).real
-    spread = 0.5 * (float(re_diag.max()) - float(re_diag.min()))
-    return max(offdiag_real_max(a), spread)
+    diags = [np.diagonal(s, axis1=1, axis2=2) for s in stacks]
+    if norm_kind == "real_max":
+        diags = [d.real for d in diags]
+        pooled = np.concatenate([d.ravel() for d in diags])
+        moved = 0.5 * (float(pooled.max()) - float(pooled.min()))
+    elif norm_kind == "max":
+        moved, _ = min_enclosing_radius(np.concatenate([d.ravel() for d in diags]))
+    else:
+        raise InputError("unknown norm kind %r" % (norm_kind,))
+    rest = [s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)]
+    return max(float(stack_norms(rest, norm_kind, tol).max()), moved)
+
+
+def dist_to_scalars(a: AlgElement, norm_kind: str, tol: float = TAU_SA) -> float:
+    """Distance from an element to the scalar multiples of the identity."""
+    return scalar_distance(_one(a), norm_kind, tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import algebra as alg
-from .algebra import Algebra, AlgElement, TAU_SA, _frozen
+from .algebra import (Algebra, AlgElement, TAU_SA, _frozen, _hermitian_defect,
+                      scalar_distance, stack_norms)
 from .errors import InputError, UnsupportedSpec
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
@@ -49,10 +50,6 @@ class MatrixFunction:
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
         return all(_hermitian_defect(s).max() <= tol for s in self.stacks)
-
-    def entry_values(self, block: int, j: int, k: int) -> np.ndarray:
-        """The complex entry (j, k) of one block, sampled over all points (0-based)."""
-        return np.array(self.stacks[block][:, j, k])
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,28 +175,9 @@ def conv_spec() -> SeminormSpec:
     return SeminormSpec("real_max", "conv")
 
 
-def _hermitian_defect(stack: np.ndarray) -> np.ndarray:
-    """Largest entry of |b - b^*| for each matrix b of a (k, m, m) stack."""
-    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
-
-
-def stack_norms(algebra: Algebra, stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
-    """Norm of each element held as per-block stacks of shape (k, m, m): the
-    same values, and for real_max the same InputError, as algebra's norms."""
-    if norm_kind == "operator":
-        return np.array([alg.op_norm(AlgElement(algebra, tuple(s[p] for s in stacks)))
-                         for p in range(len(stacks[0]))])
-    if norm_kind == "max":
-        return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
-    if not all((_hermitian_defect(s) <= tol).all() for s in stacks):
-        raise InputError("operation needs a self-adjoint element")
-    return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
-                              np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
-
-
 def sup_norm(fn: MatrixFunction, norm_kind: str = "operator", tol: float = TAU_SA) -> float:
     """Largest norm of any value; the C*-norm of the function when norm_kind is operator."""
-    return float(stack_norms(fn.algebra, fn.stacks, norm_kind, tol).max())
+    return float(stack_norms(fn.stacks, norm_kind, tol).max())
 
 
 def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
@@ -213,26 +191,9 @@ def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
     best = 0.0
     for i in range(fn.space.size - 1):
         diffs = [s[i] - s[i + 1:] for s in fn.stacks]
-        norms = stack_norms(fn.algebra, diffs, norm_kind, tol)
+        norms = stack_norms(diffs, norm_kind, tol)
         best = max(best, float((norms / fn.space.dist[i, i + 1:]).max()))
     return best
-
-
-def _real_diagonals(fn: MatrixFunction) -> np.ndarray:
-    return np.concatenate([np.diagonal(s, axis1=1, axis2=2).real.ravel()
-                           for s in fn.stacks])
-
-
-def _pooled_real_max_quotient(fn: MatrixFunction, tol: float) -> float:
-    """Distance to real scalars under the real max norm, pooled over all points."""
-    if not fn.is_self_adjoint(tol):
-        raise InputError("this quotient term applies to self-adjoint functions only")
-    # a real scalar moves only the real diagonal; the rest is a floor
-    fixed = [s - np.diagonal(s, axis1=1, axis2=2).real[:, :, None] * np.eye(s.shape[1])
-             for s in fn.stacks]
-    off = float(stack_norms(fn.algebra, fixed, "real_max", tol).max())
-    diags = _real_diagonals(fn)
-    return max(off, 0.5 * (float(diags.max()) - float(diags.min())))
 
 
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
@@ -241,19 +202,7 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
         return max(alg.dist_to_scalars(v, spec.norm_kind, tol) for v in fn.values)
 
     if spec.q_kind == "quotient_C":
-        if spec.norm_kind == "operator":
-            if not fn.is_self_adjoint(tol):
-                raise InputError(
-                    "the one-scalar quotient under the operator norm needs a self-adjoint function")
-            evs = np.concatenate([alg.hermitian_eigenvalues(blk)
-                                  for v in fn.values for blk in v.blocks])
-            return 0.5 * (float(evs.max()) - float(evs.min()))
-        if spec.norm_kind == "max":
-            off = max(alg.offdiag_max_modulus(v) for v in fn.values)
-            diags = np.concatenate([alg.diag_entries(v) for v in fn.values])
-            radius, _ = alg.min_enclosing_radius(diags)
-            return max(off, radius)
-        return _pooled_real_max_quotient(fn, tol)
+        return scalar_distance(fn.stacks, spec.norm_kind, tol)
 
     if spec.q_kind == "state":
         m = evaluate(spec.state, fn)
@@ -262,9 +211,10 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
                 raise InputError("reference state value is not real; function must be self-adjoint")
             m = m.real
         shifted = [s - e for s, e in zip(fn.stacks, fn.algebra.scalar(m).blocks)]
-        return float(stack_norms(fn.algebra, shifted, spec.norm_kind, tol).max())
+        return float(stack_norms(shifted, spec.norm_kind, tol).max())
 
-    base = _pooled_real_max_quotient(fn, tol)
+    # conv is the one-scalar quotient under the real max norm
+    base = scalar_distance(fn.stacks, "real_max", tol)
     if spec.q_kind == "conv":
         return base
     return (2.0 / spec.K) * base
@@ -277,7 +227,8 @@ def lipnorm(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> floa
 
 def optimal_conv_shift(fn: MatrixFunction) -> float:
     """The real scalar attaining the pooled real max quotient term."""
-    diags = _real_diagonals(fn)
+    diags = np.concatenate([np.diagonal(s, axis1=1, axis2=2).real.ravel()
+                            for s in fn.stacks])
     return 0.5 * (float(diags.max()) + float(diags.min()))
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, stack_norms
 from .errors import BoundViolation, InputError
 from .funcspace import (MatrixFunction, conv_spec, from_channels, lipnorm,
-                        optimal_conv_shift, stack_norms, to_channels)
+                        optimal_conv_shift, to_channels)
 from .generate import random_product_state
 from .lpcore import TAU_LP
 from .mcshane import extend_channels
@@ -112,10 +112,10 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
     l_b = lipnorm(b_fn, spec)
     r_a = optimal_conv_shift(a_fn)
     shifted = [s - e for s, e in zip(b_fn.stacks, algebra.scalar(r_a).blocks)]
-    q_at_shift = float(stack_norms(algebra, shifted, "real_max").max())
+    q_at_shift = float(stack_norms(shifted, "real_max").max())
     src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
     pair_diffs = [sa[src] - sb[dst] for sa, sb in zip(a_fn.stacks, b_fn.stacks)]
-    w_defect = float(stack_norms(algebra, pair_diffs, "real_max").max(initial=0.0))
+    w_defect = float(stack_norms(pair_diffs, "real_max").max(initial=0.0))
     certificate = {
         "lipnorm_source": l_a,
         "lipnorm_matched": l_b,

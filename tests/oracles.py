@@ -2,13 +2,16 @@
 
 Everything here is written against the definitions, not against the
 package internals: scans instead of closed forms, exhaustive enumeration
-instead of search, LAPACK instead of our own eigensolver.  Slow on
-purpose; only run on tiny instances.
+instead of search, and a Jacobi eigensolver of our own where the package
+calls LAPACK.  Slow on purpose; only run on tiny instances.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
+
+from qmetric.errors import InputError
 
 
 def _nelder_mead(f, start, step, iters=600):
@@ -191,3 +194,83 @@ def loop_transport(bridge, a_fn):
                 out[z][l][j, k] = val
                 out[z][l][k, j] = np.conj(val)
     return out
+
+
+def hermitian_eigenvalues(mat, tol=1e-11):
+    """All eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Shares no code with LAPACK, so it checks the package's numpy norms.
+    Each rotation conjugates by the exact eigenbasis of the 2x2 pivot
+    block, which annihilates that entry.  Sweeps continue until the
+    off-diagonal Frobenius mass is at most tol times the total mass.
+
+    Args:
+      mat: square Hermitian ndarray, up to roundoff; the sweep
+        re-symmetrises to contain drift.
+      tol: relative off-diagonal mass at which the iteration stops.
+
+    Returns:
+      Eigenvalues in ascending order.
+    """
+    a = np.array(mat, dtype=complex)
+    n = a.shape[0]
+    if a.ndim != 2 or a.shape != (n, n):
+        raise InputError("eigenvalue iteration needs a square matrix")
+    drift = np.abs(a - a.conj().T).max()
+    if drift > 1e-8 * max(1.0, np.abs(a).max()):
+        raise InputError("eigenvalue iteration needs a Hermitian matrix")
+    if n == 1:
+        return np.array([a[0, 0].real])
+    # work at unit scale so squared entries can neither under- nor overflow
+    scale = float(np.abs(a).max())
+    if scale == 0.0 or not math.isfinite(scale):
+        if scale == 0.0:
+            return np.zeros(n)
+        raise InputError("eigenvalue iteration needs finite entries")
+    # complex division by a subnormal scale overflows; real division does not
+    a = a.real / scale + 1j * (a.imag / scale)
+    total = np.linalg.norm(a)
+    for _ in range(100):
+        stripped = a.copy()
+        np.fill_diagonal(stripped, 0.0)
+        if np.linalg.norm(stripped) <= tol * total:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = a[p, q]
+                if abs(g) <= 1e-18 * total:
+                    continue
+                # Eigenvectors of [[alpha, g], [conj(g), beta]]: the plus
+                # eigenvector is (g, rho - delta); the stable form of
+                # rho - delta avoids cancellation when delta > 0.
+                delta = (a[p, p].real - a[q, q].real) / 2.0
+                rho = math.hypot(delta, abs(g))
+                u2 = abs(g) ** 2 / (rho + delta) if delta >= 0.0 else rho - delta
+                nrm = math.sqrt(abs(g) ** 2 + u2 * u2)
+                jpp, jpq = g / nrm, -u2 / nrm
+                jqp, jqq = u2 / nrm, np.conj(g) / nrm
+                colp = a[:, p] * jpp + a[:, q] * jqp
+                colq = a[:, p] * jpq + a[:, q] * jqq
+                a[:, p], a[:, q] = colp, colq
+                rowp = np.conj(jpp) * a[p, :] + np.conj(jqp) * a[q, :]
+                rowq = np.conj(jpq) * a[p, :] + np.conj(jqq) * a[q, :]
+                a[p, :], a[q, :] = rowp, rowq
+        a = 0.5 * (a + a.conj().T)
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge in 100 sweeps")
+    return np.sort(np.diag(a).real) * scale
+
+
+def jacobi_op_norm(blocks):
+    """C*-norm of a tuple of blocks: sqrt of the top Jacobi eigenvalue of b^* b."""
+    return max(math.sqrt(max(float(hermitian_eigenvalues(b.conj().T @ b)[-1]), 0.0))
+               for b in blocks)
+
+
+def jacobi_spectral_spread(values):
+    """Half the spread of the joint Jacobi spectrum of self-adjoint elements.
+
+    The operator-norm distance from all of them to one common scalar.
+    """
+    evs = np.concatenate([hermitian_eigenvalues(b) for v in values for b in v.blocks])
+    return 0.5 * (float(evs.max()) - float(evs.min()))

@@ -2,22 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import scan_scalar_distance
+from oracles import hermitian_eigenvalues, jacobi_op_norm, scan_scalar_distance
 from qmetric.algebra import (
     Algebra,
     AlgElement,
     AlgState,
     apply_state,
-    diag_entries,
     dist_to_scalars,
-    hermitian_eigenvalues,
     jordan,
     lie,
     matrix_unit,
     matrix_unit_l1,
     max_norm,
     min_enclosing_radius,
-    offdiag_max_modulus,
     op_norm,
     real_max_norm,
     tracial_state,
@@ -129,6 +126,8 @@ def test_element_json_round_trip(rng):
 
 
 # ------------------------------------------------------------ eigensolver
+# The Jacobi solver is the oracle for the package's LAPACK-based norms; these
+# tests keep it honest against LAPACK itself.
 
 def test_eigenvalues_against_lapack(rng):
     """The cyclic Jacobi sweep must agree with LAPACK across sizes and scales."""
@@ -172,6 +171,25 @@ def test_operator_norm_against_lapack(rng):
         a = random_element(alg, rng)
         ref = max(np.linalg.norm(np.asarray(b), 2) for b in a.blocks)
         assert op_norm(a) == pytest.approx(ref, abs=1e-10)
+
+
+def test_operator_norm_against_jacobi(rng):
+    """LAPACK's SVD against the independent Jacobi eigensolver on b^* b."""
+    for _ in range(60):
+        alg = _random_algebra(rng)
+        a = random_element(alg, rng).scaled(10.0 ** rng.integers(-3, 4))
+        ref = jacobi_op_norm(a.blocks)
+        assert op_norm(a) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_operator_paths_reject_non_finite_entries():
+    alg = Algebra((2,))
+    for bad in (np.nan, np.inf):
+        a = AlgElement(alg, (np.array([[bad, 0.0], [0.0, 1.0]]),))
+        with pytest.raises(InputError, match="finite"):
+            op_norm(a)
+        with pytest.raises(InputError, match="finite"):
+            dist_to_scalars(a, "operator")
 
 
 def test_entrywise_norms():
@@ -337,7 +355,12 @@ def test_state_json_round_trip(rng):
 
 
 def test_diag_and_offdiag_helpers():
+    """The max-norm distance to scalars is the larger of the largest
+    off-diagonal modulus and the radius of the diagonal entries."""
     alg = Algebra((2,))
+    # diagonal radius 2, off-diagonal modulus sqrt(5): the off-diagonal wins
     a = AlgElement(alg, (np.array([[1.0, 2.0 - 1.0j], [0.5j, -3.0]]),))
-    assert np.allclose(diag_entries(a), [1.0, -3.0])
-    assert offdiag_max_modulus(a) == pytest.approx(np.sqrt(5.0))
+    assert dist_to_scalars(a, "max") == pytest.approx(np.sqrt(5.0))
+    # diagonal radius 3, off-diagonal modulus 1: the diagonal wins
+    b = AlgElement(alg, (np.array([[4.0, 1.0j], [0.5, -2.0]]),))
+    assert dist_to_scalars(b, "max") == pytest.approx(3.0)

@@ -234,6 +234,16 @@ def test_ref_state_label_mismatch_is_exit_two(files, capsys, tmp_path):
     assert "not a label" in err
 
 
+def test_norms_of_a_non_finite_element_is_exit_two(files, capsys):
+    bad = files["dir"] / "nan.json"
+    # one 2x2 block, rows of [re, im] pairs, with a NaN in the corner
+    bad.write_text(json.dumps([[[[float("nan"), 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [1.0, 0.0]]]]))
+    rc, _, err = _run(capsys, ["norms", str(bad), "--algebra", str(files["algebra"])])
+    assert rc == 2
+    assert "finite" in err
+
+
 def test_invalid_env_tolerance_is_exit_two(files, capsys, monkeypatch):
     monkeypatch.setenv("QMETRIC_TOL", "tight")
     rc, _, err = _run(capsys, ["norms", str(files["element"]),

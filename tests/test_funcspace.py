@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_lip_part, brute_lipschitz
+from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
 from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, op_norm
 from qmetric.errors import InputError
 from qmetric.funcspace import (
@@ -153,10 +153,30 @@ def test_conv_shift_minimises_the_recentred_norm(rng):
 
 
 def test_conv_equals_one_scalar_quotient_under_real_max(rng):
-    for _ in range(20):
-        fn = _sa_fn(rng)
-        assert q_term(fn, conv_spec()) == pytest.approx(
-            q_term(fn, SeminormSpec("real_max", "quotient_C")), abs=1e-12)
+    """Two names for one code path: equal bit for bit."""
+    for space in (PATH3, random_planar_space(7, rng)):
+        for _ in range(20):
+            fn = _sa_fn(rng, space)
+            assert q_term(fn, conv_spec()) == q_term(
+                fn, SeminormSpec("real_max", "quotient_C"))
+
+
+def test_operator_q_terms_against_jacobi(rng):
+    """Both operator-norm quotients against the independent Jacobi spectra."""
+    spaces = [FiniteMetricSpace(("o",), np.zeros((1, 1))),
+              FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.7], [0.7, 0.0]])),
+              random_planar_space(7, rng)]
+    one_scalar = SeminormSpec("operator", "quotient_C")
+    pointwise = SeminormSpec("operator", "quotient_CX")
+    for space in spaces:
+        for algebra in (Algebra((1,)), M23):
+            for _ in range(3):
+                fn = random_sa_function(space, algebra, rng)
+                assert q_term(fn, one_scalar) == pytest.approx(
+                    jacobi_spectral_spread(fn.values), rel=1e-10, abs=0.0)
+                assert q_term(fn, pointwise) == pytest.approx(
+                    max(jacobi_spectral_spread([v]) for v in fn.values),
+                    rel=1e-10, abs=0.0)
 
 
 def test_conv_k_rescales_conv(rng):
@@ -241,6 +261,20 @@ def test_sup_norm_matches_operator_norm(rng):
     fn = _sa_fn(rng)
     assert sup_norm(fn, "operator") == pytest.approx(
         max(op_norm(v) for v in fn.values), abs=1e-12)
+
+
+def test_sup_norm_rejects_unknown_norm_kind(rng):
+    fn = _sa_fn(rng)
+    with pytest.raises(InputError, match="unknown norm kind"):
+        sup_norm(fn, "operatr")
+
+
+def test_operator_lipnorm_rejects_non_finite_entries(rng):
+    base = _sa_fn(rng, algebra=M2)
+    nan = AlgElement(M2, (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+    fn = MatrixFunction(PATH3, M2, (nan,) + base.values[1:])
+    with pytest.raises(InputError, match="finite"):
+        lipnorm(fn, SeminormSpec("operator", "quotient_C"))
 
 
 def test_real_max_requires_self_adjoint(rng):
