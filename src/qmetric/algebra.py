@@ -188,20 +188,21 @@ def _require_self_adjoint(stacks, tol: float) -> None:
         raise InputError("operation needs a self-adjoint element")
 
 
-def _require_finite(stacks) -> None:
-    # LAPACK does not converge on NaN or inf; say so instead of failing there
+def _require_finite(stacks, norm_kind: str) -> None:
+    # LAPACK does not converge on NaN or inf, and max() may skip a NaN
     if not all(np.isfinite(s).all() for s in stacks):
-        raise InputError("the operator norm needs finite entries")
+        raise InputError("the %s norm needs finite entries" % norm_kind)
 
 
 def stack_norms(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
     """Norm of each element held as per-block stacks of shape (k, m, m).
 
     "real_max" raises InputError unless every element is self-adjoint
-    within tol; "operator" raises it on NaN or inf entries.
+    within tol; "operator" and "max" raise it on NaN or inf entries.
     """
+    if norm_kind in ("operator", "max"):
+        _require_finite(stacks, norm_kind)
     if norm_kind == "operator":
-        _require_finite(stacks)
         return np.max([np.linalg.norm(s, 2, axis=(1, 2)) for s in stacks], axis=0)
     if norm_kind == "max":
         return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
@@ -282,11 +283,13 @@ def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
     self-adjoint, finite input.  The entrywise kinds split each element
     into the part a scalar can move and the rest, whose norm is a floor:
     "max" moves the complex diagonal, whose cost is the smallest circle
-    enclosing all diagonal entries; "real_max" moves the real diagonal,
-    whose cost is half its spread, and needs self-adjoint input.
+    enclosing all diagonal entries, and needs finite input; "real_max"
+    moves the real diagonal, whose cost is half its spread, and needs
+    self-adjoint input.
     """
+    if norm_kind in ("operator", "max"):
+        _require_finite(stacks, norm_kind)
     if norm_kind == "operator":
-        _require_finite(stacks)
         _require_self_adjoint(stacks, tol)
         evs = np.concatenate([np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2))).ravel()
                               for s in stacks])

@@ -386,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="tighten the interval under the max norm")
     p.add_argument("--dump-lp", metavar="<path>",
                    help="write the exact solve as CSV: per-channel supplies, "
-                        "flows and potentials, or the simplex tableaus for "
+                        "potentials and flows, after a multiplier line for "
                         "--spec-q state")
     p.set_defaults(func=cmd_mk)
 

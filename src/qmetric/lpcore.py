@@ -1,17 +1,16 @@
-"""Linear programming: a dense two-phase simplex and an uncapacitated
-min-cost flow.
+"""Linear programming: a dense simplex and an uncapacitated min-cost flow.
 
-``solve`` maximizes c.x subject to A x <= b, x unrestricted in sign.  It is
-deliberately dense and unfactorized: an auditable pivot loop is worth more
-than speed.  The tableau is m rows by 2n + m + 1 doubles (plus a column per
-negative bound), which grows as n^2 * sum m^2 for a distance LP on n support
-points, so it serves only the LPs whose channels couple (the state q kind and
-the 16-gon refinements).  Bland's rule is always on because the constraint
-geometry is highly degenerate (many symmetric box rows).
+``min_cost_flow`` solves the transport problems that every exact MK
+distance splits into, one per real channel: successive shortest paths on
+the complete graph of the support plus one anchor node, in O(n^2) memory.
 
-``min_cost_flow`` solves the transport problems that the other exact specs
-split into, one per real channel: successive shortest paths on the complete
-graph of the support plus one anchor node, in O(n^2) memory.
+``solve`` maximizes c.x subject to A x <= b with b >= 0, x unrestricted in
+sign, from the slack basis.  It is deliberately dense and unfactorized: an
+auditable pivot loop is worth more than speed.  The tableau is m rows by
+2n + m + 1 doubles, which grows as n^2 * sum m^2 for a distance LP on n
+support points, so it serves only the two 16-gon refinements of a max-norm
+interval, whose channels couple.  Bland's rule is always on because the
+constraint geometry is highly degenerate (many symmetric rows).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ _FLOW_EPS = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """maximize objective . x  subject to  rows . x <= bounds, x free."""
+    """maximize objective . x  subject to  rows . x <= bounds (all >= 0), x free."""
 
     objective: np.ndarray
     rows: np.ndarray
@@ -52,6 +51,8 @@ class LinearProgram:
             raise InputError("need one bound per constraint row")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise InputError("linear program data must be finite")
+        if (b < 0).any():
+            raise InputError("bounds must be nonnegative, so that x = 0 is feasible")
         for arr in (c, a, b):
             arr.setflags(write=False)
         object.__setattr__(self, "objective", c)
@@ -70,7 +71,7 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     optimum: float | None
     x: np.ndarray | None
 
@@ -83,10 +84,10 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _entering(obj: np.ndarray, allowed: np.ndarray) -> int | None:
+def _entering(obj: np.ndarray) -> int | None:
     # Bland: lowest-index improving column.
     for j in range(obj.size):
-        if allowed[j] and obj[j] > PIVOT_TOL:
+        if obj[j] > PIVOT_TOL:
             return j
     return None
 
@@ -108,11 +109,10 @@ def _leaving(tab: np.ndarray, basis: list[int], col: int) -> int | None:
     return best_row
 
 
-def _run_simplex(tab: np.ndarray, obj: np.ndarray, basis: list[int],
-                 allowed: np.ndarray) -> str:
+def _run_simplex(tab: np.ndarray, obj: np.ndarray, basis: list[int]) -> str:
     """Pivot until optimal or unbounded. obj holds reduced costs, obj[-1] = -z."""
     for _ in range(_MAX_PIVOTS):
-        col = _entering(obj[:-1], allowed)
+        col = _entering(obj[:-1])
         if col is None:
             return "optimal"
         row = _leaving(tab, basis, col)
@@ -123,111 +123,26 @@ def _run_simplex(tab: np.ndarray, obj: np.ndarray, basis: list[int],
     raise ArithmeticError("simplex pivot cap exceeded; input likely ill-posed")
 
 
-def _reduced_costs(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> np.ndarray:
-    obj = np.zeros(tab.shape[1])
-    obj[:-1] = cost
-    for i, b in enumerate(basis):
-        if obj[b] != 0.0:
-            obj -= obj[b] * tab[i]
-    return obj
-
-
-def _dump(path: str, phase: str, tab: np.ndarray, obj: np.ndarray,
-          basis: list[int], names: list[str], mode: str) -> None:
-    with open(path, mode) as fh:
-        fh.write("# %s\n" % phase)
-        fh.write("basis," + ",".join(names) + ",rhs\n")
-        for i in range(tab.shape[0]):
-            cells = ",".join("%.12g" % v for v in tab[i])
-            fh.write("%s,%s\n" % (names[basis[i]], cells))
-        fh.write("obj," + ",".join("%.12g" % v for v in obj) + "\n")
-
-
-def solve(lp: LinearProgram, dump_csv: str | None = None) -> LpSolution:
-    """Two-phase simplex; feasibility and optimum certified to TAU_LP."""
+def solve(lp: LinearProgram) -> LpSolution:
+    """Simplex on the columns u, w >= 0 (x = u - w) and one slack per row,
+    from the slack basis, which x = 0 makes feasible; the optimum is
+    re-checked to TAU_LP."""
     n = lp.objective.size
     m = lp.rows.shape[0]
-    if m == 0:
-        # No constraints: bounded only if the objective vanishes.
-        if np.abs(lp.objective).max() > PIVOT_TOL:
-            return LpSolution("unbounded", None, None)
-        return LpSolution("optimal", 0.0, np.zeros(n))
-
-    flip = lp.bounds < 0
-    n_art = int(flip.sum())
-    ncols = 2 * n + m + n_art
-
-    tab = np.zeros((m, ncols + 1))
+    tab = np.zeros((m, 2 * n + m + 1))
     tab[:, :n] = lp.rows
     tab[:, n:2 * n] = -lp.rows
-    tab[:, -1] = lp.bounds
     tab[np.arange(m), 2 * n + np.arange(m)] = 1.0
-    tab[flip] *= -1.0
+    tab[:, -1] = lp.bounds
+    basis = list(range(2 * n, 2 * n + m))
 
-    basis = []
-    art_cols = []
-    next_art = 2 * n + m
-    for i in range(m):
-        if flip[i]:
-            tab[i, next_art] = 1.0
-            basis.append(next_art)
-            art_cols.append(next_art)
-            next_art += 1
-        else:
-            basis.append(2 * n + i)
-
-    names = (["u%d" % j for j in range(n)] + ["w%d" % j for j in range(n)]
-             + ["s%d" % i for i in range(m)] + ["t%d" % k for k in range(n_art)])
-    allowed = np.ones(ncols, dtype=bool)
-
-    if n_art:
-        cost1 = np.zeros(ncols)
-        cost1[art_cols] = -1.0
-        obj = _reduced_costs(tab, basis, cost1)
-        status = _run_simplex(tab, obj, basis, allowed)
-        if status != "optimal":
-            raise ArithmeticError("phase 1 cannot be unbounded")
-        if obj[-1] > TAU_LP:  # obj[-1] = -z = sum of artificials at optimum
-            if dump_csv:
-                _dump(dump_csv, "phase1 (infeasible)", tab, obj, basis, names, "w")
-            return LpSolution("infeasible", None, None)
-        # Drive leftover degenerate artificials out of the basis.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] not in art_cols:
-                continue
-            pivot_col = None
-            for j in range(2 * n + m):
-                if abs(tab[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                drop_rows.append(i)  # redundant row
-            else:
-                _pivot(tab, basis, i, pivot_col)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tab = tab[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        if dump_csv:
-            _dump(dump_csv, "phase1", tab, obj, basis, names, "w")
-        allowed[art_cols] = False
-    elif dump_csv:
-        _dump(dump_csv, "phase1 (skipped)", tab,
-              np.zeros(ncols + 1), basis, names, "w")
-
-    cost2 = np.zeros(ncols)
-    cost2[:n] = lp.objective
-    cost2[n:2 * n] = -lp.objective
-    obj = _reduced_costs(tab, basis, cost2)
-    status = _run_simplex(tab, obj, basis, allowed)
-    if dump_csv:
-        _dump(dump_csv, "phase2 (%s)" % status, tab, obj, basis, names, "a")
-    if status == "unbounded":
+    obj = np.zeros(tab.shape[1])
+    obj[:n] = lp.objective
+    obj[n:2 * n] = -lp.objective
+    if _run_simplex(tab, obj, basis) == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    full = np.zeros(ncols)
+    full = np.zeros(tab.shape[1] - 1)
     for i, b in enumerate(basis):
         full[b] = tab[i, -1]
     x = full[:n] - full[n:2 * n]

@@ -5,15 +5,16 @@ points of the two states, is a polytope, so the defining sup is a finite
 linear program; the optimizer then extends channel by channel to a
 certified witness on the whole space.
 
-Under the conv, conv_K and quotient_C q kinds the pairing kills constants,
-(mu - nu)(1) = 0, so the recentring scalar drops out and the LP splits into
-one problem per real channel: maximize c.y subject to |y_p - y_q| <= d_pq
-and |y_p| <= beta.  That is the dual of a transport problem on the support
-plus an anchor node at distance beta from every point, solved as a
-min-cost flow.  Its potentials are the witness channels (lower bound) and
-its flow is a dual certificate (upper bound); both are re-verified on every
-call.  The state q kind couples the channels through one equality and
-keeps the dense simplex.
+The pairing kills constants, (mu - nu)(1) = 0, so under the conv, conv_K
+and quotient_C q kinds the recentring scalar drops out and the LP splits
+into one problem per real channel: maximize c.y subject to
+|y_p - y_q| <= d_pq and |y_p| <= beta.  That is the dual of a transport
+problem on the support plus an anchor node at distance beta from every
+point, solved as a min-cost flow.  The state q kind is the beta = 1 case
+cut by one equality, psi(y) = 0, whose multiplier is found exactly by a
+search over one real variable, each step a set of channel flows.  The
+potentials are the witness channels (lower bound) and the flows are a dual
+certificate (upper bound); both are re-verified on every call.
 
 Operator- and max-norm specs get two-sided intervals instead, from the
 nested unit balls of the norm sandwich, optionally tightened by 16-gon
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,6 +39,11 @@ from .metric import FiniteMetricSpace, diameter
 from .states import FunctionalState, delta_embed, evaluate
 
 _ROOT2 = math.sqrt(2.0)
+
+# A multiplier probe this close (per unit of total supply) to the level
+# where the bracketing lines cross has landed there; the rest is rounding.
+_LEVEL_EPS = 64 * np.finfo(float).eps
+_MAX_PROBES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,21 +64,16 @@ class MkResult:
 
 
 class _SupportLayout:
-    """Real coordinates of a self-adjoint element sampled on support points.
+    """Real coordinates of a self-adjoint element sampled on support points:
+    per point, the real channels of funcspace.channel_slots."""
 
-    Per point, the real channels of funcspace.channel_slots; an optional
-    trailing variable holds the global recentring scalar.
-    """
-
-    def __init__(self, algebra: Algebra, n_points: int, with_shift: bool):
+    def __init__(self, algebra: Algebra, n_points: int):
         self.n_points = n_points
         self.slots = channel_slots(algebra)
         self.diag, re, im = (np.concatenate(part) for part in zip(*self.slots))
         self.pairs = list(zip(re, im))
         self.per_point = sum(m * m for m in algebra.block_sizes)
-        self.n_base = self.per_point * n_points
-        self.shift = self.n_base if with_shift else None
-        self.n_vars = self.n_base + (1 if with_shift else 0)
+        self.n_vars = self.per_point * n_points
 
 
 def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
@@ -97,18 +98,15 @@ def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
     return coefs
 
 
-def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
-               positions: dict):
-    """Linear rows and complex-modulus discs cutting out the Lip unit ball.
-
-    Returns (rows, bounds, discs) where each disc is (re_row, im_row, radius)
-    standing for |re_row.x + i im_row.x| <= radius.  In box form a disc means
-    the two independent interval constraints of the entrywise real max norm;
-    polygon form reads it as a true modulus bound.
-    """
+def _polygon_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
+                  positions: dict, gon_gamma: float):
+    """Rows and bounds (all >= 0) of a 16-gon approximation of the max-norm
+    Lip ball: each bound |re + i im| <= r on an off-diagonal entry becomes a
+    regular 16-gon of inradius gon_gamma * r.  The q term recentres the
+    diagonal by the state's pairing (state q kind) or not at all, since
+    (mu - nu)(1) = 0 makes the recentring scalar free."""
     rows: list[np.ndarray] = []
     bounds: list[float] = []
-    discs: list[tuple[np.ndarray, np.ndarray, float]] = []
     nv, pp = layout.n_vars, layout.per_point
 
     def box(vec, b):
@@ -116,6 +114,12 @@ def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
         bounds.append(b)
         rows.append(-vec)
         bounds.append(b)
+
+    def disc(vre, vim, b):
+        for t in range(16):
+            th = 2.0 * math.pi * t / 16.0
+            rows.append(math.cos(th) * vre + math.sin(th) * vim)
+            bounds.append(gon_gamma * b)
 
     def gap(p, q, c):
         vec = np.zeros(nv)
@@ -130,38 +134,21 @@ def _ball_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
             for c in layout.diag:
                 box(gap(p, q, c), d)
             for c_re, c_im in layout.pairs:
-                discs.append((gap(p, q, c_re), gap(p, q, c_im), d))
+                disc(gap(p, q, c_re), gap(p, q, c_im), d)
 
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
     if spec.q_kind == "state":
         shift = _pairing_vector(layout, spec.state, positions)
     else:
         shift = np.zeros(nv)
-        shift[layout.shift] = 1.0
     for p in range(layout.n_points):
         for c in layout.diag:
             vec = -shift.copy()
             vec[p * pp + c] += 1.0
             box(vec, beta)
         for c_re, c_im in layout.pairs:
-            discs.append((gap(p, None, c_re), gap(p, None, c_im), beta))
-    return rows, bounds, discs
-
-
-def _materialize(rows, bounds, discs, gon_gamma=None):
-    out_rows = list(rows)
-    out_bounds = list(bounds)
-    if gon_gamma is None:
-        for vre, vim, b in discs:
-            out_rows += [vre, -vre, vim, -vim]
-            out_bounds += [b, b, b, b]
-    else:
-        for vre, vim, b in discs:
-            for t in range(16):
-                th = 2.0 * math.pi * t / 16.0
-                out_rows.append(math.cos(th) * vre + math.sin(th) * vim)
-                out_bounds.append(gon_gamma * b)
-    return np.array(out_rows), np.array(out_bounds)
+            disc(gap(p, None, c_re), gap(p, None, c_im), beta)
+    return np.array(rows), np.array(bounds)
 
 
 def _check_states(space: FiniteMetricSpace, algebra: Algebra,
@@ -180,49 +167,110 @@ def _support_points(mu, nu, spec) -> list:
     return sorted(support)
 
 
-def _solve_support_lp(space, algebra, mu, nu, spec, gon_gamma=None,
-                      dump_csv=None):
-    """Maximize (mu - nu)(a) over the Lip ball restricted to support points.
-
-    The restriction is exact for these specs: any feasible assignment on
-    the support extends channel by channel (clamped inf-convolution) to a
-    feasible element of the full ball with the same pairing values.  One
-    dense LP over every channel; it serves the state q kind, whose channels
-    couple, and the 16-gon refinements.  Returns (value, per-point channels
-    on the support, support).
-    """
+def _solve_polygon_lp(space, algebra, mu, nu, spec, gon_gamma):
+    """Maximize (mu - nu)(a) over a 16-gon approximation of the max-norm
+    Lip ball, restricted to the support points; one dense LP, since the
+    polygons couple each entry's (Re, Im) channel pair."""
     support = _support_points(mu, nu, spec)
     positions = {s: i for i, s in enumerate(support)}
     d_sub = space.dist[np.ix_(support, support)]
-
-    with_shift = spec.q_kind in ("conv", "conv_K", "quotient_C")
-    layout = _SupportLayout(algebra, len(support), with_shift)
-    rows, bounds, discs = _ball_rows(layout, d_sub, spec, positions)
-    a_mat, b_vec = _materialize(rows, bounds, discs, gon_gamma)
+    layout = _SupportLayout(algebra, len(support))
+    a_mat, b_vec = _polygon_rows(layout, d_sub, spec, positions, gon_gamma)
     objective = (_pairing_vector(layout, mu, positions)
                  - _pairing_vector(layout, nu, positions))
-
-    sol = solve(LinearProgram(objective, a_mat, b_vec), dump_csv)
+    sol = solve(LinearProgram(objective, a_mat, b_vec))
     if sol.status != "optimal":
         raise ArithmeticError(
-            "Lip-ball LP reported %s; the ball always contains 0 and the "
-            "pairing is bounded on it" % sol.status)
-    chans = sol.x[:layout.n_base].reshape(len(support), -1)
-    return max(float(sol.optimum), 0.0), chans, support
+            "Lip-ball LP reported %s; the ball is bounded" % sol.status)
+    return max(float(sol.optimum), 0.0)
+
+
+def _channel_flows(cost, gain, channels):
+    """One min-cost flow per listed channel, each point supplying its gain:
+    the potentials (0 in unlisted channels) and (channel, supply, solution)."""
+    n = gain.shape[0]
+    chans = np.zeros_like(gain)
+    flows = []
+    for ch in channels:
+        supply = np.append(gain[:, ch], -gain[:, ch].sum())
+        sol = min_cost_flow(cost, supply)
+        chans[:, ch] = sol.potential[:n]
+        flows.append((int(ch), supply, sol))
+    return chans, flows
+
+
+class _Probe(NamedTuple):
+    z: np.ndarray
+    flows: list
+    gain_z: float
+    psi_z: float
+
+
+def _state_optimum(cost, gain, psi):
+    """Maximize gain.z over the beta = 1 channel balls subject to psi.z = 0.
+
+    The dual F(lam) = max over the balls of (gain - lam psi).z, one set of
+    channel flows per lam, is convex and piecewise linear with min F the
+    constrained optimum; a probe's maximizer z gives the supporting line
+    lam' -> gain.z - lam' psi.z.  Doubling out from lam = 0 brackets the
+    minimum by probes a, b with psi.z_a >= 0 >= psi.z_b.  Each next probe
+    goes where their lines cross and replaces one of them, until F there is
+    the lines' level: then z_a and z_b both maximize at that lam, and so
+    does their mix with psi.z = 0, the constrained optimum.
+
+    Returns (lam, z, flows), the flows certifying F(lam) = gain.z.
+    """
+    channels = np.flatnonzero(gain.any(axis=0) | psi.any(axis=0))
+
+    def probe(lam):
+        z, flows = _channel_flows(cost, gain - lam * psi, channels)
+        return _Probe(z, flows, float((gain * z).sum()), float((psi * z).sum()))
+
+    a = probe(0.0)
+    if a.psi_z == 0.0:
+        return 0.0, a.z, a.flows
+    # Once |lam| >= sum |gain|, the scalar -sign(lam) 1 scores |lam| and
+    # beats every z with psi.z of the sign of lam (states have mass 1,
+    # (mu - nu)(1) = 0), so the first step brackets in exact arithmetic.
+    side, step = math.copysign(1.0, a.psi_z), float(np.abs(gain).sum())
+    b = probe(side * step)
+    while side * b.psi_z > 0.0:
+        a, step = b, 2.0 * step
+        b = probe(side * step)
+    if side < 0.0:
+        a, b = b, a
+    for _ in range(_MAX_PROBES):
+        lam = (a.gain_z - b.gain_z) / (a.psi_z - b.psi_z)
+        level = a.gain_z - lam * a.psi_z
+        c = probe(lam)
+        if c.psi_z == 0.0:
+            return lam, c.z, c.flows
+        scale = sum(float(np.abs(supply).sum()) for _, supply, _ in c.flows)
+        if c.gain_z - lam * c.psi_z <= level + _LEVEL_EPS * scale:
+            theta = -b.psi_z / (a.psi_z - b.psi_z)
+            return lam, theta * a.z + (1.0 - theta) * b.z, c.flows
+        if c.psi_z > 0.0:
+            a = c
+        else:
+            b = c
+    raise ArithmeticError("multiplier search did not close; input likely ill-posed")
 
 
 def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
-    """The same optimum as _solve_support_lp for the conv, conv_K and
-    quotient_C q kinds, as one min-cost flow per real channel.
+    """Maximize (mu - nu)(a) over the Lip ball restricted to support points.
 
-    Arcs between support points cost their distance, arcs to and from the
-    anchor (the last node) cost beta, and each point supplies its pairing
-    coefficient in the channel.  Channels the pairing does not read stay 0.
+    The restriction is exact: any feasible assignment on the support
+    extends channel by channel (clamped inf-convolution) to a feasible
+    element of the full ball with the same pairing values.  Per channel,
+    arcs between support points cost their distance, arcs to and from the
+    anchor (the last node) cost beta.  For the state q kind, a - psi(a) 1
+    pairs like a and has psi = 0, which couples the channels.  Returns
+    (value, per-point channels on the support, support).
     """
     support = _support_points(mu, nu, spec)
     n = len(support)
     positions = {s: i for i, s in enumerate(support)}
-    layout = _SupportLayout(algebra, n, with_shift=False)
+    layout = _SupportLayout(algebra, n)
     gain = (_pairing_vector(layout, mu, positions)
             - _pairing_vector(layout, nu, positions)).reshape(n, -1)
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
@@ -230,25 +278,17 @@ def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
     cost[:n, :n] = space.dist[np.ix_(support, support)]
     cost[n, n] = 0.0
 
-    chans = np.zeros_like(gain)
-    flows = []
-    for ch in np.flatnonzero(gain.any(axis=0)):
-        supply = np.append(gain[:, ch], -gain[:, ch].sum())
-        sol = min_cost_flow(cost, supply)
-        chans[:, ch] = sol.potential[:n]
-        flows.append((int(ch), supply, sol))
+    if spec.q_kind == "state":
+        psi = _pairing_vector(layout, spec.state, positions).reshape(n, -1)
+        lam, chans, flows = _state_optimum(cost, gain, psi)
+    else:
+        lam = None
+        chans, flows = _channel_flows(cost, gain, np.flatnonzero(gain.any(axis=0)))
     value = max(float((gain * chans).sum()), 0.0)
     if dump_csv:
-        _dump_flows(dump_csv, [space.labels[s] for s in support], flows)
+        _dump_flows(dump_csv, [space.labels[s] for s in support], flows, lam)
     _certify_flows(cost, beta, flows, value)
     return value, chans, support
-
-
-def _solve_support(space, algebra, mu, nu, spec, dump_csv=None):
-    """The exact support optimum: per-channel flows unless the state q kind
-    couples the channels."""
-    solver = _solve_support_lp if spec.q_kind == "state" else _solve_support_flows
-    return solver(space, algebra, mu, nu, spec, dump_csv=dump_csv)
 
 
 def _certify_flows(cost, beta, flows, value) -> None:
@@ -277,14 +317,17 @@ def _certify_flows(cost, beta, flows, value) -> None:
                              % (upper, value))
 
 
-def _dump_flows(path, labels, flows) -> None:
+def _dump_flows(path, labels, flows, multiplier=None) -> None:
     """One CSV section per solved channel: each node's supply, potential
-    and outgoing flows, the anchor last."""
+    and outgoing flows, the anchor last.  For the state q kind a first
+    line gives the multiplier lam, and the supplies are gain - lam psi."""
     import csv  # only the dump needs it; kept off the import path
 
     names = [str(lab) for lab in labels] + ["anchor"]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
+        if multiplier is not None:
+            fh.write("# multiplier %.12g\n" % multiplier)
         if not flows:
             fh.write("# no channel carries a pairing\n")
         for ch, supply, sol in flows:
@@ -344,8 +387,8 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
       refine: for the max norm, tighten the interval with 16-gon inner and
         outer polygon relaxations of each modulus constraint.
       dump_csv: optional CSV path for the exact solve: per-channel
-        supplies, flows and potentials, or the simplex tableaus for the
-        state q kind.
+        supplies, flows and potentials (after the multiplier line for the
+        state q kind).
 
     Returns:
       MkResult; exact results carry a self-verified witness.
@@ -359,8 +402,8 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
             "no exact LP or sandwich interval is available for it")
 
     if spec.norm_kind == "real_max":
-        optimum, chans, support = _solve_support(space, algebra, mu, nu, spec,
-                                                 dump_csv=dump_csv)
+        optimum, chans, support = _solve_support_flows(space, algebra, mu, nu, spec,
+                                                       dump_csv=dump_csv)
         witness = _witness_from_channels(space, algebra, support, chans)
         witness = _certify_witness(space, algebra, mu, nu, spec, witness,
                                    optimum)
@@ -368,16 +411,15 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
 
     rm_spec = SeminormSpec("real_max", spec.q_kind, K=spec.K,
                            state=spec.state)
-    v_rm = _solve_support(space, algebra, mu, nu, rm_spec)[0]
+    v_rm = _solve_support_flows(space, algebra, mu, nu, rm_spec)[0]
     if spec.norm_kind == "operator":
         return MkResult("interval", lower=v_rm / (_ROOT2 * algebra.max_block),
                         upper=v_rm)
     lower, upper = v_rm / _ROOT2, v_rm
     if refine:
-        inner = _solve_support_lp(space, algebra, mu, nu, rm_spec,
-                                  gon_gamma=math.cos(math.pi / 16.0))[0]
-        outer = _solve_support_lp(space, algebra, mu, nu, rm_spec,
-                                  gon_gamma=1.0)[0]
+        inner = _solve_polygon_lp(space, algebra, mu, nu, rm_spec,
+                                  gon_gamma=math.cos(math.pi / 16.0))
+        outer = _solve_polygon_lp(space, algebra, mu, nu, rm_spec, gon_gamma=1.0)
         lower, upper = max(lower, inner), min(upper, outer)
     return MkResult("interval", lower=lower, upper=upper)
 

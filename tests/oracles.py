@@ -140,6 +140,74 @@ def lp_by_vertices(objective, rows, bounds, tol=1e-9):
     return best
 
 
+def support_lp_value(space, algebra, mu, nu, spec):
+    """Exact real-max MK distance as the box-form LP on the support points.
+
+    Written from the definitions: the variables are the coordinates of a
+    self-adjoint value at each support point in the Hermitian basis E_jj,
+    E_jk + E_kj, i E_jk - i E_kj (j < k), so the real max norm of a value is
+    its largest coordinate modulus.  The slope part bounds each coordinate
+    difference by the distance.  The quotient part bounds every
+    off-diagonal coordinate by beta, and every diagonal one by beta around
+    a free recentring scalar (conv, conv_K, quotient_C) or around psi(a), a
+    linear row (state).  Solved by lpcore.solve.
+    """
+    from qmetric.lpcore import LinearProgram, solve
+
+    states = [mu, nu] + ([spec.state] if spec.q_kind == "state" else [])
+    support = sorted({x for st in states for w, x, _ in st.terms if w > 0.0})
+    basis = []  # (block, Hermitian basis matrix, on the diagonal)
+    for blk, m in enumerate(algebra.block_sizes):
+        for j in range(m):
+            e = np.zeros((m, m), dtype=complex)
+            e[j, j] = 1.0
+            basis.append((blk, e, True))
+        for j, k in combinations(range(m), 2):
+            for re, im in ((1.0, 1.0), (1j, -1j)):
+                e = np.zeros((m, m), dtype=complex)
+                e[j, k], e[k, j] = re, im
+                basis.append((blk, e, False))
+    nb = len(basis)
+    with_scalar = spec.q_kind in ("conv", "conv_K", "quotient_C")
+    n_vars = len(support) * nb + (1 if with_scalar else 0)
+
+    def unit(p, i):
+        vec = np.zeros(n_vars)
+        vec[p * nb + i] = 1.0
+        return vec
+
+    def pairing(state):
+        coefs = np.zeros(n_vars)
+        for w, x, phi in state.terms:
+            if w > 0.0:
+                for i, (blk, e, _) in enumerate(basis):
+                    coefs[support.index(x) * nb + i] += (
+                        w * phi.weights[blk] * np.trace(phi.densities[blk] @ e).real)
+        return coefs
+
+    rows, bounds = [], []
+
+    def two_sided(vec, b):
+        rows.extend([vec, -vec])
+        bounds.extend([b, b])
+
+    for p, q in combinations(range(len(support)), 2):
+        for i in range(nb):
+            two_sided(unit(p, i) - unit(q, i), float(space.dist[support[p], support[q]]))
+    beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
+    if spec.q_kind == "state":
+        centre = pairing(spec.state)
+    else:
+        centre = np.zeros(n_vars)
+        centre[-1] = 1.0
+    for p in range(len(support)):
+        for i, (_, _, on_diag) in enumerate(basis):
+            two_sided(unit(p, i) - centre if on_diag else unit(p, i), beta)
+    sol = solve(LinearProgram(pairing(mu) - pairing(nu), np.array(rows), np.array(bounds)))
+    assert sol.status == "optimal"
+    return sol.optimum
+
+
 def brute_lip_part(fn, norm_kind):
     """Lipschitz part of a matrix function by the pairwise loop.
 

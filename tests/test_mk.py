@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import support_lp_value
 from qmetric import lpcore, mk
 from qmetric.algebra import Algebra, AlgState
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
@@ -110,6 +111,21 @@ def test_state_anchored_spec_frozen_value():
     res = mk_distance(space, M1, mu, nu, spec)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert lipnorm(res.witness, spec) <= 1.0 + 1e-7
+
+
+def test_state_recentring_uses_channels_only_the_reference_reads():
+    # psi = |+><+| at p0 reads the off-diagonal channel, which the tracial
+    # pairing does not: a(p0) = [[1, -1], [-1, 1]], a(p1) = -1 has psi(a) = 0,
+    # q term 1 and slope 2/3, and pairs to 2, twice the diagonal-only best
+    space = _path(2, step=3.0)
+    mu = tracial_functional(M2, (1.0,), 0)
+    nu = tracial_functional(M2, (1.0,), 1)
+    plus = AlgState((1.0,), (np.full((2, 2), 0.5),))
+    spec = SeminormSpec("real_max", "state", state=delta_embed(plus, 0))
+    res = mk_distance(space, M2, mu, nu, spec)
+    assert res.value == pytest.approx(2.0, abs=1e-12)
+    assert lipnorm(res.witness, spec) <= 1.0 + 1e-7
+    assert _pairing(mu, nu, res.witness) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_operator_interval_brackets_the_truth(rng):
@@ -234,18 +250,23 @@ def _spread_state(space, algebra, rng, points):
                                  for wt, p in zip(w, points)))
 
 
-def _flow_spec(q_kind, rng):
+def _flow_spec(q_kind, rng, space, algebra):
     if q_kind == "conv_K":
         return SeminormSpec("real_max", "conv_K", K=float(rng.uniform(0.2, 3.0)))
+    if q_kind == "state":
+        n = space.size
+        own = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        return SeminormSpec("real_max", "state",
+                            state=_spread_state(space, algebra, rng, own))
     return SeminormSpec("real_max", q_kind)
 
 
-@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C"])
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C", "state"])
 @pytest.mark.parametrize("algebra", [M1, M2, M23], ids=["M1", "M2", "M23"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_flow_path_equals_the_dense_support_lp(n, algebra, q_kind, rng):
     space = random_planar_space(n, rng, box=float(rng.choice([0.3, 1.0, 4.0])))
-    spec = _flow_spec(q_kind, rng)
+    spec = _flow_spec(q_kind, rng, space, algebra)
     some = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     rest = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     mu = _spread_state(space, algebra, rng, some)
@@ -259,7 +280,7 @@ def test_flow_path_equals_the_dense_support_lp(n, algebra, q_kind, rng):
                                  n - 1))]
     for a, b in cases:
         flow_value, chans, support = mk._solve_support_flows(space, algebra, a, b, spec)
-        dense_value = mk._solve_support_lp(space, algebra, a, b, spec)[0]
+        dense_value = support_lp_value(space, algebra, a, b, spec)
         assert flow_value == pytest.approx(dense_value, rel=1e-12, abs=0.0)
         assert chans.shape == (len(support), sum(m * m for m in algebra.block_sizes))
 
@@ -281,41 +302,56 @@ def _recorded_flows(monkeypatch):
     return seen
 
 
+def _certified_flows(monkeypatch):
+    """Record the arguments of every flow certificate mk checks."""
+    seen = []
+    real = mk._certify_flows
+
+    def record(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mk, "_certify_flows", record)
+    return seen
+
+
 def test_flow_certificate_rejects_tampered_flows(monkeypatch, rng):
     space = _path(4)
-    spec = SeminormSpec("real_max", "conv_K", K=1.5)
     mu = _spread_state(space, M2, rng, [0, 1])
     nu = _spread_state(space, M2, rng, [2, 3])
-    seen = _recorded_flows(monkeypatch)
-    value = mk_distance(space, M2, mu, nu, spec).value
-    flows = [(ch, supply, sol) for ch, (_, supply, sol) in enumerate(seen)]
-    cost = seen[0][0]
-    mk._certify_flows(cost, 0.75, flows, value)  # the genuine flows pass
+    seen = _certified_flows(monkeypatch)
+    for spec in (SeminormSpec("real_max", "conv_K", K=1.5),
+                 SeminormSpec("real_max", "state",
+                              state=_spread_state(space, M2, rng, [1, 2]))):
+        value = mk_distance(space, M2, mu, nu, spec).value
+        cost, beta, flows, certified = seen.pop()
+        assert certified == value
+        mk._certify_flows(cost, beta, flows, value)  # the genuine flows pass
 
-    def tampered(edit):
-        ch, supply, sol = flows[0]
-        flow = sol.flow.copy()
-        edit(flow)
-        bad = lpcore.FlowSolution(flow, sol.potential)
-        return [(ch, supply, bad)] + flows[1:]
+        def tampered(edit):
+            ch, supply, sol = flows[0]
+            flow = sol.flow.copy()
+            edit(flow)
+            bad = lpcore.FlowSolution(flow, sol.potential)
+            return [(ch, supply, bad)] + flows[1:]
 
-    def bump(flow):
-        flow[0, 1] += 0.1
+        def bump(flow):
+            flow[0, 1] += 0.1
 
-    def circulate(flow):
-        flow[0, 2] += 0.1
-        flow[2, 0] += 0.1
+        def circulate(flow):
+            flow[0, 2] += 0.1
+            flow[2, 0] += 0.1
 
-    def reverse(flow):
-        flow[1, 0] = -0.1
+        def reverse(flow):
+            flow[1, 0] = -0.1
 
-    for edit, match in ((bump, "miss the supplies"),
-                        (circulate, "does not certify"),
-                        (reverse, "negative flow")):
-        with pytest.raises(BoundViolation, match=match):
-            mk._certify_flows(cost, 0.75, tampered(edit), value)
-    with pytest.raises(BoundViolation, match="does not certify"):
-        mk._certify_flows(cost, 0.75, flows, value * (1.0 + 1e-5))
+        for edit, match in ((bump, "miss the supplies"),
+                            (circulate, "does not certify"),
+                            (reverse, "negative flow")):
+            with pytest.raises(BoundViolation, match=match):
+                mk._certify_flows(cost, beta, tampered(edit), value)
+        with pytest.raises(BoundViolation, match="does not certify"):
+            mk._certify_flows(cost, beta, flows, value * (1.0 + 1e-5))
 
 
 def test_32_point_full_support_is_certified_from_both_sides(monkeypatch, rng):
@@ -338,6 +374,42 @@ def test_32_point_full_support_is_certified_from_both_sides(monkeypatch, rng):
     assert lower <= res.value <= upper + 1e-12
 
 
+def test_16_point_full_support_state_is_certified_from_both_sides(monkeypatch, rng):
+    space = circle_net(16, "chord")
+    mu, nu, psi = (_spread_state(space, M23, rng, range(16)) for _ in range(3))
+    spec = SeminormSpec("real_max", "state", state=psi)
+    _recorded_flows(monkeypatch)
+    seen = _certified_flows(monkeypatch)
+    res = mk_distance(space, M23, mu, nu, spec)
+    assert res.kind == "exact"
+    lower = _pairing(mu, nu, res.witness) / max(1.0, lipnorm(res.witness, spec))
+    (cost, _, flows, certified), = seen
+    assert certified == res.value
+    upper = 0.0
+    for _, supply, sol in flows:
+        assert sol.flow.min() >= 0.0
+        net = sol.flow.sum(axis=1) - sol.flow.sum(axis=0)
+        assert np.abs(net - supply).max() <= 1e-12
+        upper += float((sol.flow * cost).sum())
+    assert len(flows) == 13
+    assert upper - lower <= lpcore.TAU_LP * max(1.0, res.value)
+    assert lower - 1e-12 <= res.value <= upper + 1e-12
+
+
+def test_state_distance_is_symmetric_and_vanishes_on_the_diagonal(rng):
+    space = random_planar_space(5, rng)
+    for _ in range(4):
+        mu, nu = (_spread_state(space, M23, rng, range(5)) for _ in range(2))
+        own = sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
+        spec = SeminormSpec("real_max", "state",
+                            state=_spread_state(space, M23, rng, own))
+        ab = mk_distance(space, M23, mu, nu, spec).value
+        assert ab > 0.0
+        assert mk_distance(space, M23, nu, mu, spec).value == pytest.approx(
+            ab, rel=1e-12, abs=0.0)
+        assert mk_distance(space, M23, mu, mu, spec).value == 0.0
+
+
 def test_flow_dump_has_one_section_per_channel(tmp_path):
     out = tmp_path / "mk.csv"
     mu = tracial_functional(M23, (0.5, 0.5), 0)
@@ -350,10 +422,27 @@ def test_flow_dump_has_one_section_per_channel(tmp_path):
     assert lines[1] == ("node,supply,potential,flow to p0,flow to p2,"
                         "flow to anchor")
     assert [ln.split(",")[0] for ln in lines[2:5]] == ["p0", "p2", "anchor"]
-    # the state q kind still solves, and dumps, one coupled tableau
+    # the state q kind: the multiplier, then the certifying flows, whose
+    # supplies are gain - lam psi with psi = mu here
     state_spec = SeminormSpec("real_max", "state", state=mu)
-    mk_distance(_path(3), M23, mu, nu, state_spec, dump_csv=str(out))
-    assert "phase" in out.read_text()
+    value = mk_distance(_path(3), M23, mu, nu, state_spec,
+                        dump_csv=str(out)).value
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("# multiplier ")
+    lam = float(lines[0].split()[-1])
+    assert [ln for ln in lines[1:] if ln.startswith("#")] == [
+        "# channel %d" % ch for ch in (0, 1, 4, 5, 6)]
+    dual = 0.0
+    for k, coef in enumerate((0.25, 0.25, 1 / 6, 1 / 6, 1 / 6)):
+        section = lines[2 + 5 * k:6 + 5 * k]
+        assert section[0] == lines[2]
+        rows = {ln.split(",")[0]: [float(v) for v in ln.split(",")[1:]]
+                for ln in section[1:]}
+        assert rows["p0"][0] == pytest.approx((1.0 - lam) * coef, abs=1e-11)
+        assert rows["p2"][0] == pytest.approx(-coef, abs=1e-11)
+        assert rows["anchor"][0] == pytest.approx(lam * coef, abs=1e-11)
+        dual += sum(r[0] * r[1] for r in rows.values())
+    assert dual == pytest.approx(value, abs=1e-10)
 
 
 def test_embedding_builds_one_tracial_state(monkeypatch):
