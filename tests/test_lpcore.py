@@ -27,18 +27,32 @@ def test_two_variable_shared_cap():
     assert sol.optimum == pytest.approx(1.5, abs=1e-9)
 
 
+def test_infeasible_detected():
+    # with every bound >= 0, x = 0 is feasible, so an infeasible program
+    # needs a negative bound and is refused when it is built
+    with pytest.raises(InputError, match="nonnegative"):
+        _lp([1.0], [([1.0], -1.0), ([-1.0], -3.0)])
+
+
 def test_unbounded_detected():
     sol = solve(_lp([1.0], [([-1.0], 0.0)]))
     assert sol.status == "unbounded"
 
 
-def test_negative_bound_is_rejected():
-    # x = 0 must be feasible: an infeasible program, and x >= 2 written as
-    # -x <= -2, are refused up front
-    for pairs in ([([1.0], -1.0), ([-1.0], -3.0)],
-                  [([-1.0, 0.0], -2.0), ([0.0, 1.0], 7.0), ([1.0, 0.0], 10.0)]):
-        with pytest.raises(InputError, match="nonnegative"):
-            _lp([0.0] * len(pairs[0][0]), pairs)
+def test_negative_bound_goes_through_phase_one():
+    # x >= 2 encoded as -x <= -2, maximize -x + 7 cap: a negative bound is
+    # refused, since solve starts from the slack basis and has no phase one
+    with pytest.raises(InputError, match="nonnegative"):
+        _lp([-1.0, 1.0], [([-1.0, 0.0], -2.0),
+                          ([0.0, 1.0], 7.0),
+                          ([1.0, 0.0], 10.0)])
+    # the same program with x = 2 + x' has bounds >= 0 and solves directly
+    sol = solve(_lp([-1.0, 1.0], [([-1.0, 0.0], 0.0),
+                                  ([0.0, 1.0], 7.0),
+                                  ([1.0, 0.0], 8.0)]))
+    assert sol.status == "optimal"
+    assert sol.optimum - 2.0 == pytest.approx(5.0, abs=1e-9)
+    assert 2.0 + sol.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_free_variables_can_go_negative():
