@@ -287,24 +287,37 @@ def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
     moves the real diagonal, whose cost is half its spread, and needs
     self-adjoint input.
     """
+    return float(_scalar_distances(stacks, norm_kind, tol, pooled=True)[0])
+
+
+def pointwise_scalar_distances(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
+    """Distance from each element in per-block (k, m, m) stacks to the scalars:
+    entry i is scalar_distance of element i alone, bit for bit."""
+    return _scalar_distances(stacks, norm_kind, tol, pooled=False)
+
+
+def _scalar_distances(stacks, norm_kind, tol, pooled):
+    rows = 1 if pooled else len(stacks[0])  # one per element, or all pooled
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
     if norm_kind == "operator":
         _require_self_adjoint(stacks, tol)
-        evs = np.concatenate([np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2))).ravel()
-                              for s in stacks])
-        return 0.5 * (float(evs.max()) - float(evs.min()))
+        evs = np.concatenate([np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2)))
+                              for s in stacks], axis=1).reshape(rows, -1)
+        return 0.5 * (evs.max(axis=1) - evs.min(axis=1))
     diags = [np.diagonal(s, axis1=1, axis2=2) for s in stacks]
     if norm_kind == "real_max":
         diags = [d.real for d in diags]
-        pooled = np.concatenate([d.ravel() for d in diags])
-        moved = 0.5 * (float(pooled.max()) - float(pooled.min()))
+        pool = np.concatenate(diags, axis=1).reshape(rows, -1)
+        moved = 0.5 * (pool.max(axis=1) - pool.min(axis=1))
     elif norm_kind == "max":
-        moved, _ = min_enclosing_radius(np.concatenate([d.ravel() for d in diags]))
+        moved = [min_enclosing_radius(z)[0]
+                 for z in np.concatenate(diags, axis=1).reshape(rows, -1)]
     else:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    rest = [s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)]
-    return max(float(stack_norms(rest, norm_kind, tol).max()), moved)
+    rest = stack_norms([s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)],
+                       norm_kind, tol)
+    return np.maximum(rest.max(keepdims=True) if pooled else rest, moved)
 
 
 def dist_to_scalars(a: AlgElement, norm_kind: str, tol: float = TAU_SA) -> float:
@@ -402,8 +415,13 @@ def check_state_shapes(phi: AlgState, algebra: Algebra) -> None:
 def apply_state(phi: AlgState, a: AlgElement) -> complex:
     """Evaluate a state on an element by the weighted trace pairing."""
     check_state_shapes(phi, a.algebra)
+    return trace_pairing(phi, a.blocks)
+
+
+def trace_pairing(phi: AlgState, blocks) -> complex:
+    """The weighted trace pairing of a state with one matrix per block."""
     total = 0j
-    for t, rho, blk in zip(phi.weights, phi.densities, a.blocks):
+    for t, rho, blk in zip(phi.weights, phi.densities, blocks):
         total += t * np.trace(rho @ blk)
     return complex(total)
 

@@ -3,12 +3,14 @@
 Every seminorm is a max of two parts: a Lipschitz part, the worst normed
 difference quotient over point pairs, and a quotient-type part selected by
 the spec's q kind, which measures how far the function is from scalars.
+Every part reads the function's per-block stacks, never its values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,27 +28,47 @@ Q_KINDS = ("quotient_CX", "quotient_C", "state", "conv", "conv_K")
 LP_EXACT_Q_KINDS = ("quotient_C", "state", "conv", "conv_K")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MatrixFunction:
-    """One algebra element per point of a finite metric space, also kept as
-    one read-only stack of shape (n_points, m, m) per block."""
+    """One algebra element per point of a finite metric space, kept as one
+    read-only stack of shape (n_points, m, m) per block.  A function made
+    from stacks (from_stacks, from_channels) builds its values on first read."""
 
     space: FiniteMetricSpace
     algebra: Algebra
-    values: tuple[AlgElement, ...]
-    stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    stacks: tuple[np.ndarray, ...] = field(repr=False)
 
-    def __post_init__(self):
-        if len(self.values) != self.space.size:
+    def __init__(self, space: FiniteMetricSpace, algebra: Algebra, values):
+        values = tuple(values)
+        if len(values) != space.size:
             raise InputError("need one value per point, got %d for %d points"
-                             % (len(self.values), self.space.size))
-        for val in self.values:
-            if val.algebra.block_sizes != self.algebra.block_sizes:
-                raise InputError("value block sizes do not match the algebra")
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "stacks", tuple(
-            _frozen(np.stack([v.blocks[l] for v in self.values]))
-            for l in range(self.algebra.n_blocks)))
+                             % (len(values), space.size))
+        if any(v.algebra.block_sizes != algebra.block_sizes for v in values):
+            raise InputError("value block sizes do not match the algebra")
+        object.__setattr__(self, "values", values)
+        self._hold(space, algebra, [np.stack([v.blocks[l] for v in values])
+                                    for l in range(algebra.n_blocks)])
+
+    @classmethod
+    def from_stacks(cls, space: FiniteMetricSpace, algebra: Algebra,
+                    stacks) -> "MatrixFunction":
+        """The function with these per-block stacks (copied)."""
+        fn = object.__new__(cls)
+        fn._hold(space, algebra, [np.array(s, dtype=complex) for s in stacks])
+        return fn
+
+    def _hold(self, space, algebra, stacks) -> None:
+        if [s.shape for s in stacks] != [(space.size, m, m) for m in algebra.block_sizes]:
+            raise InputError("need one (n_points, m, m) stack per block")
+        for name, val in (("space", space), ("algebra", algebra),
+                          ("stacks", tuple(_frozen(s) for s in stacks))):
+            object.__setattr__(self, name, val)
+
+    @cached_property
+    def values(self) -> tuple[AlgElement, ...]:
+        """The value at each point: bit for bit the stacks' slices."""
+        return tuple(AlgElement(self.algebra, tuple(s[p] for s in self.stacks))
+                     for p in range(self.space.size))
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
         return all(_hermitian_defect(s).max() <= tol for s in self.stacks)
@@ -71,7 +93,14 @@ class MatrixFunction:
         return cls(space, algebra, values)
 
 
-def channel_slots(algebra: Algebra) -> list:
+@lru_cache(maxsize=None)
+def upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of an m x m block's strictly upper entries, row-major."""
+    return tuple(_frozen(i) for i in np.triu_indices(m, 1))
+
+
+@lru_cache(maxsize=None)
+def channel_slots(algebra: Algebra) -> tuple:
     """Where each block sits in one point's real channels of a self-adjoint element.
 
     One (diag, re, im) triple of index arrays per block: its real diagonal
@@ -82,9 +111,9 @@ def channel_slots(algebra: Algebra) -> list:
     slots, off = [], 0
     for m in algebra.block_sizes:
         re = off + m + 2 * np.arange(m * (m - 1) // 2)
-        slots.append((np.arange(off, off + m), re, re + 1))
+        slots.append(tuple(_frozen(i) for i in (np.arange(off, off + m), re, re + 1)))
         off += m * m
-    return slots
+    return tuple(slots)
 
 
 def to_channels(fn: MatrixFunction) -> np.ndarray:
@@ -94,7 +123,7 @@ def to_channels(fn: MatrixFunction) -> np.ndarray:
     """
     chans = np.empty((fn.space.size, sum(m * m for m in fn.algebra.block_sizes)))
     for s, (diag, re, im) in zip(fn.stacks, channel_slots(fn.algebra)):
-        rows, cols = np.triu_indices(s.shape[1], 1)
+        rows, cols = upper_indices(s.shape[1])
         chans[:, diag] = np.diagonal(s, axis1=1, axis2=2).real
         chans[:, re] = s[:, rows, cols].real
         chans[:, im] = s[:, rows, cols].imag
@@ -113,13 +142,11 @@ def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> Matri
         s = np.zeros((space.size, m, m), dtype=complex)
         s[:, range(m), range(m)] = chans[:, diag]
         z = chans[:, re] + 1j * chans[:, im]
-        rows, cols = np.triu_indices(m, 1)
+        rows, cols = upper_indices(m)
         s[:, rows, cols] = z
         s[:, cols, rows] = np.conj(z)
         stacks.append(s)
-    values = tuple(AlgElement(algebra, tuple(s[p] for s in stacks))
-                   for p in range(space.size))
-    return MatrixFunction(space, algebra, values)
+    return MatrixFunction.from_stacks(space, algebra, stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +226,7 @@ def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
     """The quotient-type part of the seminorm selected by the spec."""
     if spec.q_kind == "quotient_CX":
-        return max(alg.dist_to_scalars(v, spec.norm_kind, tol) for v in fn.values)
+        return float(alg.pointwise_scalar_distances(fn.stacks, spec.norm_kind, tol).max())
 
     if spec.q_kind == "quotient_C":
         return scalar_distance(fn.stacks, spec.norm_kind, tol)

@@ -1,8 +1,12 @@
-"""Linear programming: a dense simplex and an uncapacitated min-cost flow.
+"""Linear programming: a dense simplex and uncapacitated min-cost flows.
 
-``min_cost_flow`` solves the transport problems that every exact MK
+``min_cost_flows`` solves the transport problems that every exact MK
 distance splits into, one per real channel: successive shortest paths on
-the complete graph of the support plus one anchor node, in O(n^2) memory.
+the complete graph of the support plus one anchor node.  The k channels of
+one support share the cost matrix, so they run in lockstep, one batched
+Dijkstra per round over every unfinished channel, in O(k n^2) memory; each
+channel's flow and potentials are bit for bit those of solving it alone.
+``min_cost_flow`` is the one-channel call.
 
 ``solve`` maximizes c.x subject to A x <= b with b >= 0, x unrestricted in
 sign, from the slack basis.  It is deliberately dense and unfactorized: an
@@ -171,79 +175,91 @@ class FlowSolution:
     potential: np.ndarray
 
 
-def _nearest_sink(reduced: np.ndarray, sources: np.ndarray, sinks: np.ndarray):
-    """Dense Dijkstra from every source at once, stopped at the first sink.
-
-    Returns (distance labels, predecessor per node, that sink); labels of
-    nodes not yet settled are upper bounds.
-    """
+def _nearest_sinks(reduced: np.ndarray, sources: np.ndarray, sinks: np.ndarray):
+    """Dense Dijkstra in k rows at once, each from all of its sources, closed
+    at its first settled sink.  Returns per row the distance labels (upper
+    bounds where not settled), the predecessor of each node and that sink."""
+    k, n = sources.shape
     dist = np.where(sources, 0.0, np.inf)
-    pred = np.full(dist.size, -1)
-    open_ = np.ones(dist.size, dtype=bool)
+    pred = np.full((k, n), -1)
+    open_, sinks, sink = np.ones((k, n), dtype=bool), sinks.copy(), np.full(k, -1)
+    first = np.arange(0, k * n, n)  # flat index of each row's node 0
     while True:
-        u = int(np.argmin(np.where(open_, dist, np.inf)))
-        if sinks[u]:
-            return dist, pred, u
-        open_[u] = False
-        reach = dist[u] + reduced[u]
+        u = np.where(open_, dist, np.inf).argmin(axis=1)
+        at = first + u
+        hit = sinks.ravel()[at]
+        if np.count_nonzero(hit):
+            sink[hit] = u[hit]
+            open_[hit] = sinks[hit] = False
+            if not np.count_nonzero(sinks):
+                return dist, pred, sink
+        open_.ravel()[at] = False
+        reach = dist.ravel()[at][:, None] + reduced.reshape(k * n, n).take(at, axis=0)
         better = open_ & (reach < dist)
-        dist[better] = reach[better]
-        pred[better] = u
+        np.copyto(dist, reach, where=better)
+        np.copyto(pred, u[:, None], where=better)
+
+
+def min_cost_flows(cost, supplies) -> list[FlowSolution]:
+    """Cheapest flows on the complete directed graph, one per supply row.
+
+    In row r node i sends out supplies[r, i] more than it takes in; arc
+    i -> j carries any amount >= 0 at cost[i, j] >= 0 per unit.  This is the
+    dual of: maximize supply . y subject to y_i - y_j <= cost[i, j], y = 0 on
+    the last node; each row's potentials solve it, supply . y = flow cost.
+
+    Successive shortest paths, all rows in lockstep: each round one batched
+    Dijkstra finds, per unfinished row and over its reduced costs, the
+    nearest unmet demand from any excess; the row moves its potentials by
+    the labels and pushes what its path allows, cancelling flow on arcs it
+    crosses backwards.  Each row's result is bit for bit its solve alone.
+    """
+    c, excess = np.asarray(cost, dtype=float), np.array(supplies, dtype=float)
+    if excess.ndim != 2 or excess.shape[1] == 0 or c.shape != (excess.shape[1],) * 2:
+        raise InputError("need nonempty supply rows and a square cost matrix "
+                         "of their length")
+    if not np.isfinite(c).all() or (c < 0).any():
+        raise InputError("arc costs must be finite and nonnegative")
+    k, n = excess.shape
+    tiny = np.empty(k)
+    for r, row in enumerate(excess):
+        tiny[r] = _FLOW_EPS * float(np.abs(row).sum())
+        if not (np.isfinite(row).all() and abs(float(row.sum())) <= tiny[r]):
+            raise InputError("supply row %d must be finite and sum to zero" % r)
+
+    flow, pi, live = np.zeros((k, n, n)), np.zeros((k, n)), np.arange(k)
+    for _ in range(_MAX_PIVOTS):
+        sources = excess[live] > tiny[live, None]
+        sinks = excess[live] < -tiny[live, None]
+        going = sources.any(axis=1) & sinks.any(axis=1)
+        live, sources, sinks = live[going], sources[going], sinks[going]
+        if not live.size:
+            break
+        p = pi[live]
+        reduced = c + p[:, :, None] - p[:, None, :]
+        back = flow[live].swapaxes(1, 2) > 0.0  # arc i -> j can cancel flow on j -> i
+        reduced = np.maximum(np.where(back, -reduced.swapaxes(1, 2), reduced), 0.0)
+        dist, pred, sink = _nearest_sinks(reduced, sources, sinks)
+        pi[live] = p + np.minimum(dist, dist[np.arange(live.size), sink, None])
+        for r, b, prd, t in zip(live, back, pred.tolist(), sink.tolist()):
+            f, ex = flow[r], excess[r]
+            path, v = [], t
+            while prd[v] >= 0:
+                path.append((prd[v], v))
+                v = prd[v]
+            delta = min([ex[v], -ex[t]] + [f[j, i] for i, j in path if b[i, j]])
+            for i, j in path:
+                if b[i, j]:
+                    f[j, i] -= delta
+                else:
+                    f[i, j] += delta
+            ex[v] -= delta
+            ex[t] += delta
+    else:
+        raise ArithmeticError("min-cost flow augmentation cap exceeded")
+    return [FlowSolution(f, y[-1] - y) for f, y in zip(flow, pi)]
 
 
 def min_cost_flow(cost, supply) -> FlowSolution:
-    """Cheapest flow on the complete directed graph that meets every supply.
-
-    Node i sends out supply[i] more than it takes in (a negative supply is a
-    demand); arc i -> j carries any nonnegative amount at cost[i, j] >= 0 per
-    unit.  This is the dual of: maximize supply . y subject to
-    y_i - y_j <= cost[i, j] and y = 0 on the last node, and the returned
-    potentials solve that problem, with supply . y equal to the cost of the
-    returned flow.
-
-    Successive shortest paths: each round finds, over reduced costs, the
-    nearest node with unmet demand from any node with excess left, moves
-    the potentials by the distance labels, and pushes as much as the path
-    allows.  A path that crosses an arc backwards cancels flow on it.
-    """
-    c = np.asarray(cost, dtype=float)
-    excess = np.array(supply, dtype=float)
-    n = excess.size
-    if excess.ndim != 1 or n == 0 or c.shape != (n, n):
-        raise InputError("need a nonempty supply vector and a square cost "
-                         "matrix of the same size")
-    if not (np.isfinite(c).all() and np.isfinite(excess).all()):
-        raise InputError("flow data must be finite")
-    if (c < 0).any():
-        raise InputError("arc costs must be nonnegative")
-    tiny = _FLOW_EPS * float(np.abs(excess).sum())
-    if abs(float(excess.sum())) > tiny:
-        raise InputError("supplies must sum to zero")
-
-    flow = np.zeros((n, n))
-    pi = np.zeros(n)
-    for _ in range(_MAX_PIVOTS):
-        sources, sinks = excess > tiny, excess < -tiny
-        if not (sources.any() and sinks.any()):
-            break
-        reduced = c + pi[:, None] - pi[None, :]
-        back = flow.T > 0.0  # arc i -> j can cancel flow on j -> i
-        reduced = np.maximum(np.where(back, -reduced.T, reduced), 0.0)
-        dist, pred, t = _nearest_sink(reduced, sources, sinks)
-        pi += np.minimum(dist, dist[t])
-        path, v = [], t
-        while pred[v] >= 0:
-            path.append((int(pred[v]), v))
-            v = int(pred[v])
-        delta = min([excess[v], -excess[t]]
-                    + [flow[j, i] for i, j in path if back[i, j]])
-        for i, j in path:
-            if back[i, j]:
-                flow[j, i] -= delta
-            else:
-                flow[i, j] += delta
-        excess[v] -= delta
-        excess[t] += delta
-    else:
-        raise ArithmeticError("min-cost flow augmentation cap exceeded")
-    return FlowSolution(flow, pi[-1] - pi)
+    """min_cost_flows for one supply vector."""
+    return min_cost_flows(cost, [supply])[0]

@@ -10,11 +10,12 @@ and quotient_C q kinds the recentring scalar drops out and the LP splits
 into one problem per real channel: maximize c.y subject to
 |y_p - y_q| <= d_pq and |y_p| <= beta.  That is the dual of a transport
 problem on the support plus an anchor node at distance beta from every
-point, solved as a min-cost flow.  The state q kind is the beta = 1 case
-cut by one equality, psi(y) = 0, whose multiplier is found exactly by a
-search over one real variable, each step a set of channel flows.  The
-potentials are the witness channels (lower bound) and the flows are a dual
-certificate (upper bound); both are re-verified on every call.
+point: min-cost flows, all channels of a support in one batched call.  The
+state q kind is the beta = 1 case cut by one equality, psi(y) = 0, whose
+multiplier is found exactly by a search over one real variable, each step
+a set of channel flows.  The potentials are the witness channels (lower
+bound) and the flows are a dual certificate (upper bound); both are
+re-verified on every call, the witness on its per-block stacks.
 
 Operator- and max-norm specs get two-sided intervals instead, from the
 nested unit balls of the norm sandwich, optionally tightened by 16-gon
@@ -32,8 +33,8 @@ import numpy as np
 from .algebra import Algebra, check_state_shapes, tracial_state
 from .errors import BoundViolation, InputError, UnsupportedSpec
 from .funcspace import (MatrixFunction, SeminormSpec, channel_slots, from_channels,
-                        lipnorm)
-from .lpcore import TAU_LP, LinearProgram, min_cost_flow, solve
+                        lipnorm, upper_indices)
+from .lpcore import TAU_LP, LinearProgram, min_cost_flows, solve
 from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, diameter
 from .states import FunctionalState, delta_embed, evaluate
@@ -91,7 +92,7 @@ def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
         base = positions[x_idx] * layout.per_point
         for (diag, re, im), t_l, rho in zip(layout.slots, phi.weights, phi.densities):
             wt = w * t_l
-            upper = rho[np.triu_indices(len(rho), 1)]
+            upper = rho[upper_indices(len(rho))]
             coefs[base + diag] += wt * rho.diagonal().real
             coefs[base + re] += wt * 2.0 * upper.real
             coefs[base + im] += wt * 2.0 * upper.imag
@@ -186,17 +187,17 @@ def _solve_polygon_lp(space, algebra, mu, nu, spec, gon_gamma):
 
 
 def _channel_flows(cost, gain, channels):
-    """One min-cost flow per listed channel, each point supplying its gain:
-    the potentials (0 in unlisted channels) and (channel, supply, solution)."""
+    """The listed channels' min-cost flows in one call, each point supplying its
+    gain: the potentials (0 in unlisted channels) and (channel, supply, solution)."""
     n = gain.shape[0]
     chans = np.zeros_like(gain)
-    flows = []
-    for ch in channels:
-        supply = np.append(gain[:, ch], -gain[:, ch].sum())
-        sol = min_cost_flow(cost, supply)
+    supplies = [np.append(gain[:, ch], -gain[:, ch].sum()) for ch in channels]
+    if not supplies:
+        return chans, []
+    sols = min_cost_flows(cost, supplies)
+    for ch, sol in zip(channels, sols):
         chans[:, ch] = sol.potential[:n]
-        flows.append((int(ch), supply, sol))
-    return chans, flows
+    return chans, [(int(ch), s, sol) for ch, s, sol in zip(channels, supplies, sols)]
 
 
 class _Probe(NamedTuple):
@@ -354,11 +355,11 @@ def _certify_witness(space, algebra, mu, nu, spec, witness, optimum):
     must carry its own proof."""
     l_val = lipnorm(witness, spec)
     if l_val > 1.0 + TAU_LP:
-        values = tuple(v.scaled(1.0 / l_val) for v in witness.values)
-        witness = MatrixFunction(space, algebra, values)
+        witness = MatrixFunction.from_stacks(
+            space, algebra, tuple((1.0 / l_val) * s for s in witness.stacks))
         l_val = lipnorm(witness, spec)
     diff = evaluate(mu, witness) - evaluate(nu, witness)
-    if abs(diff.imag) > TAU_LP:
+    if abs(diff.imag) > TAU_LP * max(1.0, optimum):
         raise BoundViolation("witness pairing is not real: imag %.3g"
                              % diff.imag)
     if l_val > 1.0 + TAU_LP:
@@ -411,7 +412,7 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
 
     rm_spec = SeminormSpec("real_max", spec.q_kind, K=spec.K,
                            state=spec.state)
-    v_rm = _solve_support_flows(space, algebra, mu, nu, rm_spec)[0]
+    v_rm = _solve_support_flows(space, algebra, mu, nu, rm_spec, dump_csv=dump_csv)[0]
     if spec.norm_kind == "operator":
         return MkResult("interval", lower=v_rm / (_ROOT2 * algebra.max_block),
                         upper=v_rm)

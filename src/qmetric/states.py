@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgState, apply_state, tracial_state, TAU_STATE
+from .algebra import Algebra, AlgState, check_state_shapes, trace_pairing, tracial_state, TAU_STATE
 from .errors import InputError
 
 
@@ -90,12 +90,13 @@ def evaluate(state: FunctionalState, fn) -> complex:
     """Apply a functional state to a matrix function.
 
     The value is the weighted sum over terms of the algebra state applied
-    to the function's value at the term's point.
+    to the function's value at the term's point, read from its stacks.
     """
-    n = len(fn.values)
+    n = fn.space.size
     total = 0j
     for w, x, phi in state.terms:
         if x >= n:
             raise InputError("state point index %d beyond the function's space" % x)
-        total += w * apply_state(phi, fn.values[x])
+        check_state_shapes(phi, fn.algebra)
+        total += w * trace_pairing(phi, (s[x] for s in fn.stacks))
     return complex(total)

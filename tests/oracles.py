@@ -2,8 +2,10 @@
 
 Everything here is written against the definitions, not against the
 package internals: scans instead of closed forms, exhaustive enumeration
-instead of search, and a Jacobi eigensolver of our own where the package
-calls LAPACK.  Slow on purpose; only run on tiny instances.
+instead of search, a Jacobi eigensolver of our own where the package
+calls LAPACK, and a one-channel-at-a-time flow loop where the package
+solves all channels in lockstep.  Slow on purpose; only run on tiny
+instances.
 """
 
 import math
@@ -342,3 +344,58 @@ def jacobi_spectral_spread(values):
     """
     evs = np.concatenate([hermitian_eigenvalues(b) for v in values for b in v.blocks])
     return 0.5 * (float(evs.max()) - float(evs.min()))
+
+
+def _nearest_sink(reduced, sources, sinks):
+    """Dense Dijkstra from every source at once, stopped at the first sink."""
+    dist = np.where(sources, 0.0, np.inf)
+    pred = np.full(dist.size, -1)
+    open_ = np.ones(dist.size, dtype=bool)
+    while True:
+        u = int(np.argmin(np.where(open_, dist, np.inf)))
+        if sinks[u]:
+            return dist, pred, u
+        open_[u] = False
+        reach = dist[u] + reduced[u]
+        better = open_ & (reach < dist)
+        dist[better] = reach[better]
+        pred[better] = u
+
+
+def loop_min_cost_flow(cost, supply):
+    """One channel's min-cost flow by successive shortest paths, alone.
+
+    The reference for lpcore.min_cost_flows: the same rounds (nearest
+    unmet demand from any excess over reduced costs, potentials moved by
+    the labels, the most the path allows pushed), one supply vector at a
+    time with a Dijkstra of its own.  Returns (flow, potentials), the
+    potentials 0 on the last node.
+    """
+    c = np.asarray(cost, dtype=float)
+    excess = np.array(supply, dtype=float)
+    n = excess.size
+    tiny = 64 * np.finfo(float).eps * float(np.abs(excess).sum())
+    flow = np.zeros((n, n))
+    pi = np.zeros(n)
+    while True:
+        sources, sinks = excess > tiny, excess < -tiny
+        if not (sources.any() and sinks.any()):
+            return flow, pi[-1] - pi
+        reduced = c + pi[:, None] - pi[None, :]
+        back = flow.T > 0.0
+        reduced = np.maximum(np.where(back, -reduced.T, reduced), 0.0)
+        dist, pred, t = _nearest_sink(reduced, sources, sinks)
+        pi += np.minimum(dist, dist[t])
+        path, v = [], t
+        while pred[v] >= 0:
+            path.append((int(pred[v]), v))
+            v = int(pred[v])
+        delta = min([excess[v], -excess[t]]
+                    + [flow[j, i] for i, j in path if back[i, j]])
+        for i, j in path:
+            if back[i, j]:
+                flow[j, i] -= delta
+            else:
+                flow[i, j] += delta
+        excess[v] -= delta
+        excess[t] += delta

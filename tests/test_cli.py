@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qmetric import cli
-from qmetric.algebra import Algebra, matrix_unit
+from qmetric.algebra import Algebra, AlgState, matrix_unit
 from qmetric.errors import BoundViolation
 from qmetric.funcspace import MatrixFunction, classical_embed
 from qmetric.metric import FiniteMetricSpace
-from qmetric.states import tracial_functional
+from qmetric.states import FunctionalState, tracial_functional
 
 M2 = Algebra((2,))
 
@@ -300,3 +300,33 @@ def test_unknown_flag_is_exit_two(files, capsys):
 def test_help_is_exit_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("norm", ["op", "max"])
+def test_interval_dump_holds_the_relaxation_flows(files, capsys, tmp_path, norm):
+    """Under op or max the file holds the realmax relaxation's flows, whose
+    dual value sum(supply * potential) is the interval's upper end."""
+    dump = tmp_path / ("%s.csv" % norm)
+    mu = files["dir"] / "mu_mixed.json"
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    phi = AlgState((1.0,), (rho,))
+    mu.write_text(json.dumps(FunctionalState(((0.6, 0, phi), (0.4, 2, phi)))
+                             .to_json_dict(_path(4).labels)))
+    rc, out, _ = _run(capsys, ["mk", str(mu), str(files["nu"]),
+                               "--space", str(files["space"]),
+                               "--algebra", str(files["algebra"]),
+                               "--spec-norm", norm, "--dump-lp", str(dump)])
+    assert rc == 0
+    result = _report(out)["result"]
+    assert result["kind"] == "interval"
+    lines = dump.read_text().splitlines()
+    heads = [i for i, ln in enumerate(lines) if ln.startswith("# channel ")]
+    assert [lines[i] for i in heads] == ["# channel %d" % ch for ch in range(4)]
+    dual = 0.0
+    for i, end in zip(heads, heads[1:] + [len(lines)]):
+        assert lines[i + 1].startswith("node,supply,potential,")
+        rows = [ln.split(",") for ln in lines[i + 2:end]]
+        # the support (points 0, 2 and 3), then the anchor
+        assert [r[0] for r in rows] == ["p0", "p2", "p3", "anchor"]
+        dual += sum(float(r[1]) * float(r[2]) for r in rows)
+    assert dual == pytest.approx(result["upper"], rel=1e-12, abs=1e-12)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
-from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, op_norm
+from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, dist_to_scalars, op_norm
 from qmetric.errors import InputError
 from qmetric.funcspace import (
     MatrixFunction,
@@ -22,13 +24,14 @@ from qmetric.funcspace import (
     sup_norm,
     to_channels,
 )
-from qmetric.generate import random_planar_space, random_sa_function
+from qmetric.generate import random_element, random_planar_space, random_sa_function
 from qmetric.metric import FiniteMetricSpace
-from qmetric.states import delta_embed, tracial_functional
+from qmetric.states import delta_embed, evaluate, tracial_functional
 from qmetric.generate import random_alg_state
 
 PATH3 = FiniteMetricSpace(
     ("a", "b", "c"), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float))
+M1 = Algebra((1,))
 M2 = Algebra((2,))
 M23 = Algebra((2, 3))
 
@@ -300,3 +303,72 @@ def test_real_max_requires_self_adjoint(rng):
     fn = MatrixFunction(PATH3, M2, vals)
     with pytest.raises(InputError):
         lipnorm(fn, conv_spec())
+
+
+def _count_elements(monkeypatch):
+    """Record every AlgElement construction from here on."""
+    made = []
+    real = AlgElement.__post_init__
+
+    def counted(self):
+        made.append(self)
+        real(self)
+
+    monkeypatch.setattr(AlgElement, "__post_init__", counted)
+    return made
+
+
+def test_from_channels_builds_no_element_until_values_are_read(monkeypatch, rng):
+    space = random_planar_space(6, rng)
+    chans = to_channels(random_sa_function(space, M23, rng))
+    state = tracial_functional(M23, (0.5, 0.5), 4)
+    made = _count_elements(monkeypatch)
+    fn = from_channels(space, M23, chans)
+    assert fn.is_self_adjoint()
+    lipnorm(fn, conv_spec())
+    evaluate(state, fn)
+    to_channels(fn)
+    assert made == []
+    values = fn.values
+    assert len(made) == space.size
+    assert fn.values is values
+
+
+def test_lazy_values_equal_the_eager_build_bit_for_bit(rng):
+    for algebra in (M1, M2, M23):
+        space = random_planar_space(5, rng)
+        lazy = from_channels(space, algebra, to_channels(random_sa_function(space, algebra, rng)))
+        # the eager build: every value first, then the stacks from them
+        eager = MatrixFunction(space, algebra, tuple(
+            AlgElement(algebra, tuple(s[p] for s in lazy.stacks)) for p in range(space.size)))
+        assert [s.tobytes() for s in lazy.stacks] == [s.tobytes() for s in eager.stacks]
+        for x, y in zip(lazy.values, eager.values):
+            assert [b.tobytes() for b in x.blocks] == [b.tobytes() for b in y.blocks]
+        assert json.dumps(lazy.to_json_dict()) == json.dumps(eager.to_json_dict())
+
+
+def test_from_stacks_checks_shapes_and_copies(rng):
+    fn = _sa_fn(rng)
+    stacks = [np.array(s) for s in fn.stacks]
+    built = MatrixFunction.from_stacks(PATH3, M23, stacks)
+    stacks[0][0, 0, 0] = 99.0
+    assert built.stacks[0][0, 0, 0] == fn.stacks[0][0, 0, 0]
+    with pytest.raises(InputError):
+        MatrixFunction.from_stacks(PATH3, M23, fn.stacks[:1])
+    with pytest.raises(InputError):
+        MatrixFunction.from_stacks(PATH3, M2, [fn.stacks[0][:2]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("algebra", [M1, M23])
+def test_pointwise_quotient_equals_the_per_value_loop(rng, n, algebra):
+    space = random_planar_space(n, rng)
+    for norm in NORM_KINDS:
+        fns = [random_sa_function(space, algebra, rng)]
+        if norm == "max":  # complex diagonals: enclosing circles, not spreads
+            fns.append(MatrixFunction(space, algebra, tuple(
+                random_element(algebra, rng) for _ in range(n))))
+        for fn in fns:
+            want = max(dist_to_scalars(v, norm) for v in fn.values)
+            got = q_term(fn, SeminormSpec(norm, "quotient_CX"))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

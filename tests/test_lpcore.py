@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import lp_by_vertices
+from oracles import loop_min_cost_flow, lp_by_vertices
 from qmetric.errors import InputError
-from qmetric.lpcore import LinearProgram, min_cost_flow, solve
+from qmetric.lpcore import LinearProgram, min_cost_flow, min_cost_flows, solve
 
 
 def _lp(obj, pairs):
@@ -198,3 +198,61 @@ def test_min_cost_flow_input_checks():
         min_cost_flow(np.ones((2, 3)), [1.0, -1.0])
     sol = min_cost_flow(np.ones((2, 2)), [0.0, 0.0])
     assert not sol.flow.any() and not sol.potential.any()
+
+
+def _support_cost(rng, n):
+    """Euclidean distances among n - 1 random points, each beta from an anchor."""
+    pts = rng.normal(size=(n - 1, 2))
+    cost = np.full((n, n), rng.uniform(0.2, 2.0))
+    cost[:n - 1, :n - 1] = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    cost[-1, -1] = 0.0
+    return cost
+
+
+def _assert_matches_the_loop(cost, supplies):
+    sols = min_cost_flows(cost, supplies)
+    assert len(sols) == len(supplies)
+    for supply, sol in zip(supplies, sols):
+        flow, potential = loop_min_cost_flow(cost, supply)
+        assert sol.flow.tobytes() == flow.tobytes()
+        assert sol.potential.tobytes() == potential.tobytes()
+
+
+def test_batched_flows_equal_one_solve_per_row_bit_for_bit(rng):
+    for k in range(1, 14):
+        for n in (1, 2, 3, 5, 8, 17, 33):
+            cost = _support_cost(rng, n)
+            supplies = rng.normal(size=(k, n))
+            supplies[:, -1] = -supplies[:, :-1].sum(axis=1)
+            _assert_matches_the_loop(cost, supplies)
+
+
+def test_batched_rows_may_finish_in_different_rounds(rng):
+    # a zero row needs no round, a single unit pair one, a dense row many
+    cost = _support_cost(rng, 12)
+    one_pair = np.zeros(12)
+    one_pair[[2, 7]] = 1.0, -1.0
+    dense = rng.normal(size=12)
+    dense[-1] = -dense[:-1].sum()
+    _assert_matches_the_loop(cost, np.array([dense, np.zeros(12), one_pair, dense[::-1]]))
+    # asymmetric costs and cancelled arcs, as in the generic test above
+    cost = rng.uniform(0.1, 2.0, size=(6, 6))
+    np.fill_diagonal(cost, 0.0)
+    supplies = rng.normal(size=(9, 6))
+    supplies[:, -1] = -supplies[:, :-1].sum(axis=1)
+    supplies[4] = 0.0
+    _assert_matches_the_loop(cost, supplies)
+
+
+def test_batched_flow_input_errors_name_the_row():
+    with pytest.raises(InputError, match="supply row 1"):
+        min_cost_flows(np.ones((2, 2)), [[1.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(InputError, match="supply row 2"):
+        min_cost_flows(np.ones((2, 2)), [[0.0, 0.0], [1.0, -1.0], [np.nan, 0.0]])
+    with pytest.raises(InputError, match="supply row 0"):
+        min_cost_flows(np.ones((2, 2)), [[np.inf, -np.inf]])
+    with pytest.raises(InputError, match="square"):
+        min_cost_flows(np.ones((3, 3)), [[1.0, -1.0]])
+    with pytest.raises(InputError, match="square"):
+        min_cost_flows(np.ones((2, 2)), [1.0, -1.0])
+    assert min_cost_flows(np.ones((2, 2)), np.zeros((0, 2))) == []

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import support_lp_value
 from qmetric import lpcore, mk
-from qmetric.algebra import Algebra, AlgState
+from qmetric.algebra import Algebra, AlgElement, AlgState
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
 from qmetric.funcspace import MatrixFunction, SeminormSpec, conv_spec, lipnorm
 from qmetric.generate import (circle_net, random_alg_state, random_planar_space,
@@ -289,15 +289,16 @@ def _recorded_flows(monkeypatch):
     """Route mk's flow solves through a recorder; forbid the dense simplex."""
     seen = []
 
-    def record(cost, supply):
-        sol = lpcore.min_cost_flow(cost, supply)
-        seen.append((np.array(cost), np.array(supply), sol))
-        return sol
+    def record(cost, supplies):
+        sols = lpcore.min_cost_flows(cost, supplies)
+        seen.extend((np.array(cost), np.array(supply), sol)
+                    for supply, sol in zip(supplies, sols))
+        return sols
 
     def no_tableau(*args, **kwargs):
         raise AssertionError("a dense tableau was built")
 
-    monkeypatch.setattr(mk, "min_cost_flow", record)
+    monkeypatch.setattr(mk, "min_cost_flows", record)
     monkeypatch.setattr(mk, "solve", no_tableau)
     return seen
 
@@ -456,3 +457,34 @@ def test_embedding_builds_one_tracial_state(monkeypatch):
     monkeypatch.setattr(mk, "tracial_state", counted)
     embed_check(_path(4), M2, (1.0,), conv_spec())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e12])
+def test_conv_values_are_scale_covariant(rng, c):
+    """Scaling the distances and K by c scales a conv_K distance by c.
+
+    conv is conv_K with K = 2, so scaling only the distances makes it c
+    times conv_K with K = 2 / c on the unscaled space.  At c = 1e12 the
+    witness pairing's rounding is far above 1e-7 in absolute terms."""
+    for space in (circle_net(8), random_planar_space(8, rng, box=10.0)):
+        mu, nu = (_spread_state(space, M23, rng, range(8)) for _ in range(2))
+        scaled = FiniteMetricSpace(space.labels, c * space.dist)
+        base = mk_distance(space, M23, mu, nu, SeminormSpec("real_max", "conv_K", K=0.7))
+        got = mk_distance(scaled, M23, mu, nu, SeminormSpec("real_max", "conv_K", K=0.7 * c))
+        assert got.value == pytest.approx(c * base.value, rel=1e-12, abs=0.0)
+        want = mk_distance(space, M23, mu, nu, SeminormSpec("real_max", "conv_K", K=2.0 / c))
+        got = mk_distance(scaled, M23, mu, nu, conv_spec())
+        assert got.value == pytest.approx(c * want.value, rel=1e-12, abs=0.0)
+
+
+def test_exact_distance_builds_no_algebra_element(monkeypatch, rng):
+    """The witness stays in stacks through extension and certification."""
+    space = circle_net(12, "chord")
+    mu, nu = (_spread_state(space, M23, rng, range(0, 12, 2)) for _ in range(2))
+    made = []
+    real = AlgElement.__post_init__
+    monkeypatch.setattr(AlgElement, "__post_init__",
+                        lambda self: (made.append(self), real(self)))
+    for spec in (conv_spec(), SeminormSpec("real_max", "conv_K", K=0.5)):
+        assert mk_distance(space, M23, mu, nu, spec).kind == "exact"
+    assert made == []

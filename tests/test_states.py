@@ -132,3 +132,18 @@ def test_state_json_rejects_unknown_labels(rng):
     data["terms"][0]["x"] = "nowhere"
     with pytest.raises(InputError):
         FunctionalState.from_json_dict(data, SPACE.labels)
+
+
+def test_evaluate_on_stacks_equals_apply_state_on_values_bit_for_bit(rng):
+    for _ in range(10):
+        fn = MatrixFunction(SPACE, ALG, tuple(random_element(ALG, rng) for _ in range(3)))
+        # repeated points and a zero weight, as mixtures produce them
+        st = mix([(0.5, random_product_state(SPACE, ALG, rng)),
+                  (0.3, delta_embed(random_alg_state(ALG, rng), 1)),
+                  (0.2, FunctionalState(((0.0, 2, random_alg_state(ALG, rng)),
+                                         (1.0, 1, random_alg_state(ALG, rng)))))])
+        want = 0j
+        for w, x, phi in st.terms:
+            want += w * apply_state(phi, fn.values[x])
+        got = evaluate(st, fn)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
