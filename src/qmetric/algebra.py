@@ -290,14 +290,10 @@ def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
     return float(_scalar_distances(stacks, norm_kind, tol, pooled=True)[0])
 
 
-def pointwise_scalar_distances(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
-    """Distance from each element in per-block (k, m, m) stacks to the scalars:
-    entry i is scalar_distance of element i alone, bit for bit."""
-    return _scalar_distances(stacks, norm_kind, tol, pooled=False)
-
-
 def _scalar_distances(stacks, norm_kind, tol, pooled):
-    rows = 1 if pooled else len(stacks[0])  # one per element, or all pooled
+    """Without pooling, each element's distance to the scalars (entry i is
+    scalar_distance of element i alone, bit for bit); pooled, one entry."""
+    rows = 1 if pooled else len(stacks[0])
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
     if norm_kind == "operator":

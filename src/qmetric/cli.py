@@ -385,11 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true",
                    help="tighten the interval under the max norm")
     p.add_argument("--dump-lp", metavar="<path>",
-                   help="write the exact solve as CSV: per-channel supplies, "
-                        "potentials and flows, after a multiplier line for "
-                        "--spec-q state; under --spec-norm op or max, the "
-                        "flows of the realmax relaxation that gives the "
-                        "upper end (also with --refine, not its polygon LPs)")
+                   help="write the exact solve as CSV: per-channel supplies, potentials "
+                        "and flows, after a multiplier line for --spec-q state; under "
+                        "--spec-norm op or max, those of the realmax relaxation giving "
+                        "the upper end (also with --refine, not its polygon LPs)")
     p.set_defaults(func=cmd_mk)
 
     p = sub.add_parser("embed-check", parents=[out_p, spec_p],

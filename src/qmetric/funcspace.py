@@ -3,7 +3,6 @@
 Every seminorm is a max of two parts: a Lipschitz part, the worst normed
 difference quotient over point pairs, and a quotient-type part selected by
 the spec's q kind, which measures how far the function is from scalars.
-Every part reads the function's per-block stacks, never its values.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ class MatrixFunction:
                                     for l in range(algebra.n_blocks)])
 
     @classmethod
-    def from_stacks(cls, space: FiniteMetricSpace, algebra: Algebra,
-                    stacks) -> "MatrixFunction":
+    def from_stacks(cls, space: FiniteMetricSpace, algebra: Algebra, stacks) -> "MatrixFunction":
         """The function with these per-block stacks (copied)."""
         fn = object.__new__(cls)
         fn._hold(space, algebra, [np.array(s, dtype=complex) for s in stacks])
@@ -94,24 +92,22 @@ class MatrixFunction:
 
 
 @lru_cache(maxsize=None)
-def upper_indices(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of an m x m block's strictly upper entries, row-major."""
-    return tuple(_frozen(i) for i in np.triu_indices(m, 1))
-
-
-@lru_cache(maxsize=None)
 def channel_slots(algebra: Algebra) -> tuple:
-    """Where each block sits in one point's real channels of a self-adjoint element.
+    """Where each block sits in one point's real channels of a self-adjoint
+    element; computed once per algebra.
 
-    One (diag, re, im) triple of index arrays per block: its real diagonal
-    entries, then the real and imaginary parts of its strictly upper
-    entries in row-major order, interleaved as (Re, Im) pairs.  A block of
-    size m takes m^2 consecutive channels, in block order.
+    One (diag, re, im, rows, cols) tuple of read-only index arrays per
+    block: the channels of its real diagonal entries, then those of the
+    real and imaginary parts of its strictly upper entries, interleaved as
+    (Re, Im) pairs; re[i] and im[i] hold the entry at (rows[i], cols[i]),
+    in row-major order.  A block of size m takes m^2 consecutive channels,
+    in block order.
     """
     slots, off = [], 0
     for m in algebra.block_sizes:
         re = off + m + 2 * np.arange(m * (m - 1) // 2)
-        slots.append(tuple(_frozen(i) for i in (np.arange(off, off + m), re, re + 1)))
+        slots.append(tuple(_frozen(i) for i in (np.arange(off, off + m), re, re + 1,
+                                                *np.triu_indices(m, 1))))
         off += m * m
     return tuple(slots)
 
@@ -122,8 +118,7 @@ def to_channels(fn: MatrixFunction) -> np.ndarray:
     The lower triangle and the imaginary parts of the diagonal are not read.
     """
     chans = np.empty((fn.space.size, sum(m * m for m in fn.algebra.block_sizes)))
-    for s, (diag, re, im) in zip(fn.stacks, channel_slots(fn.algebra)):
-        rows, cols = upper_indices(s.shape[1])
+    for s, (diag, re, im, rows, cols) in zip(fn.stacks, channel_slots(fn.algebra)):
         chans[:, diag] = np.diagonal(s, axis1=1, axis2=2).real
         chans[:, re] = s[:, rows, cols].real
         chans[:, im] = s[:, rows, cols].imag
@@ -138,11 +133,10 @@ def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> Matri
         raise InputError("channel array must be %dx%d, got %r"
                          % (space.size, width, chans.shape))
     stacks = []
-    for m, (diag, re, im) in zip(algebra.block_sizes, channel_slots(algebra)):
+    for m, (diag, re, im, rows, cols) in zip(algebra.block_sizes, channel_slots(algebra)):
         s = np.zeros((space.size, m, m), dtype=complex)
         s[:, range(m), range(m)] = chans[:, diag]
         z = chans[:, re] + 1j * chans[:, im]
-        rows, cols = upper_indices(m)
         s[:, rows, cols] = z
         s[:, cols, rows] = np.conj(z)
         stacks.append(s)
@@ -226,7 +220,7 @@ def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
     """The quotient-type part of the seminorm selected by the spec."""
     if spec.q_kind == "quotient_CX":
-        return float(alg.pointwise_scalar_distances(fn.stacks, spec.norm_kind, tol).max())
+        return float(alg._scalar_distances(fn.stacks, spec.norm_kind, tol, pooled=False).max())
 
     if spec.q_kind == "quotient_C":
         return scalar_distance(fn.stacks, spec.norm_kind, tol)

@@ -216,8 +216,7 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     """
     c, excess = np.asarray(cost, dtype=float), np.array(supplies, dtype=float)
     if excess.ndim != 2 or excess.shape[1] == 0 or c.shape != (excess.shape[1],) * 2:
-        raise InputError("need nonempty supply rows and a square cost matrix "
-                         "of their length")
+        raise InputError("need nonempty supply rows and a square cost matrix of their length")
     if not np.isfinite(c).all() or (c < 0).any():
         raise InputError("arc costs must be finite and nonnegative")
     k, n = excess.shape

@@ -33,7 +33,7 @@ import numpy as np
 from .algebra import Algebra, check_state_shapes, tracial_state
 from .errors import BoundViolation, InputError, UnsupportedSpec
 from .funcspace import (MatrixFunction, SeminormSpec, channel_slots, from_channels,
-                        lipnorm, upper_indices)
+                        lipnorm)
 from .lpcore import TAU_LP, LinearProgram, min_cost_flows, solve
 from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, diameter
@@ -64,42 +64,31 @@ class MkResult:
         return {"kind": "interval", "lower": self.lower, "upper": self.upper}
 
 
-class _SupportLayout:
-    """Real coordinates of a self-adjoint element sampled on support points:
-    per point, the real channels of funcspace.channel_slots."""
-
-    def __init__(self, algebra: Algebra, n_points: int):
-        self.n_points = n_points
-        self.slots = channel_slots(algebra)
-        self.diag, re, im = (np.concatenate(part) for part in zip(*self.slots))
-        self.pairs = list(zip(re, im))
-        self.per_point = sum(m * m for m in algebra.block_sizes)
-        self.n_vars = self.per_point * n_points
-
-
-def _pairing_vector(layout: _SupportLayout, state: FunctionalState,
+def _pairing_vector(algebra: Algebra, state: FunctionalState,
                     positions: dict) -> np.ndarray:
-    """Coefficients of the linear map a -> phi(a) over the layout coordinates.
+    """Coefficients of the linear map a -> phi(a) over the real channels
+    (funcspace.channel_slots) of a on the support points, one row per point.
 
     Valid for self-adjoint a, where the pairing is real: tr(rho b) picks up
     rho_jj per real diagonal entry and 2 Re rho_jk, 2 Im rho_jk per upper
     (Re, Im) pair.
     """
-    coefs = np.zeros(layout.n_vars)
+    coefs = np.zeros((len(positions), sum(m * m for m in algebra.block_sizes)))
     for w, x_idx, phi in state.terms:
         if w == 0.0:
             continue
-        base = positions[x_idx] * layout.per_point
-        for (diag, re, im), t_l, rho in zip(layout.slots, phi.weights, phi.densities):
+        row = coefs[positions[x_idx]]
+        for (diag, re, im, rows, cols), t_l, rho in zip(channel_slots(algebra),
+                                                         phi.weights, phi.densities):
             wt = w * t_l
-            upper = rho[upper_indices(len(rho))]
-            coefs[base + diag] += wt * rho.diagonal().real
-            coefs[base + re] += wt * 2.0 * upper.real
-            coefs[base + im] += wt * 2.0 * upper.imag
+            upper = rho[rows, cols]
+            row[diag] += wt * rho.diagonal().real
+            row[re] += wt * 2.0 * upper.real
+            row[im] += wt * 2.0 * upper.imag
     return coefs
 
 
-def _polygon_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
+def _polygon_rows(algebra: Algebra, d_sub: np.ndarray, spec: SeminormSpec,
                   positions: dict, gon_gamma: float):
     """Rows and bounds (all >= 0) of a 16-gon approximation of the max-norm
     Lip ball: each bound |re + i im| <= r on an off-diagonal entry becomes a
@@ -108,7 +97,10 @@ def _polygon_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
     (mu - nu)(1) = 0 makes the recentring scalar free."""
     rows: list[np.ndarray] = []
     bounds: list[float] = []
-    nv, pp = layout.n_vars, layout.per_point
+    n, pp = len(positions), sum(m * m for m in algebra.block_sizes)
+    nv = n * pp
+    diags, res, ims = (np.concatenate([s[k] for s in channel_slots(algebra)]) for k in range(3))
+    pairs = list(zip(res, ims))
 
     def box(vec, b):
         rows.append(vec)
@@ -129,25 +121,25 @@ def _polygon_rows(layout: _SupportLayout, d_sub: np.ndarray, spec: SeminormSpec,
             vec[q * pp + c] = -1.0
         return vec
 
-    for p in range(layout.n_points):
-        for q in range(p + 1, layout.n_points):
+    for p in range(n):
+        for q in range(p + 1, n):
             d = float(d_sub[p, q])
-            for c in layout.diag:
+            for c in diags:
                 box(gap(p, q, c), d)
-            for c_re, c_im in layout.pairs:
+            for c_re, c_im in pairs:
                 disc(gap(p, q, c_re), gap(p, q, c_im), d)
 
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
     if spec.q_kind == "state":
-        shift = _pairing_vector(layout, spec.state, positions)
+        shift = _pairing_vector(algebra, spec.state, positions).ravel()
     else:
         shift = np.zeros(nv)
-    for p in range(layout.n_points):
-        for c in layout.diag:
+    for p in range(n):
+        for c in diags:
             vec = -shift.copy()
             vec[p * pp + c] += 1.0
             box(vec, beta)
-        for c_re, c_im in layout.pairs:
+        for c_re, c_im in pairs:
             disc(gap(p, None, c_re), gap(p, None, c_im), beta)
     return np.array(rows), np.array(bounds)
 
@@ -175,10 +167,9 @@ def _solve_polygon_lp(space, algebra, mu, nu, spec, gon_gamma):
     support = _support_points(mu, nu, spec)
     positions = {s: i for i, s in enumerate(support)}
     d_sub = space.dist[np.ix_(support, support)]
-    layout = _SupportLayout(algebra, len(support))
-    a_mat, b_vec = _polygon_rows(layout, d_sub, spec, positions, gon_gamma)
-    objective = (_pairing_vector(layout, mu, positions)
-                 - _pairing_vector(layout, nu, positions))
+    a_mat, b_vec = _polygon_rows(algebra, d_sub, spec, positions, gon_gamma)
+    objective = (_pairing_vector(algebra, mu, positions)
+                 - _pairing_vector(algebra, nu, positions)).ravel()
     sol = solve(LinearProgram(objective, a_mat, b_vec))
     if sol.status != "optimal":
         raise ArithmeticError(
@@ -192,9 +183,7 @@ def _channel_flows(cost, gain, channels):
     n = gain.shape[0]
     chans = np.zeros_like(gain)
     supplies = [np.append(gain[:, ch], -gain[:, ch].sum()) for ch in channels]
-    if not supplies:
-        return chans, []
-    sols = min_cost_flows(cost, supplies)
+    sols = min_cost_flows(cost, supplies) if supplies else []
     for ch, sol in zip(channels, sols):
         chans[:, ch] = sol.potential[:n]
     return chans, [(int(ch), s, sol) for ch, s, sol in zip(channels, supplies, sols)]
@@ -271,16 +260,14 @@ def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
     support = _support_points(mu, nu, spec)
     n = len(support)
     positions = {s: i for i, s in enumerate(support)}
-    layout = _SupportLayout(algebra, n)
-    gain = (_pairing_vector(layout, mu, positions)
-            - _pairing_vector(layout, nu, positions)).reshape(n, -1)
+    gain = _pairing_vector(algebra, mu, positions) - _pairing_vector(algebra, nu, positions)
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
     cost = np.full((n + 1, n + 1), beta)
     cost[:n, :n] = space.dist[np.ix_(support, support)]
     cost[n, n] = 0.0
 
     if spec.q_kind == "state":
-        psi = _pairing_vector(layout, spec.state, positions).reshape(n, -1)
+        psi = _pairing_vector(algebra, spec.state, positions)
         lam, chans, flows = _state_optimum(cost, gain, psi)
     else:
         lam = None
