@@ -38,7 +38,6 @@ from .generate import (
     random_planar_space,
     scaled_to_diameter,
 )
-from .lpcore import LinearProgram, LpSolution, solve
 from .mcshane import ExtensionProblem, extend, extend_as_map
 from .metric import (
     FiniteMetricSpace,
@@ -74,8 +73,6 @@ __all__ = [
     "InputError",
     "JoinedSpace",
     "LP_EXACT_Q_KINDS",
-    "LinearProgram",
-    "LpSolution",
     "MatrixFunction",
     "MkResult",
     "PropinquityBound",
@@ -116,7 +113,6 @@ __all__ = [
     "quasi_leibniz_check",
     "random_planar_space",
     "scaled_to_diameter",
-    "solve",
     "sup_norm",
     "tracial_functional",
     "tracial_state",

@@ -1,4 +1,4 @@
-"""Linear programming: a dense simplex and uncapacitated min-cost flows.
+"""Linear programming: uncapacitated min-cost flows and a small revised simplex.
 
 ``min_cost_flows`` solves the transport problems that every exact MK
 distance splits into, one per real channel: successive shortest paths on
@@ -8,13 +8,17 @@ Dijkstra per round over every unfinished channel, in O(k n^2) memory; each
 channel's flow and potentials are bit for bit those of solving it alone.
 ``min_cost_flow`` is the one-channel call.
 
-``solve`` maximizes c.x subject to A x <= b with b >= 0, x unrestricted in
-sign, from the slack basis.  It is deliberately dense and unfactorized: an
-auditable pivot loop is worth more than speed.  The tableau is m rows by
-2n + m + 1 doubles, which grows as n^2 * sum m^2 for a distance LP on n
-support points, so it serves only the two 16-gon refinements of a max-norm
-interval, whose channels couple.  Bland's rule is always on because the
-constraint geometry is highly degenerate (many symmetric rows).
+``solve`` maximizes c.x subject to A x <= b (b >= 0, x free in sign) by
+the revised simplex on its dual, minimize b.f subject to A^T f = c and
+f >= 0.  The basis is n of the m rows, n the number of variables, so a
+pivot costs two n x n solves and one pass over the rows; no tableau is
+built.  The caller names the start, n independent rows whose weights
+A_B^-T c are >= 0, so there is no phase 1.  The most violated row enters
+(Dantzig), or after a run of degenerate pivots the first violated one
+(Bland), which cannot cycle.  Before it returns, the optimum is certified
+from both sides: x meets every row (c.x is attained) and the weights are
+>= 0, combine the rows into c and cost c.x (b.f bounds every feasible
+value).  It serves the per-entry 16-gon LPs of a refined max-norm interval.
 """
 
 from __future__ import annotations
@@ -23,16 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BoundViolation, InputError
 
 TAU_LP = 1e-7
-PIVOT_TOL = 1e-9
 
 _MAX_PIVOTS = 200_000
 
-# Excess below this share of the total supply counts as delivered: it is
-# the rounding left by the augmentations, not unmet demand.
-_FLOW_EPS = 64 * np.finfo(float).eps
+# Relative rounding level: excess below this share of the total supply
+# counts as delivered, a row violated by less counts as met, and a weight
+# below this share of the largest is zero.
+_EPS = 64 * np.finfo(float).eps
+
+# A pivot element below this share of its column's largest is rounding.
+_PIVOT_EPS = 1e-9
+
+# Degenerate pivots in a row after which pricing switches to Bland's rule.
+_DEGENERATE_RUN = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,103 +73,88 @@ class LinearProgram:
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "bounds", b)
 
-    @classmethod
-    def from_pairs(cls, objective, constraints) -> "LinearProgram":
-        """Build from (row, bound) pairs."""
-        rows = [r for r, _ in constraints]
-        bounds = [b for _, b in constraints]
-        return cls(np.asarray(objective, dtype=float),
-                   np.asarray(rows, dtype=float),
-                   np.asarray(bounds, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # "optimal" | "unbounded"
-    optimum: float | None
-    x: np.ndarray | None
+    """An optimum with both halves of its proof: x meets every row, and the
+    weights (one per row, >= 0) combine the rows into the objective at a
+    cost of the optimum."""
+
+    optimum: float
+    x: np.ndarray
+    weights: np.ndarray
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and abs(tab[i, col]) > 0.0:
-            tab[i] -= tab[i, col] * tab[row]
-    basis[row] = col
-
-
-def _entering(obj: np.ndarray) -> int | None:
-    # Bland: lowest-index improving column.
-    for j in range(obj.size):
-        if obj[j] > PIVOT_TOL:
-            return j
-    return None
-
-
-def _leaving(tab: np.ndarray, basis: list[int], col: int) -> int | None:
-    m = tab.shape[0]
-    best_ratio = None
-    best_row = None
-    for i in range(m):
-        coef = tab[i, col]
-        if coef <= PIVOT_TOL:
-            continue
-        ratio = max(tab[i, -1], 0.0) / coef
-        if best_ratio is None or ratio < best_ratio - PIVOT_TOL:
-            best_ratio, best_row = ratio, i
-        elif ratio <= best_ratio + PIVOT_TOL and basis[i] < basis[best_row]:
-            # Bland again: among tied rows leave the lowest basic index.
-            best_row = i
-    return best_row
-
-
-def _run_simplex(tab: np.ndarray, obj: np.ndarray, basis: list[int]) -> str:
-    """Pivot until optimal or unbounded. obj holds reduced costs, obj[-1] = -z."""
+def _simplex(a, b, basis, f_basis):
+    """Pivot from a basis with weights f_basis >= 0 until its vertex x meets
+    every row; returns x and the weights of all rows.  Updates basis and
+    f_basis in place."""
+    m, n = a.shape
+    row_mass, run = np.abs(a).sum(axis=1), 0
     for _ in range(_MAX_PIVOTS):
-        col = _entering(obj[:-1])
-        if col is None:
-            return "optimal"
-        row = _leaving(tab, basis, col)
-        if row is None:
-            return "unbounded"
-        _pivot(tab, basis, row, col)
-        obj -= obj[col] * tab[row]
+        base = a[basis]
+        x = np.linalg.solve(base, b[basis])
+        slack = b - a @ x
+        short = slack < -_EPS * (row_mass * np.abs(x).max() + b)
+        if not short.any():
+            weights = np.zeros(m)
+            weights[basis] = f_basis
+            return x, weights
+        bland = run >= _DEGENERATE_RUN
+        j = np.flatnonzero(short)[0] if bland else np.where(short, slack, 0.0).argmin()
+        # Weight t on row j moves the basic weights by -t d and keeps A^T f = c.
+        d = np.linalg.solve(base.T, a[j])
+        can = d > _PIVOT_EPS * np.abs(d).max()
+        if not can.any():
+            raise ArithmeticError("no basic weight can leave; the rows admit no x")
+        ratio = np.full(n, np.inf)
+        ratio[can] = f_basis[can] / d[can]
+        t = ratio.min()
+        tied = np.flatnonzero(ratio == t)
+        i = tied[basis[tied].argmin()] if bland else tied[d[tied].argmax()]
+        f_basis -= t * d
+        f_basis[i] = t
+        f_basis[f_basis <= _EPS * f_basis.max()] = 0.0
+        basis[i] = j
+        run = run + 1 if t == 0.0 else 0
     raise ArithmeticError("simplex pivot cap exceeded; input likely ill-posed")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Simplex on the columns u, w >= 0 (x = u - w) and one slack per row,
-    from the slack basis, which x = 0 makes feasible; the optimum is
-    re-checked to TAU_LP."""
-    n = lp.objective.size
-    m = lp.rows.shape[0]
-    tab = np.zeros((m, 2 * n + m + 1))
-    tab[:, :n] = lp.rows
-    tab[:, n:2 * n] = -lp.rows
-    tab[np.arange(m), 2 * n + np.arange(m)] = 1.0
-    tab[:, -1] = lp.bounds
-    basis = list(range(2 * n, 2 * n + m))
+def _certify(lp: LinearProgram, x, weights) -> None:
+    """Check both bounds; each slack is relative to the terms it sums."""
+    a, b, c = lp.rows, lp.bounds, lp.objective
+    abs_a = np.abs(a)
+    if (weights < 0).any():
+        raise BoundViolation("row %d carries a negative weight"
+                             % np.flatnonzero(weights < 0)[0])
+    over = a @ x - b
+    bad = np.flatnonzero(over > TAU_LP * (abs_a @ np.abs(x) + b))
+    if bad.size:
+        raise BoundViolation("x exceeds row %d by %.3g" % (bad[0], over[bad[0]]))
+    miss = float(np.abs(a.T @ weights - c).sum())
+    if miss > TAU_LP * float(weights @ abs_a.sum(axis=1) + np.abs(c).sum()):
+        raise BoundViolation("weights miss the objective by %.3g" % miss)
+    lower, upper = float(c @ x), float(b @ weights)
+    if abs(upper - lower) > TAU_LP * max(float(np.abs(c) @ np.abs(x)), upper):
+        raise BoundViolation("weights cost %.12g, not the optimum %.12g" % (upper, lower))
 
-    obj = np.zeros(tab.shape[1])
-    obj[:n] = lp.objective
-    obj[n:2 * n] = -lp.objective
-    if _run_simplex(tab, obj, basis) == "unbounded":
-        return LpSolution("unbounded", None, None)
 
-    full = np.zeros(tab.shape[1] - 1)
-    for i, b in enumerate(basis):
-        full[b] = tab[i, -1]
-    x = full[:n] - full[n:2 * n]
-    optimum = float(lp.objective @ x)
-
-    residual = lp.rows @ x - lp.bounds
-    worst = float(residual.max(initial=0.0))
-    if worst > TAU_LP:
-        raise ArithmeticError(
-            "simplex returned an infeasible point (residual %.3g)" % worst)
-    if abs(optimum - (-obj[-1])) > TAU_LP * max(1.0, abs(optimum)):
-        raise ArithmeticError("tableau objective and recomputed optimum disagree")
-    return LpSolution("optimal", optimum, x)
+def solve(lp: LinearProgram, start) -> LpSolution:
+    """Maximize lp from the basis of rows start (one per variable), whose
+    weights must be >= 0; the optimum is certified from both sides."""
+    a, c = lp.rows, lp.objective
+    basis = np.array(start, dtype=int)  # a copy: the pivots overwrite it
+    if (basis.shape != c.shape or np.unique(basis).size != basis.size
+            or basis.min() < 0 or basis.max() >= a.shape[0]):
+        raise InputError("the start needs one distinct row index per variable")
+    if np.linalg.matrix_rank(a[basis]) < c.size:
+        raise InputError("the start rows are linearly dependent")
+    f_basis = np.linalg.solve(a[basis].T, c)
+    if (f_basis < -_EPS * np.abs(f_basis).sum()).any():
+        raise InputError("the start rows need weights >= 0 to give the objective")
+    x, weights = _simplex(a, lp.bounds, basis, np.maximum(f_basis, 0.0))
+    _certify(lp, x, weights)
+    return LpSolution(float(c @ x), x, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +217,7 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     k, n = excess.shape
     tiny = np.empty(k)
     for r, row in enumerate(excess):
-        tiny[r] = _FLOW_EPS * float(np.abs(row).sum())
+        tiny[r] = _EPS * float(np.abs(row).sum())
         if not (np.isfinite(row).all() and abs(float(row.sum())) <= tiny[r]):
             raise InputError("supply row %d must be finite and sum to zero" % r)
 

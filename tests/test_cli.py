@@ -330,3 +330,31 @@ def test_interval_dump_holds_the_relaxation_flows(files, capsys, tmp_path, norm)
         assert [r[0] for r in rows] == ["p0", "p2", "p3", "anchor"]
         dual += sum(float(r[1]) * float(r[2]) for r in rows)
     assert dual == pytest.approx(result["upper"], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec_q", ["conv", "state"])
+def test_refined_max_interval_nests_and_repeats(files, capsys, spec_q):
+    """mk --spec-norm max --refine exits 0, lands inside the unrefined
+    interval, and prints the same bytes on a second run."""
+    mu, ref = files["dir"] / "mu_mixed.json", files["dir"] / "ref.json"
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    sigma = np.array([[0.4, -0.3j], [0.3j, 0.6]])
+    mu.write_text(json.dumps(FunctionalState(
+        ((0.6, 0, AlgState((1.0,), (rho,))), (0.4, 2, AlgState((1.0,), (sigma,)))))
+        .to_json_dict(_path(4).labels)))
+    ref.write_text(json.dumps(FunctionalState(((1.0, 1, AlgState((1.0,), (sigma,))),))
+                              .to_json_dict(_path(4).labels)))
+    argv = ["mk", str(mu), str(files["nu"]), "--space", str(files["space"]),
+            "--algebra", str(files["algebra"]), "--spec-norm", "max", "--spec-q", spec_q]
+    if spec_q == "state":
+        argv += ["--ref-state", str(ref)]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    plain = _report(out)["result"]
+    runs = [_run(capsys, argv + ["--refine"]) for _ in range(2)]
+    assert [rc for rc, _, _ in runs] == [0, 0]
+    assert runs[0][1] == runs[1][1]
+    fine = _report(runs[0][1])["result"]
+    assert fine["kind"] == plain["kind"] == "interval"
+    assert plain["lower"] <= fine["lower"] <= fine["upper"] <= plain["upper"]
+    assert fine["upper"] - fine["lower"] < plain["upper"] - plain["lower"]

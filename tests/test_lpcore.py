@@ -1,28 +1,31 @@
 import numpy as np
 import pytest
 
-from oracles import loop_min_cost_flow, lp_by_vertices
+from oracles import loop_min_cost_flow, lp_by_vertices, lp_from_pairs, tableau_solve
+from qmetric import lpcore
 from qmetric.errors import InputError
-from qmetric.lpcore import LinearProgram, min_cost_flow, min_cost_flows, solve
+from qmetric.lpcore import LinearProgram, min_cost_flow, min_cost_flows
+
+# The tests down to test_shape_validation pin the reference tableau,
+# oracles.tableau_solve, against which test_mk checks the refine LPs.
 
 
 def _lp(obj, pairs):
-    return LinearProgram.from_pairs(np.array(obj, dtype=float),
-                                    [(np.array(r, dtype=float), float(b))
-                                     for r, b in pairs])
+    return lp_from_pairs(np.array(obj, dtype=float),
+                         [(np.array(r, dtype=float), float(b)) for r, b in pairs])
 
 
 def test_single_variable_cap():
-    sol = solve(_lp([1.0], [([1.0], 3.0)]))
+    sol = tableau_solve(_lp([1.0], [([1.0], 3.0)]))
     assert sol.status == "optimal"
     assert sol.optimum == pytest.approx(3.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_two_variable_shared_cap():
-    sol = solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
-                                 ([0.0, 1.0], 1.0),
-                                 ([1.0, 1.0], 1.5)]))
+    sol = tableau_solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
+                                         ([0.0, 1.0], 1.0),
+                                         ([1.0, 1.0], 1.5)]))
     assert sol.status == "optimal"
     assert sol.optimum == pytest.approx(1.5, abs=1e-9)
 
@@ -35,7 +38,7 @@ def test_infeasible_detected():
 
 
 def test_unbounded_detected():
-    sol = solve(_lp([1.0], [([-1.0], 0.0)]))
+    sol = tableau_solve(_lp([1.0], [([-1.0], 0.0)]))
     assert sol.status == "unbounded"
 
 
@@ -47,34 +50,34 @@ def test_negative_bound_goes_through_phase_one():
                           ([0.0, 1.0], 7.0),
                           ([1.0, 0.0], 10.0)])
     # the same program with x = 2 + x' has bounds >= 0 and solves directly
-    sol = solve(_lp([-1.0, 1.0], [([-1.0, 0.0], 0.0),
-                                  ([0.0, 1.0], 7.0),
-                                  ([1.0, 0.0], 8.0)]))
+    sol = tableau_solve(_lp([-1.0, 1.0], [([-1.0, 0.0], 0.0),
+                                          ([0.0, 1.0], 7.0),
+                                          ([1.0, 0.0], 8.0)]))
     assert sol.status == "optimal"
     assert sol.optimum - 2.0 == pytest.approx(5.0, abs=1e-9)
     assert 2.0 + sol.x[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_free_variables_can_go_negative():
-    sol = solve(_lp([-1.0], [([-1.0], 5.0)]))
+    sol = tableau_solve(_lp([-1.0], [([-1.0], 5.0)]))
     assert sol.status == "optimal"
     assert sol.optimum == pytest.approx(5.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_redundant_rows_are_harmless():
-    sol = solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
-                                 ([1.0, 0.0], 1.0),
-                                 ([2.0, 0.0], 2.0),
-                                 ([0.0, 1.0], 2.0)]))
+    sol = tableau_solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
+                                         ([1.0, 0.0], 1.0),
+                                         ([2.0, 0.0], 2.0),
+                                         ([0.0, 1.0], 2.0)]))
     assert sol.optimum == pytest.approx(3.0, abs=1e-9)
 
 
 def test_degenerate_vertex():
     # three constraints meeting at the optimum of a 2-d program
-    sol = solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
-                                 ([0.0, 1.0], 1.0),
-                                 ([1.0, 1.0], 2.0)]))
+    sol = tableau_solve(_lp([1.0, 1.0], [([1.0, 0.0], 1.0),
+                                         ([0.0, 1.0], 1.0),
+                                         ([1.0, 1.0], 2.0)]))
     assert sol.optimum == pytest.approx(2.0, abs=1e-9)
 
 
@@ -85,7 +88,7 @@ def test_classic_cycling_program_terminates():
             ([0.0, 0.0, 1.0, 0.0], 1.0)]
     rows += [(list(-e), 0.0) for e in np.eye(4)]
     obj = [0.75, -150.0, 1.0 / 50.0, -6.0]
-    sol = solve(_lp(obj, rows))
+    sol = tableau_solve(_lp(obj, rows))
     assert sol.status == "optimal"
     assert sol.optimum == pytest.approx(
         lp_by_vertices(obj, [r for r, _ in rows], [b for _, b in rows]),
@@ -103,7 +106,7 @@ def test_solution_satisfies_constraints(rng):
             e[i] = 1.0
             rows += [(e.copy(), 3.0), (-e, 3.0)]
         obj = rng.normal(size=n)
-        sol = solve(_lp(obj, rows))
+        sol = tableau_solve(_lp(obj, rows))
         assert sol.status == "optimal"
         for r, b in rows:
             assert float(np.asarray(r) @ sol.x) <= b + 1e-7
@@ -121,7 +124,7 @@ def test_matches_vertex_enumeration(rng):
             e[i] = 1.0
             rows += [(e.copy(), 3.0), (-e, 3.0)]
         obj = rng.normal(size=n)
-        sol = solve(_lp(obj, rows))
+        sol = tableau_solve(_lp(obj, rows))
         ref = lp_by_vertices(obj, [r for r, _ in rows], [b for _, b in rows])
         assert sol.optimum == pytest.approx(ref, abs=1e-7)
 
@@ -129,7 +132,7 @@ def test_matches_vertex_enumeration(rng):
 def test_weak_duality_spot_check():
     # dual multipliers (0, 0, 1) certify the shared-cap optimum
     rows = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 1.5)]
-    sol = solve(_lp([1.0, 1.0], rows))
+    sol = tableau_solve(_lp([1.0, 1.0], rows))
     y = np.array([0.0, 0.0, 1.0])
     a = np.array([r for r, _ in rows])
     b = np.array([bd for _, bd in rows])
@@ -141,8 +144,79 @@ def test_shape_validation():
     with pytest.raises(InputError):
         _lp([1.0, 2.0], [([1.0], 1.0)])
     with pytest.raises(InputError):
-        solve(LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0)))
+        tableau_solve(LinearProgram(np.zeros(0), np.zeros((0, 0)), np.zeros(0)))
 
+
+
+def _boxed_program(rng, n):
+    """Random rows plus the box |x_i| <= 3, and the start from the box: per
+    variable the box row that the sign of its objective picks, weight |c_i|."""
+    obj = rng.normal(size=n)
+    rows = [(rng.normal(size=n), float(abs(rng.normal())))
+            for _ in range(int(rng.integers(1, 5)))]
+    start = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        start.append(len(rows) + (0 if obj[i] >= 0.0 else 1))
+        rows += [(e.copy(), 3.0), (-e, 3.0)]
+    return obj, rows, start
+
+
+def _assert_certified(lp, sol):
+    assert (lp.rows @ sol.x <= lp.bounds + 1e-12).all()
+    assert sol.weights.min() >= 0.0
+    assert np.abs(lp.rows.T @ sol.weights - lp.objective).max() <= 1e-12
+    assert float(lp.bounds @ sol.weights) == pytest.approx(sol.optimum, abs=1e-12)
+    assert float(lp.objective @ sol.x) == sol.optimum
+
+
+def test_revised_simplex_matches_vertex_enumeration(rng):
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        obj, rows, start = _boxed_program(rng, n)
+        lp = _lp(obj, rows)
+        sol = lpcore.solve(lp, start)
+        ref = lp_by_vertices(obj, [r for r, _ in rows], [b for _, b in rows])
+        assert sol.optimum == pytest.approx(ref, abs=1e-9)
+        _assert_certified(lp, sol)
+
+
+@pytest.mark.parametrize("run", [lpcore._DEGENERATE_RUN, 0], ids=["dantzig", "bland"])
+def test_revised_simplex_finishes_the_cycling_program(monkeypatch, run):
+    """The textbook cycling program with the box 0 <= x <= 2, from the box,
+    under both pricing rules (a run of 0 makes every pivot Bland's)."""
+    monkeypatch.setattr(lpcore, "_DEGENERATE_RUN", run)
+    rows = [([0.25, -60.0, -1.0 / 25.0, 9.0], 0.0),
+            ([0.5, -90.0, -1.0 / 50.0, 3.0], 0.0),
+            ([0.0, 0.0, 1.0, 0.0], 1.0)]
+    rows += [(list(-e), 0.0) for e in np.eye(4)]
+    rows += [(list(e), 2.0) for e in np.eye(4)]
+    obj = [0.75, -150.0, 1.0 / 50.0, -6.0]
+    lp = _lp(obj, rows)
+    # positive objective entries start on x_i <= 2, negative ones on -x_i <= 0
+    sol = lpcore.solve(lp, [7, 4, 9, 6])
+    assert sol.optimum == pytest.approx(
+        lp_by_vertices(obj, [r for r, _ in rows], [b for _, b in rows]), abs=1e-12)
+    assert sol.optimum == pytest.approx(0.05, abs=1e-12)
+    _assert_certified(lp, sol)
+
+
+def test_start_must_be_a_basis_with_nonnegative_weights():
+    lp = _lp([1.0, 1.0], [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([1.0, 1.0], 1.5),
+                          ([-1.0, 0.0], 1.0), ([2.0, 0.0], 2.0)])
+    with pytest.raises(InputError, match="dependent"):
+        lpcore.solve(lp, [0, 4])  # parallel rows
+    with pytest.raises(InputError, match="dependent"):
+        lpcore.solve(lp, [0, 3])
+    with pytest.raises(InputError, match="weights >= 0"):
+        lpcore.solve(lp, [3, 1])  # -x <= 1 needs weight -1 to give c
+    for start in ([0], [0, 0], [0, 5], [-1, 0]):
+        with pytest.raises(InputError, match="one distinct row"):
+            lpcore.solve(lp, start)
+    sol = lpcore.solve(lp, [0, 1])
+    assert sol.optimum == pytest.approx(1.5, abs=1e-15)
+    _assert_certified(lp, sol)
 
 def test_min_cost_flow_on_a_known_instance():
     # three points on a line and an anchor at distance 1 from each: each

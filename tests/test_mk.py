@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import support_lp_value
+from oracles import polygon_lp_value, support_lp_value
 from qmetric import lpcore, mk
 from qmetric.algebra import Algebra, AlgElement, AlgState
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
@@ -286,7 +286,7 @@ def test_flow_path_equals_the_dense_support_lp(n, algebra, q_kind, rng):
 
 
 def _recorded_flows(monkeypatch):
-    """Route mk's flow solves through a recorder; forbid the dense simplex."""
+    """Route mk's flow solves through a recorder; forbid the simplex."""
     seen = []
 
     def record(cost, supplies):
@@ -295,11 +295,11 @@ def _recorded_flows(monkeypatch):
                     for supply, sol in zip(supplies, sols))
         return sols
 
-    def no_tableau(*args, **kwargs):
-        raise AssertionError("a dense tableau was built")
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("a polygon LP was solved")
 
     monkeypatch.setattr(mk, "min_cost_flows", record)
-    monkeypatch.setattr(mk, "solve", no_tableau)
+    monkeypatch.setattr(mk, "solve", no_simplex)
     return seen
 
 
@@ -354,6 +354,89 @@ def test_flow_certificate_rejects_tampered_flows(monkeypatch, rng):
         with pytest.raises(BoundViolation, match="does not certify"):
             mk._certify_flows(cost, beta, flows, value * (1.0 + 1e-5))
 
+
+
+_GAMMA_IN = math.cos(math.pi / 16.0)
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C", "state"])
+@pytest.mark.parametrize("algebra", [M1, M2, M23], ids=["M1", "M2", "M23"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_refined_interval_equals_the_coupled_polygon_lps(n, algebra, q_kind, rng):
+    """Both refine endpoints against the coupled 16-gon LPs of the oracle,
+    which has a free recentring scalar (conv kinds) or a psi row (state)."""
+    space = random_planar_space(n, rng, box=float(rng.choice([0.3, 1.0, 4.0])))
+    rm_spec = _flow_spec(q_kind, rng, space, algebra)
+    spec = SeminormSpec("max", q_kind, K=rm_spec.K, state=rm_spec.state)
+    some = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    cases = [(_spread_state(space, algebra, rng, range(n)),
+              _spread_state(space, algebra, rng, range(n))),
+             (_spread_state(space, algebra, rng, some),
+              _spread_state(space, algebra, rng, some[::-1]))]
+    for mu, nu in cases:
+        res = mk_distance(space, algebra, mu, nu, spec, refine=True)
+        v_rm = support_lp_value(space, algebra, mu, nu, rm_spec)
+        for gamma in (_GAMMA_IN, 1.0):
+            value = mk._solve_support_flows(space, algebra, mu, nu, rm_spec,
+                                            gon_gamma=gamma)[0]
+            ref = polygon_lp_value(space, algebra, mu, nu, rm_spec, gamma)
+            # abs: an exact 0 (one point under conv kinds) comes back as rounding
+            assert value == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            if gamma == 1.0:
+                assert res.upper == pytest.approx(min(v_rm, ref), rel=1e-12, abs=1e-15)
+            else:
+                assert res.lower == pytest.approx(max(v_rm / math.sqrt(2.0), ref),
+                                                  rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C", "state"])
+def test_refined_interval_edge_cases(q_kind, rng):
+    space = random_planar_space(4, rng)
+    rm_spec = _flow_spec(q_kind, rng, space, M23)
+    spec = SeminormSpec("max", q_kind, K=rm_spec.K, state=rm_spec.state)
+    mu = _spread_state(space, M23, rng, range(4))
+    res = mk_distance(space, M23, mu, mu, spec, refine=True)
+    assert (res.lower, res.upper) == (0.0, 0.0)
+    # M1 has no off-diagonal entry: the polygons bound nothing
+    rm_spec = _flow_spec(q_kind, rng, space, M1)
+    spec = SeminormSpec("max", q_kind, K=rm_spec.K, state=rm_spec.state)
+    mu, nu = (_spread_state(space, M1, rng, range(4)) for _ in range(2))
+    res = mk_distance(space, M1, mu, nu, spec, refine=True)
+    exact = mk_distance(space, M1, mu, nu, rm_spec).value
+    assert res.lower == res.upper == exact
+
+
+def test_refine_certificate_rejects_tampered_lp_results(monkeypatch, rng):
+    space = _path(3)
+    mu = _spread_state(space, M2, rng, [0, 1])
+    nu = _spread_state(space, M2, rng, [1, 2])
+    spec = SeminormSpec("max", "conv")
+    genuine = mk_distance(space, M2, mu, nu, spec, refine=True)
+    real = lpcore._simplex
+
+    def negative(x, weights):
+        weights[np.flatnonzero(weights == 0.0)[0]] = -0.1
+
+    def reweigh(x, weights):
+        weights[weights.argmax()] *= 1.5
+
+    def stretch(x, weights):
+        x *= 2.0
+
+    for edit, match in ((negative, "negative weight"),
+                        (reweigh, "miss the objective"),
+                        (stretch, "exceeds row")):
+        def tampered(*args, edit=edit):
+            x, weights = real(*args)
+            edit(x, weights)
+            return x, weights
+
+        monkeypatch.setattr(lpcore, "_simplex", tampered)
+        with pytest.raises(BoundViolation, match=match):
+            mk_distance(space, M2, mu, nu, spec, refine=True)
+    monkeypatch.setattr(lpcore, "_simplex", real)
+    again = mk_distance(space, M2, mu, nu, spec, refine=True)
+    assert (again.lower, again.upper) == (genuine.lower, genuine.upper)
 
 def test_32_point_full_support_is_certified_from_both_sides(monkeypatch, rng):
     space = circle_net(32, "chord")
