@@ -411,13 +411,8 @@ def check_state_shapes(phi: AlgState, algebra: Algebra) -> None:
 def apply_state(phi: AlgState, a: AlgElement) -> complex:
     """Evaluate a state on an element by the weighted trace pairing."""
     check_state_shapes(phi, a.algebra)
-    return trace_pairing(phi, a.blocks)
-
-
-def trace_pairing(phi: AlgState, blocks) -> complex:
-    """The weighted trace pairing of a state with one matrix per block."""
     total = 0j
-    for t, rho, blk in zip(phi.weights, phi.densities, blocks):
+    for t, rho, blk in zip(phi.weights, phi.densities, a.blocks):
         total += t * np.trace(rho @ blk)
     return complex(total)
 

@@ -31,11 +31,13 @@ LP_EXACT_Q_KINDS = ("quotient_C", "state", "conv", "conv_K")
 class MatrixFunction:
     """One algebra element per point of a finite metric space, kept as one
     read-only stack of shape (n_points, m, m) per block.  A function made
-    from stacks (from_stacks, from_channels) builds its values on first read."""
+    from stacks (from_stacks) builds its values on first read; one made
+    from real channels (from_channels) holds only its read-only
+    (n_points, sum m^2) channel array and builds its stacks on first read."""
 
     space: FiniteMetricSpace
     algebra: Algebra
-    stacks: tuple[np.ndarray, ...] = field(repr=False)
+    channels: Optional[np.ndarray] = field(repr=False)  # None unless made from channels
 
     def __init__(self, space: FiniteMetricSpace, algebra: Algebra, values):
         values = tuple(values)
@@ -55,12 +57,29 @@ class MatrixFunction:
         fn._hold(space, algebra, [np.array(s, dtype=complex) for s in stacks])
         return fn
 
-    def _hold(self, space, algebra, stacks) -> None:
-        if [s.shape for s in stacks] != [(space.size, m, m) for m in algebra.block_sizes]:
-            raise InputError("need one (n_points, m, m) stack per block")
-        for name, val in (("space", space), ("algebra", algebra),
-                          ("stacks", tuple(_frozen(s) for s in stacks))):
+    def _hold(self, space, algebra, stacks=None, channels=None) -> None:
+        held = {"space": space, "algebra": algebra, "channels": channels}
+        if stacks is not None:
+            if [s.shape for s in stacks] != [(space.size, m, m) for m in algebra.block_sizes]:
+                raise InputError("need one (n_points, m, m) stack per block")
+            held["stacks"] = tuple(_frozen(s) for s in stacks)
+        for name, val in held.items():
             object.__setattr__(self, name, val)
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The per-block stacks; built here only for a function made from
+        channels, whose Hermitian entries they fill in."""
+        stacks = []
+        for m, (diag, re, im, rows, cols) in zip(self.algebra.block_sizes,
+                                                 channel_slots(self.algebra)):
+            s = np.zeros((self.space.size, m, m), dtype=complex)
+            s[:, range(m), range(m)] = self.channels[:, diag]
+            z = self.channels[:, re] + 1j * self.channels[:, im]
+            s[:, rows, cols] = z
+            s[:, cols, rows] = np.conj(z)
+            stacks.append(_frozen(s))
+        return tuple(stacks)
 
     @cached_property
     def values(self) -> tuple[AlgElement, ...]:
@@ -126,21 +145,16 @@ def to_channels(fn: MatrixFunction) -> np.ndarray:
 
 
 def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> MatrixFunction:
-    """The self-adjoint function whose real channels are given; inverts to_channels."""
-    chans = np.asarray(channels, dtype=float)
+    """The self-adjoint function whose real channels are given (copied);
+    inverts to_channels."""
+    chans = np.array(channels, dtype=float)
     width = sum(m * m for m in algebra.block_sizes)
     if chans.shape != (space.size, width):
         raise InputError("channel array must be %dx%d, got %r"
                          % (space.size, width, chans.shape))
-    stacks = []
-    for m, (diag, re, im, rows, cols) in zip(algebra.block_sizes, channel_slots(algebra)):
-        s = np.zeros((space.size, m, m), dtype=complex)
-        s[:, range(m), range(m)] = chans[:, diag]
-        z = chans[:, re] + 1j * chans[:, im]
-        s[:, rows, cols] = z
-        s[:, cols, rows] = np.conj(z)
-        stacks.append(s)
-    return MatrixFunction.from_stacks(space, algebra, stacks)
+    fn = object.__new__(MatrixFunction)
+    fn._hold(space, algebra, channels=_frozen(chans))
+    return fn
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,14 @@
 """Linear programming: uncapacitated min-cost flows and a small revised simplex.
 
 ``min_cost_flows`` solves the transport problems that every exact MK
-distance splits into, one per real channel: successive shortest paths on
-the complete graph of the support plus one anchor node.  The k channels of
-one support share the cost matrix, so they run in lockstep, one batched
-Dijkstra per round over every unfinished channel, in O(k n^2) memory; each
-channel's flow and potentials are bit for bit those of solving it alone.
-``min_cost_flow`` is the one-channel call.
+distance splits into, one per real channel, on the complete graph of the
+support plus one anchor node, by a primal-dual method.  The k channels of
+one support share the cost matrix, so they run in lockstep in O(k n^2)
+memory: each round, per unfinished channel, one shortest-path forest from
+all excess nodes by min-plus relaxation of the reduced costs, every
+potential moved by its distance, and a push along each forest path to an
+unmet demand.  Each channel's flow and potentials are bit for bit those of
+solving it alone.  ``min_cost_flow`` is the one-channel call.
 
 ``solve`` maximizes c.x subject to A x <= b (b >= 0, x free in sign) by
 the revised simplex on its dual, minimize b.f subject to A^T f = c and
@@ -170,29 +172,46 @@ class FlowSolution:
     potential: np.ndarray
 
 
-def _nearest_sinks(reduced: np.ndarray, sources: np.ndarray, sinks: np.ndarray):
-    """Dense Dijkstra in k rows at once, each from all of its sources, closed
-    at its first settled sink.  Returns per row the distance labels (upper
-    bounds where not settled), the predecessor of each node and that sink."""
-    k, n = sources.shape
+def _forests(reduced: np.ndarray, sources: np.ndarray):
+    """Shortest-path forests in k rows at once, each grown from all of its
+    sources: min-plus relaxation of every label over every arc, all nodes
+    in step, until no label improves.  Returns per row the distance labels
+    and the predecessor of each node (-1 at the sources); a label changes
+    only when it strictly improves, so the predecessors form a forest."""
     dist = np.where(sources, 0.0, np.inf)
-    pred = np.full((k, n), -1)
-    open_, sinks, sink = np.ones((k, n), dtype=bool), sinks.copy(), np.full(k, -1)
-    first = np.arange(0, k * n, n)  # flat index of each row's node 0
+    pred = np.full(sources.shape, -1)
     while True:
-        u = np.where(open_, dist, np.inf).argmin(axis=1)
-        at = first + u
-        hit = sinks.ravel()[at]
-        if np.count_nonzero(hit):
-            sink[hit] = u[hit]
-            open_[hit] = sinks[hit] = False
-            if not np.count_nonzero(sinks):
-                return dist, pred, sink
-        open_.ravel()[at] = False
-        reach = dist.ravel()[at][:, None] + reduced.reshape(k * n, n).take(at, axis=0)
-        better = open_ & (reach < dist)
-        np.copyto(dist, reach, where=better)
-        np.copyto(pred, u[:, None], where=better)
+        reach = dist[:, :, None] + reduced  # reach[r, i, j]: via i to j
+        best = reach.min(axis=1)
+        better = best < dist
+        if not better.any():
+            return dist, pred
+        np.copyto(pred, reach.argmin(axis=1), where=better)
+        np.copyto(dist, best, where=better)
+
+
+def _push_forest(f, ex, pred, cancels, sinks) -> None:
+    """Push, sink by sink in node order, the most each forest path from its
+    source allows: the source's excess, the sink's demand and the flow on
+    every arc the path crosses backwards (cancels[v]: the arc into v),
+    cancelled there."""
+    for t, is_sink in enumerate(sinks):
+        if not is_sink:
+            continue
+        path, v = [], t
+        while pred[v] >= 0:
+            path.append(v)
+            v = pred[v]
+        delta = min([ex[v], -ex[t]] + [f[u, pred[u]] for u in path if cancels[u]])
+        if delta <= 0.0:
+            continue
+        for u in path:
+            if cancels[u]:
+                f[u, pred[u]] -= delta
+            else:
+                f[pred[u], u] += delta
+        ex[v] -= delta
+        ex[t] += delta
 
 
 def min_cost_flows(cost, supplies) -> list[FlowSolution]:
@@ -203,11 +222,16 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     dual of: maximize supply . y subject to y_i - y_j <= cost[i, j], y = 0 on
     the last node; each row's potentials solve it, supply . y = flow cost.
 
-    Successive shortest paths, all rows in lockstep: each round one batched
-    Dijkstra finds, per unfinished row and over its reduced costs, the
-    nearest unmet demand from any excess; the row moves its potentials by
-    the labels and pushes what its path allows, cancelling flow on arcs it
-    crosses backwards.  Each row's result is bit for bit its solve alone.
+    Primal-dual, all rows in lockstep.  Each round grows, per unfinished
+    row and over its reduced costs (an arc that can cancel flow costs the
+    negated reduced cost of the flow it cancels, clamped at 0), the
+    shortest-path forest from all of its excess nodes (_forests).  Every
+    potential then moves by its label: the graph is complete, so every
+    node is reached, the reduced costs stay >= 0, and every forest arc
+    costs 0.  The row then pushes along the forest path to each unmet
+    demand that still has room (_push_forest); the first always does, so
+    each round makes progress.  Each row's result is bit for bit its solve
+    alone.
     """
     c, excess = np.asarray(cost, dtype=float), np.array(supplies, dtype=float)
     if excess.ndim != 2 or excess.shape[1] == 0 or c.shape != (excess.shape[1],) * 2:
@@ -215,11 +239,13 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     if not np.isfinite(c).all() or (c < 0).any():
         raise InputError("arc costs must be finite and nonnegative")
     k, n = excess.shape
-    tiny = np.empty(k)
-    for r, row in enumerate(excess):
-        tiny[r] = _EPS * float(np.abs(row).sum())
-        if not (np.isfinite(row).all() and abs(float(row.sum())) <= tiny[r]):
-            raise InputError("supply row %d must be finite and sum to zero" % r)
+    finite = np.isfinite(excess).all(axis=1)
+    excess = np.where(finite[:, None], excess, 0.0)  # sums without inf - inf
+    tiny = _EPS * np.abs(excess).sum(axis=1)
+    bad = ~finite | (np.abs(excess.sum(axis=1)) > tiny)
+    if bad.any():
+        raise InputError("supply row %d must be finite and sum to zero"
+                         % np.flatnonzero(bad)[0])
 
     flow, pi, live = np.zeros((k, n, n)), np.zeros((k, n)), np.arange(k)
     for _ in range(_MAX_PIVOTS):
@@ -233,24 +259,16 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
         reduced = c + p[:, :, None] - p[:, None, :]
         back = flow[live].swapaxes(1, 2) > 0.0  # arc i -> j can cancel flow on j -> i
         reduced = np.maximum(np.where(back, -reduced.swapaxes(1, 2), reduced), 0.0)
-        dist, pred, sink = _nearest_sinks(reduced, sources, sinks)
-        pi[live] = p + np.minimum(dist, dist[np.arange(live.size), sink, None])
-        for r, b, prd, t in zip(live, back, pred.tolist(), sink.tolist()):
-            f, ex = flow[r], excess[r]
-            path, v = [], t
-            while prd[v] >= 0:
-                path.append((prd[v], v))
-                v = prd[v]
-            delta = min([ex[v], -ex[t]] + [f[j, i] for i, j in path if b[i, j]])
-            for i, j in path:
-                if b[i, j]:
-                    f[j, i] -= delta
-                else:
-                    f[i, j] += delta
-            ex[v] -= delta
-            ex[t] += delta
+        dist, pred = _forests(reduced, sources)
+        pi[live] = p + dist
+        cancels = back[np.arange(live.size)[:, None], pred, np.arange(n)] & (pred >= 0)
+        for r, prd, cnc, snk in zip(live.tolist(), pred.tolist(), cancels.tolist(),
+                                    sinks.tolist()):
+            ex = excess[r].tolist()
+            _push_forest(flow[r], ex, prd, cnc, snk)
+            excess[r] = ex
     else:
-        raise ArithmeticError("min-cost flow augmentation cap exceeded")
+        raise ArithmeticError("min-cost flow round cap exceeded")
     return [FlowSolution(f, y[-1] - y) for f, y in zip(flow, pi)]
 
 

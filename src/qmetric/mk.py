@@ -15,7 +15,8 @@ state q kind is the beta = 1 case cut by one equality, psi(y) = 0, whose
 multiplier is found exactly by a search over one real variable, each step
 a set of channel flows.  The potentials are the witness channels (lower
 bound) and the flows are a dual certificate (upper bound); both are
-re-verified on every call, the witness on its per-block stacks.
+re-verified on every call, the witness on a transient function built
+from its channels.  The witness returned holds only those channels.
 
 Operator- and max-norm specs get two-sided intervals instead, from the
 nested unit balls of the norm sandwich.  Under the max norm each
@@ -52,9 +53,10 @@ _LEVEL_EPS = 64 * np.finfo(float).eps
 _MAX_PROBES = 100
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MkResult:
-    """Either an exact value with its optimizing witness, or an interval."""
+    """Either an exact value with its optimizing witness, or an interval;
+    slotted, since callers may keep many."""
 
     kind: str  # "exact" | "interval"
     value: Optional[float] = None
@@ -69,27 +71,32 @@ class MkResult:
         return {"kind": "interval", "lower": self.lower, "upper": self.upper}
 
 
-def _pairing_vector(algebra: Algebra, state: FunctionalState,
-                    positions: dict) -> np.ndarray:
-    """Coefficients of the linear map a -> phi(a) over the real channels
-    (funcspace.channel_slots) of a on the support points, one row per point.
+def _pairing_vectors(algebra: Algebra, states, positions: dict) -> np.ndarray:
+    """Per state, the coefficients of the linear map a -> phi(a) over the
+    real channels (funcspace.channel_slots) of a on the support points:
+    shape (states, points, channels).
 
     Valid for self-adjoint a, where the pairing is real: tr(rho b) picks up
     rho_jj per real diagonal entry and 2 Re rho_jk, 2 Im rho_jk per upper
-    (Re, Im) pair.
+    (Re, Im) pair.  The rows of all terms are built at once, then added at
+    their points in term order, so every sum is a per-term loop's.
     """
-    coefs = np.zeros((len(positions), sum(m * m for m in algebra.block_sizes)))
-    for w, x_idx, phi in state.terms:
-        if w == 0.0:
-            continue
-        row = coefs[positions[x_idx]]
-        for (diag, re, im, rows, cols), t_l, rho in zip(channel_slots(algebra),
-                                                         phi.weights, phi.densities):
-            wt = w * t_l
-            upper = rho[rows, cols]
-            row[diag] += wt * rho.diagonal().real
-            row[re] += wt * 2.0 * upper.real
-            row[im] += wt * 2.0 * upper.imag
+    terms = [(i, positions[x], w, phi) for i, state in enumerate(states)
+             for w, x, phi in state.terms if w != 0.0]
+    coefs = np.zeros((len(states), len(positions), sum(m * m for m in algebra.block_sizes)))
+    if not terms:
+        return coefs
+    which, at, w, phis = zip(*terms)
+    w = np.array(w)
+    rows = np.empty((len(terms), coefs.shape[2]))
+    for l, (diag, re, im, r, c) in enumerate(channel_slots(algebra)):
+        wt = w * np.array([phi.weights[l] for phi in phis])
+        rho = np.stack([phi.densities[l] for phi in phis])
+        upper = rho[:, r, c]
+        rows[:, diag] = wt[:, None] * np.diagonal(rho, axis1=1, axis2=2).real
+        rows[:, re] = (wt * 2.0)[:, None] * upper.real
+        rows[:, im] = (wt * 2.0)[:, None] * upper.imag
+    np.add.at(coefs, (list(which), list(at)), rows)
     return coefs
 
 
@@ -102,11 +109,42 @@ def _check_states(space: FiniteMetricSpace, algebra: Algebra,
             check_state_shapes(phi, algebra)
 
 
-def _support_points(mu, nu, spec) -> list:
+class _Support(NamedTuple):
+    """The Lip ball restricted to the support points, set up once per call:
+    the points, the pairing of mu - nu per point and real channel, the
+    reference state's (state q kind; else None), the anchor distance beta
+    and the flows' arc costs, the anchor last."""
+
+    points: list
+    gain: np.ndarray
+    psi: Optional[np.ndarray]
+    beta: float
+    cost: np.ndarray
+
+
+def _restrict(space, algebra, mu, nu, spec) -> _Support:
+    """The ball on the support points of mu, nu and the reference state.
+
+    The restriction is exact: any feasible assignment on the support
+    extends channel by channel (clamped inf-convolution) to a feasible
+    element of the full ball with the same pairing values.  Per channel,
+    arcs between support points cost their distance, arcs to and from the
+    anchor cost beta.
+    """
     support = set(mu.support()) | set(nu.support())
     if spec.q_kind == "state":
         support |= set(spec.state.support())
-    return sorted(support)
+    support = sorted(support)
+    n = len(support)
+    positions = {s: i for i, s in enumerate(support)}
+    states = (mu, nu, spec.state) if spec.q_kind == "state" else (mu, nu)
+    pairing = _pairing_vectors(algebra, states, positions)
+    gain, psi = pairing[0] - pairing[1], (pairing[2] if len(states) == 3 else None)
+    beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
+    cost = np.full((n + 1, n + 1), beta)
+    cost[:n, :n] = space.dist[np.ix_(support, support)]
+    cost[n, n] = 0.0
+    return _Support(support, gain, psi, beta, cost)
 
 
 def _channel_flows(cost, gain, channels):
@@ -114,8 +152,10 @@ def _channel_flows(cost, gain, channels):
     gain: the potentials (0 in unlisted channels) and (channel, supply, solution)."""
     n = gain.shape[0]
     chans = np.zeros_like(gain)
-    supplies = [np.append(gain[:, ch], -gain[:, ch].sum()) for ch in channels]
-    sols = min_cost_flows(cost, supplies) if supplies else []
+    supplies = np.empty((len(channels), n + 1))
+    supplies[:, :n] = gain[:, channels].T
+    supplies[:, n] = -supplies[:, :n].sum(axis=1)
+    sols = min_cost_flows(cost, supplies) if len(channels) else []
     for ch, sol in zip(channels, sols):
         chans[:, ch] = sol.potential[:n]
     return chans, [(int(ch), s, sol) for ch, s, sol in zip(channels, supplies, sols)]
@@ -127,12 +167,15 @@ _GON_ANGLES = 2.0 * math.pi * np.arange(16) / 16.0
 _GON_COS, _GON_SIN = np.cos(_GON_ANGLES), np.sin(_GON_ANGLES)
 
 
-def _polygon(dist, beta, gamma):
-    """One off-diagonal entry's LP rows and bounds on the support, the same
+def _polygon(sup: _Support, algebra: Algebra):
+    """The off-diagonal entries' LP rows on the support, their bounds for
+    16-gons of inradius 1 (a 16-gon of inradius gamma scales them by
+    gamma), and each entry's (Re, Im) channel pair.  The rows are the same
     for every entry.  The variables are the entry's Re at each point, then
     its Im.  The first 16 rows per point ("anchor" rows, point p's at
-    16 p + t) bound its modulus by gamma beta, then 16 rows per point pair
-    bound the difference by gamma d."""
+    16 p + t) bound its modulus by beta, then 16 rows per point pair bound
+    the difference by d."""
+    dist = sup.cost[:-1, :-1]
     n = dist.shape[0]
     p, q = np.triu_indices(n, 1)
     rows = np.zeros((16 * (n + p.size), 2 * n))
@@ -144,8 +187,9 @@ def _polygon(dist, beta, gamma):
     for cols, sign in ((p, 1.0), (q, -1.0)):
         pair[k, t, cols[:, None]] = sign * _GON_COS
         pair[k, t, n + cols[:, None]] = sign * _GON_SIN
-    bounds = gamma * np.concatenate([np.full(16 * n, beta), np.repeat(dist[p, q], 16)])
-    return rows, bounds
+    bounds = np.concatenate([np.full(16 * n, sup.beta), np.repeat(dist[p, q], 16)])
+    entries = np.concatenate([np.stack(s[1:3], axis=1) for s in channel_slots(algebra)])
+    return rows, bounds, entries
 
 
 def _gon_start(objective):
@@ -158,16 +202,11 @@ def _gon_start(objective):
     return np.concatenate([first + t % 16, first + (t + 1) % 16])
 
 
-def _maximize(cost, channels, polygon, objective):
-    """Maximize objective.z over the ball on the support: the listed
-    channels as min-cost flows, except that under a polygon each
-    off-diagonal entry is one polygon LP instead (none where its objective
-    is 0, which z = 0 maximizes).  Returns z, the flows and the
+def _entry_lps(polygon, objective, z):
+    """Solve each off-diagonal entry's polygon LP into z (none where its
+    objective is 0, which z = 0 maximizes); returns the
     (LinearProgram, LpSolution) pairs."""
-    if polygon is None:
-        return (*_channel_flows(cost, objective, channels), [])
     rows, bounds, entries = polygon
-    z, flows = _channel_flows(cost, objective, np.setdiff1d(channels, entries))
     lps, n = [], objective.shape[0]
     for re, im in entries:
         c = np.concatenate([objective[:, re], objective[:, im]])
@@ -176,7 +215,18 @@ def _maximize(cost, channels, polygon, objective):
             sol = solve(lp, _gon_start(c))
             z[:, re], z[:, im] = sol.x[:n], sol.x[n:]
             lps.append((lp, sol))
-    return z, flows, lps
+    return lps
+
+
+def _maximize(cost, channels, polygon, objective):
+    """Maximize objective.z over the ball on the support: the listed
+    channels as min-cost flows, except that under a polygon (rows, bounds,
+    entries) each off-diagonal entry is one polygon LP instead.  Returns z,
+    the flows and the (LinearProgram, LpSolution) pairs."""
+    if polygon is None:
+        return (*_channel_flows(cost, objective, channels), [])
+    z, flows = _channel_flows(cost, objective, np.setdiff1d(channels, polygon[2]))
+    return z, flows, _entry_lps(polygon, objective, z)
 
 
 class _Probe(NamedTuple):
@@ -237,46 +287,33 @@ def _state_optimum(gain, psi, argmax):
     raise ArithmeticError("multiplier search did not close; input likely ill-posed")
 
 
-def _solve_support_flows(space, algebra, mu, nu, spec, dump_csv=None, gon_gamma=None):
-    """Maximize (mu - nu)(a) over the Lip ball restricted to support points.
+def _support_optimum(sup: _Support, polygon=None, unbounded=None):
+    """Maximize (mu - nu)(a) over the ball on the support, each off-diagonal
+    entry bounded by 16-gons if a polygon (rows, bounds, entries) is given,
+    and certify the value from above.
 
-    The restriction is exact: any feasible assignment on the support
-    extends channel by channel (clamped inf-convolution) to a feasible
-    element of the full ball with the same pairing values.  Per channel,
-    arcs between support points cost their distance, arcs to and from the
-    anchor (the last node) cost beta.  For the state q kind, a - psi(a) 1
-    pairs like a and has psi = 0, which couples the channels.  With
-    gon_gamma, each off-diagonal entry's (Re, Im) pair is bounded instead
-    by 16-gons of inradius gon_gamma times its distance and beta bounds,
-    one LP per entry.  Returns (value, per-point channels on the support,
-    support).
+    For the state q kind the multiplier search couples the channels.  For
+    the others each channel is its own problem, so unbounded, the (z,
+    flows) of the same ball without the polygon, lends its flows in the
+    channels the polygon leaves to flows; only the entry LPs are solved.
+    Returns (value, z, flows, lam), lam the state multiplier or None.
     """
-    support = _support_points(mu, nu, spec)
-    n = len(support)
-    positions = {s: i for i, s in enumerate(support)}
-    gain = _pairing_vector(algebra, mu, positions) - _pairing_vector(algebra, nu, positions)
-    beta = spec.K / 2.0 if spec.q_kind == "conv_K" else 1.0
-    cost = np.full((n + 1, n + 1), beta)
-    cost[:n, :n] = space.dist[np.ix_(support, support)]
-    cost[n, n] = 0.0
-    polygon = None
-    if gon_gamma is not None:
-        entries = np.concatenate([np.stack(s[1:3], axis=1) for s in channel_slots(algebra)])
-        polygon = (*_polygon(cost[:n, :n], beta, gon_gamma), entries)
-
-    if spec.q_kind == "state":
-        psi = _pairing_vector(algebra, spec.state, positions)
-        live = np.flatnonzero(gain.any(axis=0) | psi.any(axis=0))
-        lam, chans, flows, lps = _state_optimum(gain, psi,
-                                                partial(_maximize, cost, live, polygon))
+    lam = None
+    if unbounded is not None:
+        taken = set(polygon[2].ravel().tolist())
+        z = unbounded[0].copy()
+        flows = [f for f in unbounded[1] if f[0] not in taken]
+        lps = _entry_lps(polygon, sup.gain, z)
+    elif sup.psi is None:
+        live = np.flatnonzero(sup.gain.any(axis=0))
+        z, flows, lps = _maximize(sup.cost, live, polygon, sup.gain)
     else:
-        lam = None
-        chans, flows, lps = _maximize(cost, np.flatnonzero(gain.any(axis=0)), polygon, gain)
-    value = max(float((gain * chans).sum()), 0.0)
-    if dump_csv:
-        _dump_flows(dump_csv, [space.labels[s] for s in support], flows, lam)
-    _certify_flows(cost, beta, flows, value, *lps)
-    return value, chans, support
+        live = np.flatnonzero(sup.gain.any(axis=0) | sup.psi.any(axis=0))
+        lam, z, flows, lps = _state_optimum(sup.gain, sup.psi,
+                                            partial(_maximize, sup.cost, live, polygon))
+    value = max(float((sup.gain * z).sum()), 0.0)
+    _certify_flows(sup.cost, sup.beta, flows, value, *lps)
+    return value, z, flows, lam
 
 
 def _certify_flows(cost, beta, flows, value, *polygons) -> None:
@@ -331,26 +368,19 @@ def _dump_flows(path, labels, flows, multiplier=None) -> None:
                 out.writerow([name] + ["%.12g" % v for v in (s, y, *row)])
 
 
-def _witness_from_channels(space, algebra, support, chans) -> MatrixFunction:
-    """Extend the optimizer's channels from the support to the whole space.
-
-    Each channel is extended with its own realized Lipschitz constant and
-    clamped to its support range, which preserves every box constraint the
-    solver certified."""
-    if len(support) < space.size:
-        chans = extend_channels(space, support, chans)
-    return from_channels(space, algebra, chans)
-
-
-def _certify_witness(space, algebra, mu, nu, spec, witness, optimum):
+def _certify_witness(space, algebra, mu, nu, spec, chans, optimum) -> MatrixFunction:
     """Re-verify feasibility and the attained value; every exact result
-    must carry its own proof."""
-    l_val = lipnorm(witness, spec)
+    must carry its own proof.
+
+    The checks read a transient function made from the witness channels.
+    The witness returned holds the same channels, rescaled into the ball
+    if rounding left them just outside, and has not built its stacks."""
+    probe = from_channels(space, algebra, chans)
+    l_val = lipnorm(probe, spec)
     if l_val > 1.0 + TAU_LP:
-        witness = MatrixFunction.from_stacks(
-            space, algebra, tuple((1.0 / l_val) * s for s in witness.stacks))
-        l_val = lipnorm(witness, spec)
-    diff = evaluate(mu, witness) - evaluate(nu, witness)
+        probe = from_channels(space, algebra, (1.0 / l_val) * probe.channels)
+        l_val = lipnorm(probe, spec)
+    diff = evaluate(mu, probe) - evaluate(nu, probe)
     if abs(diff.imag) > TAU_LP * max(1.0, optimum):
         raise BoundViolation("witness pairing is not real: imag %.3g"
                              % diff.imag)
@@ -361,7 +391,7 @@ def _certify_witness(space, algebra, mu, nu, spec, witness, optimum):
         raise BoundViolation(
             "witness value %.12g does not certify the optimum %.12g"
             % (abs(diff.real), optimum))
-    return witness
+    return from_channels(space, algebra, probe.channels)
 
 
 def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
@@ -379,9 +409,9 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
         yield intervals.
       refine: for the max norm, tighten the interval with 16-gon inner and
         outer polygon relaxations of each modulus constraint.
-      dump_csv: optional CSV path for the exact solve: per-channel
-        supplies, flows and potentials (after the multiplier line for the
-        state q kind).
+      dump_csv: optional CSV path for the certified flows of the real_max
+        ball: per-channel supplies, flows and potentials (after the
+        multiplier line for the state q kind).
 
     Returns:
       MkResult; exact results carry a self-verified witness.
@@ -394,23 +424,28 @@ def mk_distance(space: FiniteMetricSpace, algebra: Algebra,
             "the pointwise scalar quotient is not an entrywise-box ball; "
             "no exact LP or sandwich interval is available for it")
 
+    # Every norm kind starts from the real_max ball: the exact value, or
+    # the upper end of the sandwich interval.
+    sup = _restrict(space, algebra, mu, nu, spec)
+    value, z, flows, lam = _support_optimum(sup)
+    if dump_csv:
+        _dump_flows(dump_csv, [space.labels[s] for s in sup.points], flows, lam)
     if spec.norm_kind == "real_max":
-        optimum, chans, support = _solve_support_flows(space, algebra, mu, nu, spec,
-                                                       dump_csv=dump_csv)
-        witness = _witness_from_channels(space, algebra, support, chans)
-        witness = _certify_witness(space, algebra, mu, nu, spec, witness,
-                                   optimum)
-        return MkResult("exact", value=optimum, witness=witness)
+        # Each channel extends with its own realized Lipschitz constant,
+        # clamped to its support range: every certified box constraint holds.
+        if len(sup.points) < space.size:
+            z = extend_channels(space, sup.points, z)
+        return MkResult("exact", value=value,
+                        witness=_certify_witness(space, algebra, mu, nu, spec, z, value))
 
-    rm_spec = SeminormSpec("real_max", spec.q_kind, K=spec.K,
-                           state=spec.state)
-    v_rm = _solve_support_flows(space, algebra, mu, nu, rm_spec, dump_csv=dump_csv)[0]
     if spec.norm_kind == "operator":
-        return MkResult("interval", lower=v_rm / (_ROOT2 * algebra.max_block),
-                        upper=v_rm)
-    lower, upper = v_rm / _ROOT2, v_rm
+        return MkResult("interval", lower=value / (_ROOT2 * algebra.max_block),
+                        upper=value)
+    lower, upper = value / _ROOT2, value
     if refine:
-        inner, outer = (_solve_support_flows(space, algebra, mu, nu, rm_spec, gon_gamma=g)[0]
+        rows, bounds, entries = _polygon(sup, algebra)
+        unbounded = (z, flows) if sup.psi is None else None
+        inner, outer = (_support_optimum(sup, (rows, g * bounds, entries), unbounded)[0]
                         for g in (math.cos(math.pi / 16.0), 1.0))
         lower, upper = max(lower, inner), min(upper, outer)
     return MkResult("interval", lower=lower, upper=upper)

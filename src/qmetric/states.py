@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgState, check_state_shapes, trace_pairing, tracial_state, TAU_STATE
+import numpy as np
+
+from .algebra import Algebra, AlgState, check_state_shapes, tracial_state, TAU_STATE
 from .errors import InputError
 
 
@@ -29,6 +31,8 @@ class FunctionalState:
             x = int(x)
             if w < -TAU_STATE or w > 1.0 + TAU_STATE:
                 raise InputError("term weights must lie in [0, 1]")
+            if w < 0.0:  # within the slack below 0: no mass, as support() reads it
+                w = 0.0
             if x < 0:
                 raise InputError("point indices must be nonnegative")
             if not isinstance(phi, AlgState):
@@ -90,13 +94,21 @@ def evaluate(state: FunctionalState, fn) -> complex:
     """Apply a functional state to a matrix function.
 
     The value is the weighted sum over terms of the algebra state applied
-    to the function's value at the term's point, read from its stacks.
+    to the function's value at the term's point, read from its stacks: per
+    block, one contraction of every term's density with the function's
+    value at the term's point.
     """
     n = fn.space.size
-    total = 0j
-    for w, x, phi in state.terms:
+    for _, x, phi in state.terms:
         if x >= n:
             raise InputError("state point index %d beyond the function's space" % x)
         check_state_shapes(phi, fn.algebra)
-        total += w * trace_pairing(phi, (s[x] for s in fn.stacks))
+    w, at, phis = zip(*state.terms)
+    w = np.array(w)
+    total = 0j
+    for l, s in enumerate(fn.stacks):
+        wt = w * np.array([phi.weights[l] for phi in phis])
+        rho = np.stack([phi.densities[l] for phi in phis])
+        # tr(rho @ a) = sum_ij rho_ij a_ji
+        total += np.einsum("t,tij,tji->", wt, rho, s[list(at)])
     return complex(total)

@@ -3,10 +3,12 @@
 Everything here is written against the definitions, not against the
 package internals: scans instead of closed forms, exhaustive enumeration
 instead of search, a Jacobi eigensolver of our own where the package
-calls LAPACK, a one-channel-at-a-time flow loop where the package solves
-all channels in lockstep, and a dense slack-basis tableau where the
-package runs a revised simplex on the dual.  Slow on purpose; only run on
-tiny instances.
+calls LAPACK, one-channel-at-a-time flow loops where the package solves
+all channels in lockstep (its own primal-dual rounds, and the successive
+shortest paths it replaced, for the optimum), term-by-term pairings where
+the package contracts all terms at once, and a dense slack-basis tableau
+where the package runs a revised simplex on the dual.  Slow on purpose;
+only run on tiny instances.
 """
 
 import math
@@ -486,11 +488,12 @@ def _nearest_sink(reduced, sources, sinks):
 def loop_min_cost_flow(cost, supply):
     """One channel's min-cost flow by successive shortest paths, alone.
 
-    The reference for lpcore.min_cost_flows: the same rounds (nearest
-    unmet demand from any excess over reduced costs, potentials moved by
-    the labels, the most the path allows pushed), one supply vector at a
-    time with a Dijkstra of its own.  Returns (flow, potentials), the
-    potentials 0 on the last node.
+    An independent reference for the optimum of lpcore.min_cost_flows,
+    which moves many paths per round: per round one Dijkstra from every
+    excess node to the nearest unmet demand over the reduced costs, the
+    potentials moved by the settled labels, and the most that one path
+    allows pushed.  Returns (flow, potentials), the potentials 0 on the
+    last node.
     """
     c = np.asarray(cost, dtype=float)
     excess = np.array(supply, dtype=float)
@@ -520,3 +523,98 @@ def loop_min_cost_flow(cost, supply):
                 flow[i, j] += delta
         excess[v] -= delta
         excess[t] += delta
+
+
+def loop_forest_flow(cost, supply):
+    """One channel's min-cost flow by the primal-dual forest rounds, alone.
+
+    The reference for lpcore.min_cost_flows, written as plain loops: per
+    round, synchronous Bellman-Ford sweeps over the reduced costs from every
+    excess node until no label improves (a label moves only on a strict
+    improvement, to the first node that gives it), every potential moved by
+    its label, then for each unmet demand in node order the most its tree
+    path allows pushed.  Returns (flow, potentials), the potentials 0 on the
+    last node.
+    """
+    c = np.asarray(cost, dtype=float)
+    excess = np.array(supply, dtype=float)
+    n = excess.size
+    tiny = 64 * np.finfo(float).eps * float(np.abs(excess).sum())
+    flow = np.zeros((n, n))
+    pi = np.zeros(n)
+    while True:
+        sources, sinks = excess > tiny, excess < -tiny
+        if not (sources.any() and sinks.any()):
+            return flow, pi[-1] - pi
+        reduced = c + pi[:, None] - pi[None, :]
+        back = flow.T > 0.0
+        reduced = np.maximum(np.where(back, -reduced.T, reduced), 0.0)
+        dist = [0.0 if s else math.inf for s in sources]
+        pred = [-1] * n
+        changed = True
+        while changed:
+            changed = False
+            new, new_pred = list(dist), list(pred)
+            for j in range(n):
+                for i in range(n):
+                    via = dist[i] + float(reduced[i, j])
+                    if via < new[j]:
+                        new[j], new_pred[j], changed = via, i, True
+            dist, pred = new, new_pred
+        pi = pi + np.array(dist)
+        for t in range(n):
+            if not sinks[t]:
+                continue
+            path, v = [], t
+            while pred[v] >= 0:
+                path.append((pred[v], v))
+                v = pred[v]
+            delta = min([excess[v], -excess[t]]
+                        + [flow[j, i] for i, j in path if back[i, j]])
+            if delta <= 0.0:
+                continue
+            for i, j in path:
+                if back[i, j]:
+                    flow[j, i] -= delta
+                else:
+                    flow[i, j] += delta
+            excess[v] -= delta
+            excess[t] += delta
+
+
+def loop_evaluate(state, fn):
+    """A functional state applied to a matrix function term by term.
+
+    Per term the algebra state's weighted trace pairing tr(rho a) with the
+    value a at the term's point, one matrix product per block; the package
+    contracts all terms of a block at once.
+    """
+    total = 0j
+    for w, x, phi in state.terms:
+        for t, rho, s in zip(phi.weights, phi.densities, fn.stacks):
+            total += w * t * np.trace(rho @ s[x])
+    return complex(total)
+
+
+def loop_pairing_vector(algebra, state, positions):
+    """Real-channel coefficients of a -> phi(a), one row per support point,
+    built term by term and block by block in the package's channel order
+    (real diagonal, then the (Re, Im) pairs of the upper entries row by
+    row): rho_jj per diagonal entry, 2 Re rho_jk and 2 Im rho_jk per pair."""
+    width = sum(m * m for m in algebra.block_sizes)
+    coefs = np.zeros((len(positions), width))
+    for w, x, phi in state.terms:
+        if w == 0.0:
+            continue
+        row, off = coefs[positions[x]], 0
+        for t, rho, m in zip(phi.weights, phi.densities, algebra.block_sizes):
+            wt = w * t
+            for j in range(m):
+                row[off + j] += wt * rho[j, j].real
+            col = off + m
+            for j, k in combinations(range(m), 2):
+                row[col] += wt * 2.0 * rho[j, k].real
+                row[col + 1] += wt * 2.0 * rho[j, k].imag
+                col += 2
+            off += m * m
+    return coefs

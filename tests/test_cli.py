@@ -358,3 +358,19 @@ def test_refined_max_interval_nests_and_repeats(files, capsys, spec_q):
     assert fine["kind"] == plain["kind"] == "interval"
     assert plain["lower"] <= fine["lower"] <= fine["upper"] <= plain["upper"]
     assert fine["upper"] - fine["lower"] < plain["upper"] - plain["lower"]
+
+
+def test_mk_takes_a_weight_just_below_zero(files, capsys):
+    """A term weight inside the state slack below 0 used to crash mk with
+    a KeyError traceback; it now counts as weight 0."""
+    mu = files["dir"] / "mu_slack.json"
+    data = tracial_functional(M2, (1.0,), 0).to_json_dict(_path(4).labels)
+    extra = tracial_functional(M2, (1.0,), 2).to_json_dict(_path(4).labels)["terms"][0]
+    data["terms"].append(dict(extra, w=-1e-12))
+    mu.write_text(json.dumps(data))
+    rest = ["--space", str(files["space"]), "--algebra", str(files["algebra"])]
+    rc, out, err = _run(capsys, ["mk", str(mu), str(files["nu"])] + rest)
+    assert (rc, err) == (0, "")
+    rc, clean, _ = _run(capsys, ["mk", str(files["mu"]), str(files["nu"])] + rest)
+    assert rc == 0
+    assert _report(out)["result"] == _report(clean)["result"]

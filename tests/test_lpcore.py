@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import loop_min_cost_flow, lp_by_vertices, lp_from_pairs, tableau_solve
+from oracles import (loop_forest_flow, loop_min_cost_flow, lp_by_vertices, lp_from_pairs,
+                     tableau_solve)
 from qmetric import lpcore
 from qmetric.errors import InputError
 from qmetric.lpcore import LinearProgram, min_cost_flow, min_cost_flows
@@ -287,7 +289,7 @@ def _assert_matches_the_loop(cost, supplies):
     sols = min_cost_flows(cost, supplies)
     assert len(sols) == len(supplies)
     for supply, sol in zip(supplies, sols):
-        flow, potential = loop_min_cost_flow(cost, supply)
+        flow, potential = loop_forest_flow(cost, supply)
         assert sol.flow.tobytes() == flow.tobytes()
         assert sol.potential.tobytes() == potential.tobytes()
 
@@ -330,3 +332,62 @@ def test_batched_flow_input_errors_name_the_row():
     with pytest.raises(InputError, match="square"):
         min_cost_flows(np.ones((2, 2)), [1.0, -1.0])
     assert min_cost_flows(np.ones((2, 2)), np.zeros((0, 2))) == []
+
+
+@st.composite
+def _flow_instances(draw):
+    """A cost matrix and supply rows: costs from a short list (so that paths
+    tie) or spread, symmetric or not, and rows that may be all zero or use
+    small integers (ties again)."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 4))
+    levels = draw(st.sampled_from([(0.5, 1.0, 1.5), (0.1, 2.0), None]))
+    if levels is None:
+        cost = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    else:
+        cost = np.array(draw(st.lists(st.sampled_from(levels), min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        cost = np.minimum(cost, cost.T)
+    np.fill_diagonal(cost, 0.0)
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["zero", "integer", "real"]))
+        if kind == "zero":
+            row = np.zeros(n)
+        elif kind == "integer":
+            row = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                           dtype=float)
+        else:
+            row = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+        row[-1] = -row[:-1].sum()
+        rows.append(row)
+    return cost, np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flow_instances())
+def test_forest_flows_are_optimal_and_match_the_successive_shortest_paths(instance):
+    """Each optimum within 1e-12 relative of the successive-shortest-path
+    loop (optimal flows are not unique, their cost is), with conservation,
+    dual feasibility and complementary slackness checked on every row."""
+    cost, supplies = instance
+    n = cost.shape[0]
+    slack = 1e-12 * n * cost.max(initial=1.0)
+    for supply, sol in zip(supplies, min_cost_flows(cost, supplies)):
+        mass = float(np.abs(supply).sum())
+        flow, y = sol.flow, sol.potential
+        assert flow.min() >= 0.0 and y[-1] == 0.0
+        net = flow.sum(axis=1) - flow.sum(axis=0)
+        assert np.abs(net - supply).sum() <= 1e-12 * mass
+        gap = y[:, None] - y[None, :] - cost
+        assert gap.max() <= slack  # dual feasible
+        assert np.abs(gap[flow > 0.0]).max(initial=0.0) <= slack  # tight where used
+        value = float((flow * cost).sum())
+        ref_flow, _ = loop_min_cost_flow(cost, supply)
+        ref = float((ref_flow * cost).sum())
+        if mass == 0.0:
+            assert value == ref == 0.0 and not flow.any()
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert float(supply @ y) == pytest.approx(value, rel=1e-12, abs=1e-12 * mass)

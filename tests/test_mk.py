@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import polygon_lp_value, support_lp_value
+from oracles import loop_pairing_vector, polygon_lp_value, support_lp_value
 from qmetric import lpcore, mk
-from qmetric.algebra import Algebra, AlgElement, AlgState
+from qmetric.algebra import Algebra, AlgElement, AlgState, tracial_state
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
-from qmetric.funcspace import MatrixFunction, SeminormSpec, conv_spec, lipnorm
+from qmetric.funcspace import (MatrixFunction, SeminormSpec, conv_spec, from_channels,
+                               lipnorm)
 from qmetric.generate import (circle_net, random_alg_state, random_planar_space,
                               random_product_state)
 from qmetric.metric import FiniteMetricSpace
@@ -279,10 +281,11 @@ def test_flow_path_equals_the_dense_support_lp(n, algebra, q_kind, rng):
               tracial_functional(algebra, (1.0 / algebra.n_blocks,) * algebra.n_blocks,
                                  n - 1))]
     for a, b in cases:
-        flow_value, chans, support = mk._solve_support_flows(space, algebra, a, b, spec)
+        sup = mk._restrict(space, algebra, a, b, spec)
+        flow_value, chans, _, _ = mk._support_optimum(sup)
         dense_value = support_lp_value(space, algebra, a, b, spec)
         assert flow_value == pytest.approx(dense_value, rel=1e-12, abs=0.0)
-        assert chans.shape == (len(support), sum(m * m for m in algebra.block_sizes))
+        assert chans.shape == (len(sup.points), sum(m * m for m in algebra.block_sizes))
 
 
 def _recorded_flows(monkeypatch):
@@ -376,9 +379,10 @@ def test_refined_interval_equals_the_coupled_polygon_lps(n, algebra, q_kind, rng
     for mu, nu in cases:
         res = mk_distance(space, algebra, mu, nu, spec, refine=True)
         v_rm = support_lp_value(space, algebra, mu, nu, rm_spec)
+        sup = mk._restrict(space, algebra, mu, nu, rm_spec)
+        rows, bounds, entries = mk._polygon(sup, algebra)
         for gamma in (_GAMMA_IN, 1.0):
-            value = mk._solve_support_flows(space, algebra, mu, nu, rm_spec,
-                                            gon_gamma=gamma)[0]
+            value = mk._support_optimum(sup, (rows, gamma * bounds, entries))[0]
             ref = polygon_lp_value(space, algebra, mu, nu, rm_spec, gamma)
             # abs: an exact 0 (one point under conv kinds) comes back as rounding
             assert value == pytest.approx(ref, rel=1e-12, abs=1e-15)
@@ -571,3 +575,102 @@ def test_exact_distance_builds_no_algebra_element(monkeypatch, rng):
     for spec in (conv_spec(), SeminormSpec("real_max", "conv_K", K=0.5)):
         assert mk_distance(space, M23, mu, nu, spec).kind == "exact"
     assert made == []
+
+
+def test_slack_negative_weight_is_no_support_point():
+    """A weight a hair below 0 (within the state slack) used to reach the
+    pairing but not the support, and mk_distance raised KeyError."""
+    space = _path(3)
+    tr = tracial_state(M2, (1.0,))
+    mu = FunctionalState(((1.0, 0, tr), (-1e-12, 2, tr)))
+    nu = FunctionalState(((1.0, 1, tr),))
+    res = mk_distance(space, M2, mu, nu, conv_spec())
+    assert res.value == pytest.approx(1.0, abs=1e-12)
+    clean = FunctionalState(((1.0, 0, tr),))
+    assert res.value == mk_distance(space, M2, clean, nu, conv_spec()).value
+
+
+def test_pairing_vector_equals_the_per_term_loop_bit_for_bit(rng):
+    for algebra in (M1, M2, M23, Algebra((3, 1, 4))):
+        space = random_planar_space(9, rng)
+        points = [0, 3, 3, 5, 8, 0, 7]  # repeated points accumulate in term order
+        w = rng.dirichlet(np.ones(len(points)))
+        w[2] = 0.0
+        w /= w.sum()
+        state = FunctionalState(tuple((float(wt), p, random_alg_state(algebra, rng))
+                                      for wt, p in zip(w, points)))
+        positions = {p: i for i, p in enumerate([0, 2, 3, 5, 7, 8])}
+        other = _spread_state(space, algebra, rng, [8, 2, 2])
+        got = mk._pairing_vectors(algebra, (state, other), positions)
+        for vec, st in zip(got, (state, other)):
+            assert vec.tobytes() == loop_pairing_vector(algebra, st, positions).tobytes()
+        assert not got[0, 1].any()  # point 2 carries no term of the first state
+
+
+def test_exact_witness_holds_only_its_channels(rng):
+    """mk_distance returns a witness whose stacks were never built; read,
+    they are bit for bit those of from_channels, and the JSON result is
+    that of an eagerly built witness."""
+    space = circle_net(10, "chord")
+    for spec, points in ((conv_spec(), range(10)),
+                         (SeminormSpec("real_max", "conv_K", K=0.5), range(0, 10, 3)),
+                         (SeminormSpec("real_max", "state",
+                                       state=_spread_state(space, M23, rng, [1, 4])),
+                          range(10))):
+        mu, nu = (_spread_state(space, M23, rng, points) for _ in range(2))
+        res = mk_distance(space, M23, mu, nu, spec)
+        fn = res.witness
+        assert "stacks" not in vars(fn) and "values" not in vars(fn)
+        assert fn.channels.shape == (10, 13) and not fn.channels.flags.writeable
+        built = from_channels(space, M23, fn.channels).stacks
+        assert [s.tobytes() for s in fn.stacks] == [s.tobytes() for s in built]
+        eager = MatrixFunction(space, M23, fn.values)
+        want = {"kind": "exact", "value": res.value, "witness": eager.to_json_dict()}
+        assert json.dumps(res.to_json_dict()) == json.dumps(want)
+
+
+def test_refine_sets_up_the_support_once(monkeypatch, rng):
+    space = random_planar_space(5, rng)
+    mu, nu = (_spread_state(space, M23, rng, range(5)) for _ in range(2))
+    calls = {"restrict": 0, "flows": 0}
+    real_restrict, real_flows = mk._restrict, mk.min_cost_flows
+
+    def restrict(*args):
+        calls["restrict"] += 1
+        return real_restrict(*args)
+
+    def flows(*args):
+        calls["flows"] += 1
+        return real_flows(*args)
+
+    monkeypatch.setattr(mk, "_restrict", restrict)
+    monkeypatch.setattr(mk, "min_cost_flows", flows)
+    for q_kind in ("conv", "conv_K", "quotient_C"):
+        rm_spec = _flow_spec(q_kind, rng, space, M23)
+        spec = SeminormSpec("max", q_kind, K=rm_spec.K)
+        calls.update(restrict=0, flows=0)
+        mk_distance(space, M23, mu, nu, spec, refine=True)
+        # one batched call serves the real_max value and both polygons
+        assert calls == {"restrict": 1, "flows": 1}
+    spec = SeminormSpec("max", "state", state=_spread_state(space, M23, rng, [0, 2]))
+    calls.update(restrict=0)
+    mk_distance(space, M23, mu, nu, spec, refine=True)
+    assert calls["restrict"] == 1
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C"])
+@pytest.mark.parametrize("algebra", [M1, M2, M23], ids=["M1", "M2", "M23"])
+def test_shared_diagonal_flows_give_the_polygon_solve_bit_for_bit(q_kind, algebra, rng):
+    space = random_planar_space(6, rng)
+    spec = _flow_spec(q_kind, rng, space, algebra)
+    for points in (range(6), [1, 4]):
+        mu, nu = (_spread_state(space, algebra, rng, points) for _ in range(2))
+        sup = mk._restrict(space, algebra, mu, nu, spec)
+        _, z, flows, _ = mk._support_optimum(sup)
+        rows, bounds, entries = mk._polygon(sup, algebra)
+        for gamma in (_GAMMA_IN, 1.0):
+            polygon = (rows, gamma * bounds, entries)
+            alone = mk._support_optimum(sup, polygon)
+            shared = mk._support_optimum(sup, polygon, (z, flows))
+            assert np.float64(shared[0]).tobytes() == np.float64(alone[0]).tobytes()
+            assert shared[1].tobytes() == alone[1].tobytes()

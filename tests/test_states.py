@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import loop_evaluate
 from qmetric.algebra import Algebra, apply_state, matrix_unit, tracial_state
 from qmetric.errors import InputError
 from qmetric.funcspace import MatrixFunction
@@ -134,7 +135,17 @@ def test_state_json_rejects_unknown_labels(rng):
         FunctionalState.from_json_dict(data, SPACE.labels)
 
 
-def test_evaluate_on_stacks_equals_apply_state_on_values_bit_for_bit(rng):
+def _term_mass(state, fn):
+    """Sum over terms and blocks of w t sum_ij |rho_ij a_ji|: the size of
+    the terms the pairing adds up, against which rounding is measured."""
+    return sum(w * t * float(np.abs(rho * s[x].T).sum())
+               for w, x, phi in state.terms
+               for t, rho, s in zip(phi.weights, phi.densities, fn.stacks))
+
+
+def test_evaluate_equals_the_per_term_loop(rng):
+    space = FiniteMetricSpace(tuple("p%d" % i for i in range(16)),
+                              np.abs(np.subtract.outer(np.arange(16), np.arange(16))) + 0.0)
     for _ in range(10):
         fn = MatrixFunction(SPACE, ALG, tuple(random_element(ALG, rng) for _ in range(3)))
         # repeated points and a zero weight, as mixtures produce them
@@ -142,8 +153,35 @@ def test_evaluate_on_stacks_equals_apply_state_on_values_bit_for_bit(rng):
                   (0.3, delta_embed(random_alg_state(ALG, rng), 1)),
                   (0.2, FunctionalState(((0.0, 2, random_alg_state(ALG, rng)),
                                          (1.0, 1, random_alg_state(ALG, rng)))))])
-        want = 0j
-        for w, x, phi in st.terms:
-            want += w * apply_state(phi, fn.values[x])
-        got = evaluate(st, fn)
-        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+        got, want = evaluate(st, fn), loop_evaluate(st, fn)
+        assert abs(got - want) <= 1e-15 * _term_mass(st, fn)
+    for algebra in (Algebra((1,)), Algebra((2, 3)), Algebra((4, 1, 2))):
+        fn = MatrixFunction(space, algebra, tuple(random_element(algebra, rng)
+                                                  for _ in range(16)))
+        w = rng.dirichlet(np.ones(16))
+        st = FunctionalState(tuple((float(w[p]), p, random_alg_state(algebra, rng))
+                                   for p in range(16)))
+        got, want = evaluate(st, fn), loop_evaluate(st, fn)
+        assert abs(got - want) <= 1e-15 * _term_mass(st, fn)
+
+
+def test_evaluate_checks_every_term_before_reading(rng):
+    phi = random_alg_state(ALG, rng)
+    fn = random_sa_function(SPACE, ALG, rng)
+    with pytest.raises(InputError, match="beyond"):
+        evaluate(FunctionalState(((0.5, 0, phi), (0.5, 3, phi))), fn)
+    wrong = random_alg_state(Algebra((2,)), rng)
+    with pytest.raises(InputError, match="block sizes"):
+        evaluate(FunctionalState(((0.5, 0, phi), (0.5, 1, wrong))), fn)
+
+
+def test_weights_just_below_zero_are_clamped(rng):
+    """A weight within the validity slack below 0 carries no mass: it is
+    stored as 0.0, so support() and every pairing skip its point."""
+    phi = random_alg_state(ALG, rng)
+    st = FunctionalState(((1.0, 0, phi), (-1e-12, 2, phi)))
+    assert [w for w, _, _ in st.terms] == [1.0, 0.0]
+    assert st.support() == [0]
+    assert st.to_json_dict(SPACE.labels)["terms"][1]["w"] == 0.0
+    with pytest.raises(InputError, match="weights must lie"):
+        FunctionalState(((1.0, 0, phi), (-1e-6, 2, phi)))
