@@ -31,9 +31,9 @@ LP_EXACT_Q_KINDS = ("quotient_C", "state", "conv", "conv_K")
 class MatrixFunction:
     """One algebra element per point of a finite metric space, kept as one
     read-only stack of shape (n_points, m, m) per block.  A function made
-    from stacks (from_stacks) builds its values on first read; one made
     from real channels (from_channels) holds only its read-only
-    (n_points, sum m^2) channel array and builds its stacks on first read."""
+    (n_points, sum m^2) channel array and builds its stacks, then its
+    values, on first read."""
 
     space: FiniteMetricSpace
     algebra: Algebra
@@ -46,24 +46,13 @@ class MatrixFunction:
                              % (len(values), space.size))
         if any(v.algebra.block_sizes != algebra.block_sizes for v in values):
             raise InputError("value block sizes do not match the algebra")
-        object.__setattr__(self, "values", values)
-        self._hold(space, algebra, [np.stack([v.blocks[l] for v in values])
-                                    for l in range(algebra.n_blocks)])
+        stacks = tuple(_frozen(np.stack([v.blocks[l] for v in values]))
+                       for l in range(algebra.n_blocks))
+        self._hold(space=space, algebra=algebra, channels=None, values=values,
+                   stacks=stacks)
 
-    @classmethod
-    def from_stacks(cls, space: FiniteMetricSpace, algebra: Algebra, stacks) -> "MatrixFunction":
-        """The function with these per-block stacks (copied)."""
-        fn = object.__new__(cls)
-        fn._hold(space, algebra, [np.array(s, dtype=complex) for s in stacks])
-        return fn
-
-    def _hold(self, space, algebra, stacks=None, channels=None) -> None:
-        held = {"space": space, "algebra": algebra, "channels": channels}
-        if stacks is not None:
-            if [s.shape for s in stacks] != [(space.size, m, m) for m in algebra.block_sizes]:
-                raise InputError("need one (n_points, m, m) stack per block")
-            held["stacks"] = tuple(_frozen(s) for s in stacks)
-        for name, val in held.items():
+    def _hold(self, **fields) -> None:
+        for name, val in fields.items():
             object.__setattr__(self, name, val)
 
     @cached_property
@@ -134,8 +123,12 @@ def channel_slots(algebra: Algebra) -> tuple:
 def to_channels(fn: MatrixFunction) -> np.ndarray:
     """The real channels of a self-adjoint function, shape (n_points, sum m^2).
 
-    The lower triangle and the imaginary parts of the diagonal are not read.
+    A function made from channels returns its own read-only array.  Other
+    functions are read from their stacks: the lower triangle and the
+    imaginary parts of the diagonal are not read.
     """
+    if fn.channels is not None:
+        return fn.channels
     chans = np.empty((fn.space.size, sum(m * m for m in fn.algebra.block_sizes)))
     for s, (diag, re, im, rows, cols) in zip(fn.stacks, channel_slots(fn.algebra)):
         chans[:, diag] = np.diagonal(s, axis1=1, axis2=2).real
@@ -153,7 +146,7 @@ def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> Matri
         raise InputError("channel array must be %dx%d, got %r"
                          % (space.size, width, chans.shape))
     fn = object.__new__(MatrixFunction)
-    fn._hold(space, algebra, channels=_frozen(chans))
+    fn._hold(space=space, algebra=algebra, channels=_frozen(chans))
     return fn
 
 

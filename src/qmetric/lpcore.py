@@ -8,7 +8,7 @@ memory: each round, per unfinished channel, one shortest-path forest from
 all excess nodes by min-plus relaxation of the reduced costs, every
 potential moved by its distance, and a push along each forest path to an
 unmet demand.  Each channel's flow and potentials are bit for bit those of
-solving it alone.  ``min_cost_flow`` is the one-channel call.
+solving it alone.
 
 ``solve`` maximizes c.x subject to A x <= b (b >= 0, x free in sign) by
 the revised simplex on its dual, minimize b.f subject to A^T f = c and
@@ -271,7 +271,3 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
         raise ArithmeticError("min-cost flow round cap exceeded")
     return [FlowSolution(f, y[-1] - y) for f, y in zip(flow, pi)]
 
-
-def min_cost_flow(cost, supply) -> FlowSolution:
-    """min_cost_flows for one supply vector."""
-    return min_cost_flows(cost, [supply])[0]

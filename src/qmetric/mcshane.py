@@ -1,4 +1,10 @@
-"""Bound- and Lipschitz-constant-preserving extension of real functions."""
+"""Bound- and Lipschitz-constant-preserving extension of real functions.
+
+Every extension here is McShane's clamped inf-convolution, pinned on the
+subset, computed by one array kernel.  extend(problem) runs it on one
+checked channel of outside data; extend_channels runs it on a whole
+channel array with the constants it realizes, which need no check.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +21,15 @@ from .metric import FiniteMetricSpace
 class ExtensionProblem:
     """Real values on a subset of a finite metric space, to be extended.
 
-    values holds one float per subset point, or one row of c floats per
-    subset point for c channels extended side by side; lip_bound is then
-    one constant for every channel or a tuple of c.  The data must already
-    be K-Lipschitz on the subset (checked with slack tol); extension cannot
-    repair data that violates its own bound.
+    values holds one float per subset point and lip_bound one constant K.
+    The data must already be K-Lipschitz on the subset (checked with slack
+    tol); extension cannot repair data that violates its own bound.
     """
 
     space: FiniteMetricSpace
     subset: tuple[int, ...]
-    values: tuple
-    lip_bound: float | tuple[float, ...]
+    values: tuple[float, ...]
+    lip_bound: float
     tol: float = TAU_SA
 
     def __post_init__(self):
@@ -37,31 +41,25 @@ class ExtensionProblem:
         if min(idx) < 0 or max(idx) >= self.space.size:
             raise InputError("subset index out of range")
         v = np.array(self.values, dtype=float)
-        if v.ndim not in (1, 2) or len(v) != len(idx):
+        if v.ndim != 1 or len(v) != len(idx):
             raise InputError("need one value per subset point")
-        chans = v.reshape(len(idx), -1)
         k = np.array(self.lip_bound, dtype=float)
-        if k.ndim > 1 or k.size not in (1, chans.shape[1]):
-            raise InputError("need one Lipschitz bound, or one per channel")
-        k = np.broadcast_to(k, chans.shape[1:])
-        if (k < 0).any():
+        if k.size != 1:
+            raise InputError("need one Lipschitz bound")
+        k = k.item()
+        if k < 0:
             raise InputError("the Lipschitz bound must be nonnegative")
-        gap = np.abs(chans[:, None, :] - chans[None, :, :])
-        allowed = k * self.space.dist[np.ix_(idx, idx)][:, :, None] + self.tol
-        bad = np.triu(np.moveaxis(gap > allowed, 2, 0), 1)
-        if bad.any():
-            # the first channel that fails, then its first pair row-major
-            c, a, b = np.argwhere(bad)[0]
+        gap = np.abs(v[:, None] - v[None, :])
+        allowed = k * self.space.dist[np.ix_(idx, idx)] + self.tol
+        bad = np.argwhere(np.triu(gap > allowed, 1))
+        if len(bad):
+            a, b = bad[0]  # row-major: lowest a, then lowest b
             raise InputError(
                 "input is not %.12g-Lipschitz: points %d and %d differ by %.12g"
-                % (k[c], idx[a], idx[b], gap[a, b, c]))
-        if v.ndim == 1:
-            vals, bound = tuple(v.tolist()), float(k[0])
-        else:
-            vals, bound = tuple(map(tuple, v.tolist())), tuple(k.tolist())
+                % (k, idx[a], idx[b], gap[a, b]))
         object.__setattr__(self, "subset", idx)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "lip_bound", bound)
+        object.__setattr__(self, "values", tuple(v.tolist()))
+        object.__setattr__(self, "lip_bound", k)
 
     def to_json_dict(self) -> dict:
         return {"space": self.space.to_json_dict(),
@@ -81,39 +79,47 @@ class ExtensionProblem:
         return cls(space, subset, tuple(data["values"]), data["lip_bound"])
 
 
+def _clamped_inf_convolution(space: FiniteMetricSpace, idx: np.ndarray,
+                             chans: np.ndarray, lip) -> np.ndarray:
+    """Each column of chans (len(idx), c) extended with its constant in lip,
+    one float or one per column.
+
+    The value at z is min over subset points y of f(y) + K d(z, y), clamped
+    to [min f, max f]; subset points are then pinned to their inputs.
+    Returns a (space.size, c) array.
+    """
+    cost = space.dist[:, idx, None] * lip + chans[None, :, :]
+    out = np.clip(cost.min(axis=1), chans.min(axis=0), chans.max(axis=0))
+    out[idx] = chans
+    return out
+
+
 def extend(problem: ExtensionProblem) -> np.ndarray:
     """Extend by inf-convolution with clamping to the input range.
 
-    The value at z is min over subset points y of f(y) + K d(z, y), clamped
-    to [min f, max f]; subset points are then pinned to their inputs, so the
-    restriction identity holds exactly, the output is K-Lipschitz, and its
-    range equals the input range.  Channels are extended independently, each
-    with its own K; the output has shape (space.size,) or (space.size, c),
-    following the values.
+    The restriction identity holds exactly, the output is K-Lipschitz, and
+    its range equals the input range.  Returns a (space.size,) array.
     """
     vals = np.array(problem.values)
-    chans = vals.reshape(len(vals), -1)
-    idx = np.array(problem.subset, dtype=int)
-    lip = np.array(problem.lip_bound, dtype=float)
-    cost = problem.space.dist[:, idx, None] * lip + chans[None, :, :]
-    out = np.clip(cost.min(axis=1), chans.min(axis=0), chans.max(axis=0))
-    out[idx] = chans
-    return out.reshape((problem.space.size,) + vals.shape[1:])
+    out = _clamped_inf_convolution(problem.space, np.array(problem.subset, dtype=int),
+                                   vals[:, None], problem.lip_bound)
+    return out[:, 0]
 
 
 def extend_channels(space: FiniteMetricSpace, subset, channels) -> np.ndarray:
     """Extend each column of a float array (len(subset), c) to all of space.
 
     Each column is extended with its own realized Lipschitz constant on the
-    subset, in one extend call; returns a (space.size, c) array.
+    subset, so the data meet their bounds by construction and are not
+    checked; returns a (space.size, c) array.
     """
-    idx = tuple(subset)
+    idx = np.array(subset, dtype=int)
     dist = space.dist[np.ix_(idx, idx)]
     consts = np.zeros(channels.shape[1])
     for a in range(len(idx) - 1):
         quot = np.abs(channels[a] - channels[a + 1:]) / dist[a, a + 1:, None]
         consts = np.maximum(consts, quot.max(axis=0))
-    return extend(ExtensionProblem(space, idx, channels, tuple(consts)))
+    return _clamped_inf_convolution(space, idx, channels, consts)
 
 
 def extend_as_map(problem: ExtensionProblem) -> dict:

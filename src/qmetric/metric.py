@@ -216,13 +216,12 @@ class JoinedSpace:
     The cross matrix is taken as final (any admissibility offset has been
     folded in by the caller) and the whole union must satisfy the triangle
     inequality.  Zero cross distances are allowed, so the union may be a
-    pseudometric; epsilon is carried for bookkeeping only.
+    pseudometric.
     """
 
     x: FiniteMetricSpace
     y: FiniteMetricSpace
     cross: np.ndarray
-    epsilon: float = 0.0
 
     def __post_init__(self):
         c = np.array(self.cross, dtype=float)
@@ -244,7 +243,6 @@ class JoinedSpace:
                              % (name(i), name(k), name(j)))
         c.setflags(write=False)
         object.__setattr__(self, "cross", c)
-        object.__setattr__(self, "epsilon", float(self.epsilon))
 
     def full_matrix(self) -> np.ndarray:
         return np.block([[self.x.dist, self.cross], [self.cross.T, self.y.dist]])
@@ -262,5 +260,5 @@ class JoinedSpace:
 
 def gh_upper(x: FiniteMetricSpace, y: FiniteMetricSpace, cross) -> float:
     """Upper bound for the Gromov-Hausdorff distance from one joined space."""
-    joined = JoinedSpace(x, y, np.array(cross, dtype=float), 0.0)
+    joined = JoinedSpace(x, y, np.array(cross, dtype=float))
     return joined.hausdorff_between()

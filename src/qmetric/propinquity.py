@@ -63,7 +63,7 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
         raise InputError("cross distances must be finite and nonnegative")
 
     offset = epsilon / (8.0 * _ROOT2 * algebra.max_block)
-    joined = JoinedSpace(x, y, cross + offset, epsilon)
+    joined = JoinedSpace(x, y, cross + offset)
     labels = (tuple("X|%s" % lab for lab in x.labels)
               + tuple("Y|%s" % lab for lab in y.labels))
     joined_metric = joined.metric_space(labels)

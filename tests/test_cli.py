@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qmetric import cli
-from qmetric.algebra import Algebra, AlgState, matrix_unit
+from qmetric.algebra import Algebra, AlgState, matrix_unit, vector_state
 from qmetric.errors import BoundViolation
 from qmetric.funcspace import MatrixFunction, classical_embed
-from qmetric.metric import FiniteMetricSpace
+from qmetric.generate import circle_net
+from qmetric.metric import FiniteMetricSpace, scale
 from qmetric.states import FunctionalState, tracial_functional
 
 M2 = Algebra((2,))
@@ -89,6 +90,25 @@ def test_mk_value_is_capped_by_the_radius_budget(files, capsys):
     assert result["kind"] == "exact"
     assert result["value"] == pytest.approx(1.0, abs=1e-9)
     assert "witness" in result
+
+
+def test_mk_extends_witnesses_with_large_channel_gaps(files, capsys):
+    """One-point states on a circle scaled by 1e8: the witness's channel
+    gaps reach 1e8 and extend off the support without an input error."""
+    space = files["dir"] / "big_circle.json"
+    space.write_text(json.dumps(scale(circle_net(5, "chord"), 1e8).to_json_dict()))
+    labels = circle_net(5, "chord").labels
+    mu, nu = files["dir"] / "mu_big.json", files["dir"] / "nu_big.json"
+    mu.write_text(json.dumps(tracial_functional(M2, (1.0,), 0).to_json_dict(labels)))
+    nu.write_text(json.dumps(FunctionalState(((1.0, 2, vector_state(M2, 0, [1, 0])),))
+                             .to_json_dict(labels)))
+    rc, out, _ = _run(capsys, ["mk", str(mu), str(nu), "--space", str(space),
+                               "--algebra", str(files["algebra"]),
+                               "--spec-q", "convk", "--K", "1e8"])
+    assert rc == 0
+    result = _report(out)["result"]
+    assert result["kind"] == "exact"
+    assert result["value"] == pytest.approx(1e8, rel=1e-12)
 
 
 def test_repeat_runs_are_byte_identical(files, capsys):
@@ -270,6 +290,23 @@ def test_env_tolerance_is_honored(files, capsys, monkeypatch):
     rc, _, _ = _run(capsys, ["norms", str(files["element"]),
                              "--algebra", str(files["algebra"])])
     assert rc == 0
+
+
+def test_env_tolerance_is_the_library_self_adjointness_slack(files, capsys, monkeypatch):
+    """lipnorm hands QMETRIC_TOL to the library: a Hermitian defect of 5e-7
+    fails the default slack and passes under 1e-6."""
+    space = _path(4)
+    fn = classical_embed(space, [0.0, 1.0, 2.0, 3.0], M2).to_json_dict()
+    fn["values"][1][0][1][0] = [0.0, 5e-7]  # entry (1, 0); (0, 1) stays 0
+    bad = files["dir"] / "defect_fn.json"
+    bad.write_text(json.dumps(fn))
+    rc, _, err = _run(capsys, ["lipnorm", str(bad)])
+    assert rc == 2
+    assert "self-adjoint" in err
+    monkeypatch.setenv("QMETRIC_TOL", "1e-6")
+    rc, out, _ = _run(capsys, ["lipnorm", str(bad)])
+    assert rc == 0
+    assert _report(out)["self_adjoint"] is True
 
 
 def test_bound_violation_is_exit_one(files, capsys, monkeypatch):

@@ -118,6 +118,7 @@ def test_channels_round_trip_bit_for_bit(rng):
         chans = to_channels(fn)
         assert chans.shape == (space.size, 2 * 2 + 3 * 3)
         back = from_channels(space, M23, chans)
+        assert to_channels(back) is back.channels
         for x, y in zip(back.values, fn.values):
             assert all(p.tobytes() == q.tobytes() for p, q in zip(x.blocks, y.blocks))
     with pytest.raises(InputError, match="channel array"):
@@ -345,18 +346,6 @@ def test_lazy_values_equal_the_eager_build_bit_for_bit(rng):
         for x, y in zip(lazy.values, eager.values):
             assert [b.tobytes() for b in x.blocks] == [b.tobytes() for b in y.blocks]
         assert json.dumps(lazy.to_json_dict()) == json.dumps(eager.to_json_dict())
-
-
-def test_from_stacks_checks_shapes_and_copies(rng):
-    fn = _sa_fn(rng)
-    stacks = [np.array(s) for s in fn.stacks]
-    built = MatrixFunction.from_stacks(PATH3, M23, stacks)
-    stacks[0][0, 0, 0] = 99.0
-    assert built.stacks[0][0, 0, 0] == fn.stacks[0][0, 0, 0]
-    with pytest.raises(InputError):
-        MatrixFunction.from_stacks(PATH3, M23, fn.stacks[:1])
-    with pytest.raises(InputError):
-        MatrixFunction.from_stacks(PATH3, M2, [fn.stacks[0][:2]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

@@ -6,7 +6,7 @@ from oracles import (loop_forest_flow, loop_min_cost_flow, lp_by_vertices, lp_fr
                      tableau_solve)
 from qmetric import lpcore
 from qmetric.errors import InputError
-from qmetric.lpcore import LinearProgram, min_cost_flow, min_cost_flows
+from qmetric.lpcore import LinearProgram, min_cost_flows
 
 # The tests down to test_shape_validation pin the reference tableau,
 # oracles.tableau_solve, against which test_mk checks the refine LPs.
@@ -227,7 +227,7 @@ def test_min_cost_flow_on_a_known_instance():
     cost = np.ones((4, 4))
     cost[:3, :3] = d
     cost[3, 3] = 0.0
-    sol = min_cost_flow(cost, [0.5, -1.0, 0.5, 0.0])
+    sol = min_cost_flows(cost, [[0.5, -1.0, 0.5, 0.0]])[0]
     assert float((sol.flow * cost).sum()) == pytest.approx(1.5, abs=1e-15)
     assert np.array_equal(sol.flow[[0, 2], 1], [0.5, 0.5])
     assert sol.potential[3] == 0.0
@@ -242,7 +242,7 @@ def test_min_cost_flow_matches_vertex_enumeration(rng):
         np.fill_diagonal(cost, 0.0)
         supply = rng.normal(size=n)
         supply[-1] = -supply[:-1].sum()
-        sol = min_cost_flow(cost, supply)
+        sol = min_cost_flows(cost, [supply])[0]
         rows, bounds = [], []
         for i in range(n - 1):  # y[-1] = 0 drops out
             for j in range(n):
@@ -267,12 +267,12 @@ def test_min_cost_flow_matches_vertex_enumeration(rng):
 
 def test_min_cost_flow_input_checks():
     with pytest.raises(InputError, match="sum to zero"):
-        min_cost_flow(np.ones((2, 2)), [1.0, 0.0])
+        min_cost_flows(np.ones((2, 2)), [[1.0, 0.0]])
     with pytest.raises(InputError, match="nonnegative"):
-        min_cost_flow(-np.ones((2, 2)), [1.0, -1.0])
+        min_cost_flows(-np.ones((2, 2)), [[1.0, -1.0]])
     with pytest.raises(InputError, match="square"):
-        min_cost_flow(np.ones((2, 3)), [1.0, -1.0])
-    sol = min_cost_flow(np.ones((2, 2)), [0.0, 0.0])
+        min_cost_flows(np.ones((2, 3)), [[1.0, -1.0]])
+    sol = min_cost_flows(np.ones((2, 2)), [[0.0, 0.0]])[0]
     assert not sol.flow.any() and not sol.potential.any()
 
 

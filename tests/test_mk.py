@@ -6,13 +6,13 @@ import pytest
 
 from oracles import loop_pairing_vector, polygon_lp_value, support_lp_value
 from qmetric import lpcore, mk
-from qmetric.algebra import Algebra, AlgElement, AlgState, tracial_state
+from qmetric.algebra import Algebra, AlgElement, AlgState, tracial_state, vector_state
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
 from qmetric.funcspace import (MatrixFunction, SeminormSpec, conv_spec, from_channels,
                                lipnorm)
 from qmetric.generate import (circle_net, random_alg_state, random_planar_space,
                               random_product_state)
-from qmetric.metric import FiniteMetricSpace
+from qmetric.metric import FiniteMetricSpace, scale
 from qmetric.mk import diameter_cap, embed_check, mk_diameter_report, mk_distance
 from qmetric.states import FunctionalState, delta_embed, evaluate, tracial_functional
 
@@ -546,13 +546,15 @@ def test_embedding_builds_one_tracial_state(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e12])
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e9, 1e12])
 def test_conv_values_are_scale_covariant(rng, c):
     """Scaling the distances and K by c scales a conv_K distance by c.
 
     conv is conv_K with K = 2, so scaling only the distances makes it c
     times conv_K with K = 2 / c on the unscaled space.  At c = 1e12 the
-    witness pairing's rounding is far above 1e-7 in absolute terms."""
+    witness pairing's rounding is far above 1e-7 in absolute terms.  The
+    spread states have full support; the one-point pair below extends its
+    witness off the support, with channel gaps of about c."""
     for space in (circle_net(8), random_planar_space(8, rng, box=10.0)):
         mu, nu = (_spread_state(space, M23, rng, range(8)) for _ in range(2))
         scaled = FiniteMetricSpace(space.labels, c * space.dist)
@@ -562,6 +564,14 @@ def test_conv_values_are_scale_covariant(rng, c):
         want = mk_distance(space, M23, mu, nu, SeminormSpec("real_max", "conv_K", K=2.0 / c))
         got = mk_distance(scaled, M23, mu, nu, conv_spec())
         assert got.value == pytest.approx(c * want.value, rel=1e-12, abs=0.0)
+    if c >= 1e8:
+        space = circle_net(5, "chord")
+        mu = tracial_functional(M2, (1.0,), 0)
+        nu = FunctionalState(((1.0, 2, vector_state(M2, 0, [1, 0])),))
+        base = mk_distance(space, M2, mu, nu, SeminormSpec("real_max", "conv_K", K=1.0))
+        got = mk_distance(scale(space, c), M2, mu, nu, SeminormSpec("real_max", "conv_K", K=c))
+        assert got.kind == "exact"
+        assert got.value == pytest.approx(c * base.value, rel=1e-12, abs=0.0)
 
 
 def test_exact_distance_builds_no_algebra_element(monkeypatch, rng):
