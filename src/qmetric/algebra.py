@@ -209,6 +209,14 @@ def stack_norms(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
     if norm_kind != "real_max":
         raise InputError("unknown norm kind %r" % (norm_kind,))
     _require_self_adjoint(stacks, tol)
+    return _real_max_norms(stacks)
+
+
+def _real_max_norms(stacks) -> np.ndarray:
+    """stack_norms under "real_max" without its guard.  For stacks that are
+    Hermitian by construction: those of a function made from real channels,
+    and their differences and real scalar shifts, whose Hermitian defect is
+    exactly 0."""
     return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
                               np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
 
@@ -290,9 +298,11 @@ def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
     return float(_scalar_distances(stacks, norm_kind, tol, pooled=True)[0])
 
 
-def _scalar_distances(stacks, norm_kind, tol, pooled):
+def _scalar_distances(stacks, norm_kind, tol, pooled, hermitian=False):
     """Without pooling, each element's distance to the scalars (entry i is
-    scalar_distance of element i alone, bit for bit); pooled, one entry."""
+    scalar_distance of element i alone, bit for bit); pooled, one entry.
+    hermitian: the stacks are Hermitian by construction, so "real_max"
+    skips its self-adjointness guard (see _real_max_norms)."""
     rows = 1 if pooled else len(stacks[0])
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
@@ -311,8 +321,8 @@ def _scalar_distances(stacks, norm_kind, tol, pooled):
                  for z in np.concatenate(diags, axis=1).reshape(rows, -1)]
     else:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    rest = stack_norms([s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)],
-                       norm_kind, tol)
+    rest = [s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)]
+    rest = _real_max_norms(rest) if hermitian else stack_norms(rest, norm_kind, tol)
     return np.maximum(rest.max(keepdims=True) if pooled else rest, moved)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import (Algebra, AlgElement, TAU_SA, _frozen, _hermitian_defect,
-                      scalar_distance, stack_norms)
+                      stack_norms)
 from .errors import InputError, UnsupportedSpec
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
@@ -145,6 +145,9 @@ def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> Matri
     if chans.shape != (space.size, width):
         raise InputError("channel array must be %dx%d, got %r"
                          % (space.size, width, chans.shape))
+    # finite channels make Hermitian stacks, which real_max reads unchecked
+    if not np.isfinite(chans).all():
+        raise InputError("channels must be finite")
     fn = object.__new__(MatrixFunction)
     fn._hold(space=space, algebra=algebra, channels=_frozen(chans))
     return fn
@@ -211,17 +214,44 @@ def sup_norm(fn: MatrixFunction, norm_kind: str = "operator", tol: float = TAU_S
 def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
     """Worst normed difference quotient over unordered point pairs; 0 on one point.
 
-    Takes one row of pairs (i against every j > i) at a time, in O(n) memory."""
+    The one-function case of a batched kernel that takes one row of pairs
+    (i against every j > i) at a time, in O(P n) memory for P functions."""
+    return float(_lip_parts((fn,), norm_kind, tol)[0])
+
+
+def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
+    """lip_part of each of P functions on one space, bit for bit.
+
+    Runs lip_part's row loop once over per-block stacks of shape
+    (P, n, m, m), in O(P n) memory.  Under "real_max" a function made from
+    channels is Hermitian by construction and is not checked; any other
+    function is checked up front, and then every row is."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    if norm_kind == "real_max" and not fn.is_self_adjoint(tol):
+    if norm_kind == "real_max" and not all(fn.channels is not None or fn.is_self_adjoint(tol)
+                                           for fn in fns):
         raise InputError("the real max norm applies to self-adjoint functions only")
-    best = 0.0
-    for i in range(fn.space.size - 1):
-        diffs = [s[i] - s[i + 1:] for s in fn.stacks]
-        norms = stack_norms(diffs, norm_kind, tol)
-        best = max(best, float((norms / fn.space.dist[i, i + 1:]).max()))
+    unchecked = norm_kind == "real_max" and all(fn.channels is not None for fn in fns)
+    stacks = [np.stack(blocks) for blocks in zip(*(fn.stacks for fn in fns))]
+    dist = fns[0].space.dist
+    best = np.zeros(len(fns))
+    for i in range(len(dist) - 1):
+        diffs = [(s[:, i, None] - s[:, i + 1:]).reshape(-1, *s.shape[2:]) for s in stacks]
+        if unchecked:
+            norms = alg._real_max_norms(diffs)
+        else:
+            norms = stack_norms(diffs, norm_kind, tol)
+        # fmax skips a NaN row maximum, as the one-function max(best, nan) did
+        best = np.fmax(best, (norms.reshape(len(fns), -1) / dist[i, i + 1:]).max(axis=1))
     return best
+
+
+def _scalar_distance(fn: MatrixFunction, norm_kind: str, tol: float) -> float:
+    """scalar_distance of the function's stacks; under "real_max" a function
+    made from channels is Hermitian by construction and is not checked."""
+    hermitian = norm_kind == "real_max" and fn.channels is not None
+    return float(alg._scalar_distances(fn.stacks, norm_kind, tol, pooled=True,
+                                       hermitian=hermitian)[0])
 
 
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
@@ -230,7 +260,7 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
         return float(alg._scalar_distances(fn.stacks, spec.norm_kind, tol, pooled=False).max())
 
     if spec.q_kind == "quotient_C":
-        return scalar_distance(fn.stacks, spec.norm_kind, tol)
+        return _scalar_distance(fn, spec.norm_kind, tol)
 
     if spec.q_kind == "state":
         m = evaluate(spec.state, fn)
@@ -242,7 +272,7 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
         return float(stack_norms(shifted, spec.norm_kind, tol).max())
 
     # conv is the one-scalar quotient under the real max norm
-    base = scalar_distance(fn.stacks, "real_max", tol)
+    base = _scalar_distance(fn, "real_max", tol)
     if spec.q_kind == "conv":
         return base
     return (2.0 / spec.K) * base
@@ -250,7 +280,14 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
 
 def lipnorm(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
     """Max of the Lipschitz part and the quotient-type part."""
-    return max(lip_part(fn, spec.norm_kind, tol), q_term(fn, spec, tol))
+    return _lipnorms((fn,), spec, tol)[0]
+
+
+def _lipnorms(fns, spec: SeminormSpec, tol: float = TAU_SA) -> list[float]:
+    """lipnorm of each of several functions on one space, bit for bit, with
+    one batched Lipschitz part."""
+    return [max(float(lip), q_term(fn, spec, tol))
+            for lip, fn in zip(_lip_parts(fns, spec.norm_kind, tol), fns)]
 
 
 def optimal_conv_shift(fn: MatrixFunction) -> float:

@@ -8,6 +8,7 @@ channel array with the constants it realizes, which need no check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,9 @@ class ExtensionProblem:
     """Real values on a subset of a finite metric space, to be extended.
 
     values holds one float per subset point and lip_bound one constant K.
-    The data must already be K-Lipschitz on the subset (checked with slack
-    tol); extension cannot repair data that violates its own bound.
+    Values and K must be finite, and K nonnegative.  The data must already
+    be K-Lipschitz on the subset (checked with slack tol); extension cannot
+    repair data that violates its own bound.
     """
 
     space: FiniteMetricSpace
@@ -43,12 +45,16 @@ class ExtensionProblem:
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or len(v) != len(idx):
             raise InputError("need one value per subset point")
+        # every comparison with NaN is false, so NaN data would pass the
+        # Lipschitz check below and extend to NaN
+        if not np.isfinite(v).all():
+            raise InputError("values must be finite")
         k = np.array(self.lip_bound, dtype=float)
         if k.size != 1:
             raise InputError("need one Lipschitz bound")
         k = k.item()
-        if k < 0:
-            raise InputError("the Lipschitz bound must be nonnegative")
+        if not (math.isfinite(k) and k >= 0):
+            raise InputError("the Lipschitz bound must be finite and nonnegative")
         gap = np.abs(v[:, None] - v[None, :])
         allowed = k * self.space.dist[np.ix_(idx, idx)] + self.tol
         bad = np.argwhere(np.triu(gap > allowed, 1))
@@ -86,10 +92,14 @@ def _clamped_inf_convolution(space: FiniteMetricSpace, idx: np.ndarray,
 
     The value at z is min over subset points y of f(y) + K d(z, y), clamped
     to [min f, max f]; subset points are then pinned to their inputs.
+    The minimum runs over y, one subset point at a time, so memory stays
+    O(space.size * c) however many channels a batch extends.
     Returns a (space.size, c) array.
     """
-    cost = space.dist[:, idx, None] * lip + chans[None, :, :]
-    out = np.clip(cost.min(axis=1), chans.min(axis=0), chans.max(axis=0))
+    low = np.full((space.size, chans.shape[1]), np.inf)
+    for y, f_y in zip(idx, chans):
+        np.minimum(low, space.dist[:, y, None] * lip + f_y, out=low)
+    out = np.clip(low, chans.min(axis=0), chans.max(axis=0))
     out[idx] = chans
     return out
 

@@ -13,14 +13,28 @@ TAU_METRIC = 1e-9
 GH_EXACT_CAP = 5
 
 
-def _triangle_violation(d: np.ndarray, tol: float):
-    """First triple (i, k, j) with d[i,j] > d[i,k] + d[k,j] + tol, or None."""
+def _triangle_violation(d: np.ndarray, tol: float, split=None):
+    """First triple (i, k, j) with d[i,j] > d[i,k] + d[k,j] + tol, or None:
+    the smallest such k, then its most violated (i, j), the first in
+    row-major order on ties.
+
+    With a split, only the triples that mix the points below it with those
+    at or above it are scanned.  That is for an exactly symmetric d whose
+    two diagonal blocks are metrics at tol already, so that no other triple
+    violates.  By symmetry, the first most violated pair of a k below the
+    split lies in the columns at or above it, and that of any other k in
+    the rows below it, so the scan reports the full scan's triple.
+    """
     n = d.shape[0]
     for k in range(n):
-        slack = d[:, k][:, None] + d[k, :][None, :] - d
+        if split is None:
+            rows, c0 = n, 0
+        else:
+            rows, c0 = (n, split) if k < split else (split, 0)
+        slack = d[:rows, k][:, None] + d[k, c0:][None, :] - d[:rows, c0:]
         if slack.min() < -tol:
             i, j = np.unravel_index(int(slack.argmin()), slack.shape)
-            return int(i), int(k), int(j)
+            return int(i), int(k), int(j) + c0
     return None
 
 
@@ -94,7 +108,8 @@ class FiniteMetricSpace:
         if not idx:
             raise InputError("a subspace needs at least one point")
         labels = tuple(self.labels[i] for i in idx)
-        return FiniteMetricSpace(labels, self.dist[np.ix_(idx, idx)])
+        # a restriction of a metric keeps its triangle inequality
+        return FiniteMetricSpace._triangle_checked(labels, self.dist[np.ix_(idx, idx)])
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "dist": [[float(x) for x in row] for row in self.dist]}
@@ -215,8 +230,10 @@ class JoinedSpace:
 
     The cross matrix is taken as final (any admissibility offset has been
     folded in by the caller) and the whole union must satisfy the triangle
-    inequality.  Zero cross distances are allowed, so the union may be a
-    pseudometric.
+    inequality.  Both spaces are validated metrics, so only the triples
+    that mix X and Y points are checked; a failure reports the triple a
+    scan of every triple would.  Zero cross distances are allowed, so the
+    union may be a pseudometric.
     """
 
     x: FiniteMetricSpace
@@ -233,7 +250,7 @@ class JoinedSpace:
         if c.min() < -TAU_METRIC:
             raise InputError("cross distances must be nonnegative")
         full = np.block([[self.x.dist, c], [c.T, self.y.dist]])
-        trip = _triangle_violation(full, TAU_METRIC)
+        trip = _triangle_violation(full, TAU_METRIC, self.x.size)
         if trip is not None:
             i, k, j = trip
             nx = self.x.size

@@ -93,6 +93,23 @@ def brute_lipschitz(dist, vals):
     return best
 
 
+def brute_triangle_violation(d, tol):
+    """First triple (i, k, j) with d[i,j] > d[i,k] + d[k,j] + tol, or None,
+    by a plain triple loop in the full scan's order: the smallest such k,
+    then its most violated (i, j), the first in row-major order on ties."""
+    n = len(d)
+    for k in range(n):
+        worst = None
+        for i in range(n):
+            for j in range(n):
+                slack = d[i, k] + d[k, j] - d[i, j]
+                if slack < -tol and (worst is None or slack < worst[0]):
+                    worst = (slack, i, j)
+        if worst is not None:
+            return worst[1], k, worst[2]
+    return None
+
+
 def gh_by_correspondences(dx, dy):
     """Exact distance by enumerating every surjective correspondence.
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
-from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, dist_to_scalars, op_norm
+from qmetric.algebra import (NORM_KINDS, AlgElement, Algebra, _hermitian_defect,
+                             dist_to_scalars, op_norm)
 from qmetric.errors import InputError
 from qmetric.funcspace import (
     MatrixFunction,
+    _lip_parts,
     SeminormSpec,
     classical_embed,
     conv_spec,
@@ -110,6 +112,65 @@ def test_lip_part_equals_the_pairwise_loop(rng):
             fn = random_sa_function(space, M23, rng)
             for kind in NORM_KINDS:
                 assert lip_part(fn, kind) == brute_lip_part(fn, kind)
+
+
+def _channel_function(space, algebra, rng):
+    width = sum(m * m for m in algebra.block_sizes)
+    scales = 10.0 ** rng.uniform(-6, 6, size=(space.size, 1))
+    return from_channels(space, algebra, scales * rng.normal(size=(space.size, width)))
+
+
+def test_batched_lip_parts_equal_the_pairwise_loop(rng):
+    """Each function of a batch, made from values or from channels, gets its
+    own pairwise loop's Lipschitz part, bit for bit."""
+    spaces = [FiniteMetricSpace(("o",), np.zeros((1, 1))),
+              FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.7], [0.7, 0.0]])),
+              random_planar_space(7, rng)]
+    makers = {"values": random_sa_function, "channels": _channel_function}
+    for space in spaces:
+        for size in range(1, 6):
+            for kinds in (["values"], ["channels"], ["values", "channels"]):
+                fns = [makers[kinds[(p + size) % len(kinds)]](space, M23, rng)
+                       for p in range(size)]
+                for norm_kind in NORM_KINDS:
+                    got = _lip_parts(fns, norm_kind)
+                    assert got.shape == (size,)
+                    assert [float(v) for v in got] == [brute_lip_part(fn, norm_kind)
+                                                       for fn in fns]
+
+
+def test_batch_with_a_non_self_adjoint_difference_is_rejected(rng):
+    skew = AlgElement(M2, (np.array([[0.0, 0.4e-9], [-0.4e-9, 0.0]]),))
+    base = random_sa_function(PATH3, M2, rng)
+    bad = MatrixFunction(PATH3, M2, (base.values[0] + skew, base.values[1] - skew,
+                                     base.values[2]))
+    with pytest.raises(InputError) as alone:
+        lip_part(bad, "real_max")
+    good = _channel_function(PATH3, M2, rng)
+    for batch in ((good, bad), (bad, good), (good, bad, good)):
+        with pytest.raises(InputError) as err:
+            _lip_parts(batch, "real_max")
+        assert str(err.value) == str(alone.value)
+
+
+def test_channel_stacks_are_exactly_hermitian(rng):
+    """Stacks made from channels, their differences and their real shifts
+    have a Hermitian defect of exactly 0, which real_max relies on."""
+    for algebra in (M1, M2, M23, Algebra((4, 1, 3))):
+        space = random_planar_space(6, rng)
+        a, b = (_channel_function(space, algebra, rng) for _ in range(2))
+        shift = algebra.scalar(float(rng.normal()) * 10.0 ** rng.uniform(-6, 6))
+        for s, t, e in zip(a.stacks, b.stacks, shift.blocks):
+            for stack in (s, s - t, s[2] - s[3:], s - e):
+                assert (_hermitian_defect(stack) == 0.0).all()
+
+
+def test_channels_must_be_finite():
+    for bad in (np.nan, np.inf):
+        chans = np.zeros((3, 4))
+        chans[1, 2] = bad
+        with pytest.raises(InputError, match="channels must be finite"):
+            from_channels(PATH3, M2, chans)
 
 
 def test_channels_round_trip_bit_for_bit(rng):

@@ -112,6 +112,23 @@ def test_subset_bounds_checked():
         ExtensionProblem(_path(3), (0, 2), (0.0, 1.0), (1.0, 1.0))
 
 
+def test_nan_lip_bound_is_rejected():
+    # a NaN bound used to pass the Lipschitz check and extend to [0, nan, 5]
+    with pytest.raises(InputError, match="finite and nonnegative"):
+        ExtensionProblem(_path(3), (0, 2), (0.0, 5.0), float("nan"))
+
+
+def test_infinite_lip_bound_is_rejected():
+    with pytest.raises(InputError, match="finite and nonnegative"):
+        ExtensionProblem(_path(3), (0, 2), (0.0, 5.0), float("inf"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_are_rejected(bad):
+    with pytest.raises(InputError, match="values must be finite"):
+        ExtensionProblem(_path(3), (0, 2), (0.0, bad), 1.0)
+
+
 def test_json_round_trip():
     prob = ExtensionProblem(_path(4), (0, 3), (0.0, 3.0), 1.0)
     back = ExtensionProblem.from_json_dict(prob.to_json_dict())

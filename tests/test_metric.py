@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import gh_by_correspondences
+from oracles import brute_triangle_violation, gh_by_correspondences
+from qmetric import metric
 from qmetric.errors import InputError
 from qmetric.generate import random_planar_space
 from qmetric.metric import (
+    TAU_METRIC,
     FiniteMetricSpace,
     JoinedSpace,
     diameter,
@@ -134,6 +136,59 @@ def test_joined_space_validates_triangle():
     bad = np.array([[9.0, 9.0], [0.1, 9.0], [9.0, 9.0], [9.0, 0.1]])
     with pytest.raises(InputError):
         JoinedSpace(PATH4, two, bad)
+
+
+def _random_join(rng):
+    """Two point sets in one plane, X and Y, with their cross distances and
+    a few of them pushed far down or up.  Half the joins sit on the integer
+    grid under the l1 metric, where slacks tie."""
+    nx, ny = rng.integers(1, 7, size=2)
+    if rng.random() < 0.5:
+        pts = rng.choice(49, size=nx + ny, replace=False)
+        pts = np.stack([pts // 7, pts % 7], axis=1).astype(float)
+        dist = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    else:
+        pts = rng.uniform(0.0, 3.0, size=(nx + ny, 2))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    x = FiniteMetricSpace(tuple("x%d" % i for i in range(nx)), dist[:nx, :nx])
+    y = FiniteMetricSpace(tuple("y%d" % j for j in range(ny)), dist[nx:, nx:])
+    cross = dist[:nx, nx:].copy()
+    for _ in range(rng.integers(0, 3)):
+        i, j = rng.integers(nx), rng.integers(ny)
+        cross[i, j] = rng.choice([0.0, 0.5, 3.0]) * cross[i, j]
+    return x, y, cross
+
+
+def test_joined_space_reports_the_full_scan_triple(rng):
+    """Only mixed triples are scanned, yet a failure names the triple and
+    message of the scan over every triple."""
+    failures = 0
+    for _ in range(400):
+        x, y, cross = _random_join(rng)
+        full = np.block([[x.dist, cross], [cross.T, y.dist]])
+        want = brute_triangle_violation(full, TAU_METRIC)
+        if want is None:
+            JoinedSpace(x, y, cross)
+            continue
+        failures += 1
+        name = lambda t: "X%d" % t if t < x.size else "Y%d" % (t - x.size)
+        msg = "joined metric fails the triangle inequality on (%s, %s, %s)" % tuple(
+            name(t) for t in want)
+        with pytest.raises(InputError) as err:
+            JoinedSpace(x, y, cross)
+        assert str(err.value) == msg
+    assert 50 < failures < 350
+
+
+def test_subspace_is_built_without_a_triangle_scan(monkeypatch):
+    calls = []
+    real = metric._triangle_violation
+    monkeypatch.setattr(metric, "_triangle_violation",
+                        lambda *args: calls.append(args) or real(*args))
+    sub = PATH4.subspace((3, 0, 2))
+    assert calls == []
+    full = FiniteMetricSpace(sub.labels, PATH4.dist[np.ix_((3, 0, 2), (3, 0, 2))])
+    assert np.array_equal(sub.dist, full.dist)
 
 
 def test_joined_space_full_matrix_and_hausdorff():

@@ -7,11 +7,11 @@ from oracles import loop_transport
 from qmetric import metric
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
-from qmetric.funcspace import conv_spec, lipnorm
+from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
 from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, approx_table, build_bridge,
+from qmetric.propinquity import (Bridge, _match_elements, approx_table, build_bridge,
                                  match_element, propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
@@ -120,6 +120,29 @@ def test_transport_equals_the_per_channel_loop(rng):
             assert all(p.tobytes() == q.tobytes() for p, q in zip(got.blocks, want))
 
 
+def test_batched_matching_equals_one_at_a_time(rng):
+    """One batch certifies each element as match_element does alone, bit for
+    bit, whether the element is made from channels or from values."""
+    m23 = Algebra((2, 3))
+    x = circle_net(10, "chord")
+    net = epsilon_net(x, 0.6)
+    x_n = x.subspace(net)
+    bridge = build_bridge(x_n, x, x.dist[np.ix_(net, range(x.size))], EPS, m23)
+    witnesses = []
+    for _ in range(3):
+        mu = random_product_state(x_n, m23, rng)
+        nu = random_product_state(x_n, m23, rng)
+        witnesses.append(mk_distance(x_n, m23, mu, nu, conv_spec()).witness)
+    witnesses.insert(1, MatrixFunction(x_n, m23, witnesses[0].values))
+    batch = _match_elements(bridge, witnesses)
+    assert len(batch) == len(witnesses)
+    for a_fn, (b_fn, cert) in zip(witnesses, batch):
+        one_fn, one_cert = match_element(bridge, a_fn)
+        assert repr(cert) == repr(one_cert)
+        assert b_fn.channels.tobytes() == one_fn.channels.tobytes()
+    assert _match_elements(bridge, []) == []
+
+
 def test_bound_is_direction_independent():
     x = _path(4)
     y = _path(2, step=3.0)
@@ -186,9 +209,9 @@ def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
     shapes = []
     real = metric._triangle_violation
 
-    def counted(d, tol):
+    def counted(d, tol, split=None):
         shapes.append(d.shape)
-        return real(d, tol)
+        return real(d, tol, split)
 
     monkeypatch.setattr(metric, "_triangle_violation", counted)
     bridge = build_bridge(x, x, x.dist, EPS, M2)
