@@ -194,11 +194,13 @@ def _require_finite(stacks, norm_kind: str) -> None:
         raise InputError("the %s norm needs finite entries" % norm_kind)
 
 
-def stack_norms(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
+def stack_norms(stacks, norm_kind: str) -> np.ndarray:
     """Norm of each element held as per-block stacks of shape (k, m, m).
 
-    "real_max" raises InputError unless every element is self-adjoint
-    within tol; "operator" and "max" raise it on NaN or inf entries.
+    "operator" and "max" raise InputError on NaN or inf entries.
+    "real_max" checks nothing: its callers hand it stacks that are
+    self-adjoint, checked once per element or function, or Hermitian by
+    construction.
     """
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
@@ -208,15 +210,6 @@ def stack_norms(stacks, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
         return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
     if norm_kind != "real_max":
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    _require_self_adjoint(stacks, tol)
-    return _real_max_norms(stacks)
-
-
-def _real_max_norms(stacks) -> np.ndarray:
-    """stack_norms under "real_max" without its guard.  For stacks that are
-    Hermitian by construction: those of a function made from real channels,
-    and their differences and real scalar shifts, whose Hermitian defect is
-    exactly 0."""
     return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
                               np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
 
@@ -237,7 +230,8 @@ def max_norm(a: AlgElement) -> float:
 
 def real_max_norm(a: AlgElement, tol: float = TAU_SA) -> float:
     """Largest of |Re| and |Im| over all entries; a norm on self-adjoint elements only."""
-    return float(stack_norms(_one(a), "real_max", tol)[0])
+    _require_self_adjoint(_one(a), tol)
+    return float(stack_norms(_one(a), "real_max")[0])
 
 
 def _circumcentre(z1: complex, z2: complex, z3: complex):
@@ -295,14 +289,15 @@ def scalar_distance(stacks, norm_kind: str, tol: float = TAU_SA) -> float:
     moves the real diagonal, whose cost is half its spread, and needs
     self-adjoint input.
     """
+    if norm_kind == "real_max":
+        _require_self_adjoint(stacks, tol)
     return float(_scalar_distances(stacks, norm_kind, tol, pooled=True)[0])
 
 
-def _scalar_distances(stacks, norm_kind, tol, pooled, hermitian=False):
+def _scalar_distances(stacks, norm_kind, tol, pooled):
     """Without pooling, each element's distance to the scalars (entry i is
     scalar_distance of element i alone, bit for bit); pooled, one entry.
-    hermitian: the stacks are Hermitian by construction, so "real_max"
-    skips its self-adjointness guard (see _real_max_norms)."""
+    "real_max" checks nothing (see stack_norms)."""
     rows = 1 if pooled else len(stacks[0])
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
@@ -321,14 +316,9 @@ def _scalar_distances(stacks, norm_kind, tol, pooled, hermitian=False):
                  for z in np.concatenate(diags, axis=1).reshape(rows, -1)]
     else:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    rest = [s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)]
-    rest = _real_max_norms(rest) if hermitian else stack_norms(rest, norm_kind, tol)
+    rest = stack_norms([s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)],
+                       norm_kind)
     return np.maximum(rest.max(keepdims=True) if pooled else rest, moved)
-
-
-def dist_to_scalars(a: AlgElement, norm_kind: str, tol: float = TAU_SA) -> float:
-    """Distance from an element to the scalar multiples of the identity."""
-    return scalar_distance(_one(a), norm_kind, tol)
 
 
 @dataclass(frozen=True, eq=False)

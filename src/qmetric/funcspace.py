@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import algebra as alg
-from .algebra import (Algebra, AlgElement, TAU_SA, _frozen, _hermitian_defect,
-                      stack_norms)
+from .algebra import Algebra, AlgElement, TAU_SA, _frozen, stack_norms
 from .errors import InputError, UnsupportedSpec
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
@@ -76,8 +75,22 @@ class MatrixFunction:
         return tuple(AlgElement(self.algebra, tuple(s[p] for s in self.stacks))
                      for p in range(self.space.size))
 
+    @cached_property
+    def hermitian_defects(self) -> tuple[float, float]:
+        """Largest Hermitian defect (entry of |b - b^*|, NaN on a non-finite
+        entry) of a value and of a difference of two values; exactly 0, at
+        no cost, for a function made from channels."""
+        if self.channels is not None:
+            return 0.0, 0.0
+        values = float(np.max([alg._hermitian_defect(s) for s in self.stacks]))
+        if values == 0.0:  # then every difference is exactly Hermitian too
+            return values, 0.0
+        rows = [alg._hermitian_defect(s[i, None] - s[i + 1:]).max()
+                for s in self.stacks for i in range(len(s) - 1)]
+        return values, float(np.max(rows, initial=0.0))
+
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
-        return all(_hermitian_defect(s).max() <= tol for s in self.stacks)
+        return self.hermitian_defects[0] <= tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,7 +158,7 @@ def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> Matri
     if chans.shape != (space.size, width):
         raise InputError("channel array must be %dx%d, got %r"
                          % (space.size, width, chans.shape))
-    # finite channels make Hermitian stacks, which real_max reads unchecked
+    # finite channels make exactly Hermitian stacks (see hermitian_defects)
     if not np.isfinite(chans).all():
         raise InputError("channels must be finite")
     fn = object.__new__(MatrixFunction)
@@ -206,9 +219,18 @@ def conv_spec() -> SeminormSpec:
     return SeminormSpec("real_max", "conv")
 
 
+def _require_self_adjoint(fns, tol: float, differences: bool = False) -> None:
+    """InputError unless each function's values (and, with differences, the
+    differences of its values) are self-adjoint within tol."""
+    if not all(d <= tol for fn in fns for d in fn.hermitian_defects[:1 + differences]):
+        raise InputError("the real max norm applies to self-adjoint functions only")
+
+
 def sup_norm(fn: MatrixFunction, norm_kind: str = "operator", tol: float = TAU_SA) -> float:
     """Largest norm of any value; the C*-norm of the function when norm_kind is operator."""
-    return float(stack_norms(fn.stacks, norm_kind, tol).max())
+    if norm_kind == "real_max":
+        _require_self_adjoint((fn,), tol)
+    return float(stack_norms(fn.stacks, norm_kind).max())
 
 
 def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
@@ -223,45 +245,30 @@ def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
     """lip_part of each of P functions on one space, bit for bit.
 
     Runs lip_part's row loop once over per-block stacks of shape
-    (P, n, m, m), in O(P n) memory.  Under "real_max" a function made from
-    channels is Hermitian by construction and is not checked; any other
-    function is checked up front, and then every row is."""
+    (P, n, m, m), in O(P n) memory.  Under "real_max" each function's
+    values and their differences are checked once, up front, from its
+    hermitian_defects; the rows are not."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    if norm_kind == "real_max" and not all(fn.channels is not None or fn.is_self_adjoint(tol)
-                                           for fn in fns):
-        raise InputError("the real max norm applies to self-adjoint functions only")
-    unchecked = norm_kind == "real_max" and all(fn.channels is not None for fn in fns)
+    if norm_kind == "real_max":
+        _require_self_adjoint(fns, tol, differences=True)
     stacks = [np.stack(blocks) for blocks in zip(*(fn.stacks for fn in fns))]
     dist = fns[0].space.dist
     best = np.zeros(len(fns))
     for i in range(len(dist) - 1):
         diffs = [(s[:, i, None] - s[:, i + 1:]).reshape(-1, *s.shape[2:]) for s in stacks]
-        if unchecked:
-            norms = alg._real_max_norms(diffs)
-        else:
-            norms = stack_norms(diffs, norm_kind, tol)
+        norms = stack_norms(diffs, norm_kind)
         # fmax skips a NaN row maximum, as the one-function max(best, nan) did
         best = np.fmax(best, (norms.reshape(len(fns), -1) / dist[i, i + 1:]).max(axis=1))
     return best
 
 
-def _scalar_distance(fn: MatrixFunction, norm_kind: str, tol: float) -> float:
-    """scalar_distance of the function's stacks; under "real_max" a function
-    made from channels is Hermitian by construction and is not checked."""
-    hermitian = norm_kind == "real_max" and fn.channels is not None
-    return float(alg._scalar_distances(fn.stacks, norm_kind, tol, pooled=True,
-                                       hermitian=hermitian)[0])
-
-
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:
     """The quotient-type part of the seminorm selected by the spec."""
-    if spec.q_kind == "quotient_CX":
-        return float(alg._scalar_distances(fn.stacks, spec.norm_kind, tol, pooled=False).max())
-
-    if spec.q_kind == "quotient_C":
-        return _scalar_distance(fn, spec.norm_kind, tol)
-
+    # conv is the one-scalar quotient under the real max norm
+    conv = spec.q_kind in ("conv", "conv_K")
+    if conv or spec.norm_kind == "real_max":
+        _require_self_adjoint((fn,), tol)
     if spec.q_kind == "state":
         m = evaluate(spec.state, fn)
         if spec.norm_kind == "real_max":
@@ -269,13 +276,10 @@ def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float
                 raise InputError("reference state value is not real; function must be self-adjoint")
             m = m.real
         shifted = [s - e for s, e in zip(fn.stacks, fn.algebra.scalar(m).blocks)]
-        return float(stack_norms(shifted, spec.norm_kind, tol).max())
-
-    # conv is the one-scalar quotient under the real max norm
-    base = _scalar_distance(fn, "real_max", tol)
-    if spec.q_kind == "conv":
-        return base
-    return (2.0 / spec.K) * base
+        return float(stack_norms(shifted, spec.norm_kind).max())
+    base = float(alg._scalar_distances(fn.stacks, "real_max" if conv else spec.norm_kind,
+                                       tol, pooled=spec.q_kind != "quotient_CX").max())
+    return (2.0 / spec.K) * base if spec.q_kind == "conv_K" else base
 
 
 def lipnorm(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:

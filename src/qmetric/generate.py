@@ -1,5 +1,6 @@
 """Deterministic example builders: circle and interval nets, random planar
-spaces, and random algebra data, all driven by a caller-supplied Generator."""
+spaces, and the random states that bridge certificates sample, all driven
+by a caller-supplied Generator."""
 
 from __future__ import annotations
 
@@ -7,9 +8,8 @@ import math
 
 import numpy as np
 
-from .algebra import Algebra, AlgElement, AlgState, vector_state
+from .algebra import Algebra, AlgState
 from .errors import InputError
-from .funcspace import MatrixFunction
 from .metric import FiniteMetricSpace, diameter, scale
 from .states import FunctionalState, delta_embed
 
@@ -73,37 +73,6 @@ def scaled_to_diameter(space: FiniteMetricSpace, target: float) -> FiniteMetricS
     return scale(space, target / diam)
 
 
-def random_algebra(rng: np.random.Generator, max_blocks: int = 3,
-                   max_block: int = 5) -> Algebra:
-    n_blocks = int(rng.integers(1, max_blocks + 1))
-    sizes = tuple(int(rng.integers(1, max_block + 1)) for _ in range(n_blocks))
-    return Algebra(sizes)
-
-
-def random_sa_element(algebra: Algebra, rng: np.random.Generator,
-                      scale_: float = 1.0) -> AlgElement:
-    blocks = []
-    for m in algebra.block_sizes:
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        blocks.append(scale_ * (z + z.conj().T) / 2.0)
-    return AlgElement(algebra, tuple(blocks))
-
-
-def random_element(algebra: Algebra, rng: np.random.Generator,
-                   scale_: float = 1.0) -> AlgElement:
-    blocks = []
-    for m in algebra.block_sizes:
-        z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        blocks.append(scale_ * z)
-    return AlgElement(algebra, tuple(blocks))
-
-
-def random_sa_function(space: FiniteMetricSpace, algebra: Algebra,
-                       rng: np.random.Generator) -> MatrixFunction:
-    values = tuple(random_sa_element(algebra, rng) for _ in range(space.size))
-    return MatrixFunction(space, algebra, values)
-
-
 def random_alg_state(algebra: Algebra, rng: np.random.Generator) -> AlgState:
     """Random block weights and random full-rank-ish density matrices."""
     weights = rng.dirichlet(np.ones(algebra.n_blocks))
@@ -119,14 +88,3 @@ def random_product_state(space: FiniteMetricSpace, algebra: Algebra,
                          rng: np.random.Generator) -> FunctionalState:
     x = int(rng.integers(0, space.size))
     return delta_embed(random_alg_state(algebra, rng), x)
-
-
-def random_pure_state(space: FiniteMetricSpace, algebra: Algebra,
-                      rng: np.random.Generator) -> FunctionalState:
-    """A vector state at a random block, composed with a point evaluation."""
-    x = int(rng.integers(0, space.size))
-    k = int(rng.integers(0, algebra.n_blocks))
-    m = algebra.block_sizes[k]
-    vec = rng.normal(size=m) + 1j * rng.normal(size=m)
-    vec = vec / np.linalg.norm(vec)
-    return delta_embed(vector_state(algebra, k, vec), x)

@@ -261,6 +261,14 @@ class JoinedSpace:
         c.setflags(write=False)
         object.__setattr__(self, "cross", c)
 
+    def mirrored(self) -> "JoinedSpace":
+        """The same union with Y first.  Its triples are this join's, so it
+        is not scanned again."""
+        joined = object.__new__(JoinedSpace)
+        for name, val in (("x", self.y), ("y", self.x), ("cross", self.cross.T)):
+            object.__setattr__(joined, name, val)
+        return joined
+
     def full_matrix(self) -> np.ndarray:
         return np.block([[self.x.dist, self.cross], [self.cross.T, self.y.dist]])
 

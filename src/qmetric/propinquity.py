@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, _real_max_norms, stack_norms
+from .algebra import Algebra, stack_norms
 from .errors import BoundViolation, InputError
 # lipnorm is unused here, but bench/test_bench.py checks that the tracer
 # wraps this module's alias of it
@@ -65,7 +65,14 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
         raise InputError("cross distances must be finite and nonnegative")
 
     offset = epsilon / (8.0 * _ROOT2 * algebra.max_block)
-    joined = JoinedSpace(x, y, cross + offset)
+    return _bridge(JoinedSpace(x, y, cross + offset), cross, epsilon, algebra)
+
+
+def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
+            algebra: Algebra) -> Bridge:
+    """The bridge over a checked join of the offset cross distances;
+    cross holds the raw ones."""
+    x, y = joined.x, joined.y
     labels = (tuple("X|%s" % lab for lab in x.labels)
               + tuple("Y|%s" % lab for lab in y.labels))
     joined_metric = joined.metric_space(labels)
@@ -91,9 +98,8 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
     keeps each channel inside its source range, so the recentring scalar
     that certified the source also certifies the image; the matched-pair
     defect is bounded by the channel constants times the pair distances.
-    The image is made from channels, so it is Hermitian by construction and
-    its norms are not re-checked for self-adjointness; a source not made
-    from channels is checked.
+    The source is checked for self-adjointness once; the image is made
+    from channels, so it is Hermitian by construction.
 
     Returns:
       (matched function on Y, certificate dict).  The certificate entries
@@ -133,13 +139,10 @@ def _match_elements(bridge: Bridge, a_fns) -> list:
     matched = []
     for a_fn, b_fn, l_a, l_b in zip(a_fns, b_fns, l_as, l_bs):
         r_a = optimal_conv_shift(a_fn)
-        # b_fn and its real shifts are Hermitian by construction
         shifted = [s - e for s, e in zip(b_fn.stacks, algebra.scalar(r_a).blocks)]
-        q_at_shift = float(_real_max_norms(shifted).max())
+        q_at_shift = float(stack_norms(shifted, "real_max").max())
         pair_diffs = [sa[src] - sb[dst] for sa, sb in zip(a_fn.stacks, b_fn.stacks)]
-        norms = (_real_max_norms(pair_diffs) if a_fn.channels is not None
-                 else stack_norms(pair_diffs, "real_max"))
-        w_defect = float(norms.max(initial=0.0))
+        w_defect = float(stack_norms(pair_diffs, "real_max").max(initial=0.0))
         certificate = {
             "lipnorm_source": l_a,
             "lipnorm_matched": l_b,
@@ -194,7 +197,8 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     """
     cross = np.asarray(cross, dtype=float)
     forward = build_bridge(x, y, cross, epsilon, algebra)
-    backward = build_bridge(y, x, cross.T, epsilon, algebra)
+    # the mirrored join has the same triples, so it is not scanned again
+    backward = _bridge(forward.joined.mirrored(), cross.T, forward.epsilon, algebra)
     bound = _ROOT2 * algebra.max_block * forward.delta_xy + epsilon / 2.0
     rng = np.random.default_rng(seed)
     certificates = []

@@ -17,11 +17,11 @@ from qmetric.algebra import (Algebra, apply_state, matrix_unit,
                              real_max_norm, tracial_state)
 from qmetric.funcspace import (MatrixFunction, SeminormSpec, classical_embed,
                                conv_spec, lipnorm, quasi_leibniz_check)
+from helpers import (random_algebra, random_element, random_pure_state, random_sa_element,
+                     random_sa_function)
 from qmetric.generate import (circle_net, interval_net, random_alg_state,
-                              random_algebra, random_element,
-                              random_planar_space, random_pure_state,
-                              random_product_state, random_sa_element,
-                              random_sa_function, scaled_to_diameter)
+                              random_planar_space, random_product_state,
+                              scaled_to_diameter)
 from qmetric.metric import FiniteMetricSpace, diameter, gh_exact
 from qmetric.mcshane import ExtensionProblem, extend
 from qmetric.mk import embed_check, mk_distance

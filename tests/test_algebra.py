@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import dist_to_scalars, random_element, random_sa_element
 from oracles import hermitian_eigenvalues, jacobi_op_norm, scan_scalar_distance
 from qmetric.algebra import (
     Algebra,
     AlgElement,
     AlgState,
     apply_state,
-    dist_to_scalars,
     jordan,
     lie,
     matrix_unit,
@@ -17,11 +17,12 @@ from qmetric.algebra import (
     min_enclosing_radius,
     op_norm,
     real_max_norm,
+    scalar_distance,
     tracial_state,
     vector_state,
 )
 from qmetric.errors import InputError
-from qmetric.generate import random_alg_state, random_element, random_sa_element
+from qmetric.generate import random_alg_state
 
 ROOT2 = np.sqrt(2.0)
 
@@ -265,6 +266,13 @@ def test_dist_to_scalars_against_scan(rng):
             [np.asarray(b) for b in sa.blocks], _rm_of_blocks,
             real_only=True, radius=2 * max_norm(sa) + 1)
         assert got == pytest.approx(ref, abs=1e-9)
+
+
+def test_real_max_scalar_distance_rejects_non_self_adjoint_stacks():
+    stacks = (np.array([[[1.0, 2.0], [2.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]]),)
+    with pytest.raises(InputError, match="self-adjoint"):
+        scalar_distance(stacks, "real_max")
+    assert scalar_distance((stacks[0][:1],), "real_max") == 2.0
 
 
 def test_dist_to_scalars_vanishes_on_scalars():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import dist_to_scalars, random_element, random_sa_function
 from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
-from qmetric.algebra import (NORM_KINDS, AlgElement, Algebra, _hermitian_defect,
-                             dist_to_scalars, op_norm)
+from qmetric import algebra as alg
+from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, _hermitian_defect, op_norm
 from qmetric.errors import InputError
 from qmetric.funcspace import (
+    Q_KINDS,
     MatrixFunction,
     _lip_parts,
     SeminormSpec,
@@ -26,8 +28,9 @@ from qmetric.funcspace import (
     sup_norm,
     to_channels,
 )
-from qmetric.generate import random_element, random_planar_space, random_sa_function
+from qmetric.generate import circle_net, random_planar_space
 from qmetric.metric import FiniteMetricSpace
+from qmetric.propinquity import build_bridge, match_element
 from qmetric.states import delta_embed, evaluate, tracial_functional
 from qmetric.generate import random_alg_state
 
@@ -360,11 +363,79 @@ def test_max_norm_paths_reject_non_finite_entries(rng, bad):
 
 
 def test_real_max_requires_self_adjoint(rng):
-    from qmetric.generate import random_element
+    from helpers import random_element
     vals = tuple(random_element(M2, rng) for _ in range(3))
     fn = MatrixFunction(PATH3, M2, vals)
     with pytest.raises(InputError):
         lipnorm(fn, conv_spec())
+
+
+CIRCLE6 = circle_net(6)
+_REAL_MAX_SPECS = {q: SeminormSpec("real_max", q, K=2.0 if q == "conv_K" else None,
+                                   state=tracial_functional(M2, (1.0,), 2) if q == "state" else None)
+                   for q in Q_KINDS}
+# every entry point that reads a function under the real max norm
+REAL_MAX_ENTRY_POINTS = {
+    "sup_norm": lambda fn: sup_norm(fn, "real_max"),
+    "lip_part": lambda fn: lip_part(fn, "real_max"),
+    **{"q_term/" + q: (lambda fn, spec=spec: q_term(fn, spec))
+       for q, spec in _REAL_MAX_SPECS.items()},
+    "lipnorm": lambda fn: lipnorm(fn, conv_spec()),
+    "match_element": lambda fn: match_element(
+        build_bridge(fn.space, fn.space, fn.space.dist, 1e-3, fn.algebra), fn),
+    "quasi_leibniz_check": lambda fn: quasi_leibniz_check(fn, fn, conv_spec()),
+}
+
+
+def _defect_calls(monkeypatch, run) -> int:
+    """How many times run() reaches algebra._hermitian_defect."""
+    calls = []
+    real = alg._hermitian_defect
+
+    def counted(stack):
+        calls.append(stack.shape)
+        return real(stack)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(alg, "_hermitian_defect", counted)
+        run()
+    return len(calls)
+
+
+def _product_defect_calls(monkeypatch, fn, entry) -> int:
+    """The calls that quasi_leibniz_check's products, functions made from
+    values, make for their own defects; 0 for every other entry point."""
+    if entry != "quasi_leibniz_check":
+        return 0
+    return _defect_calls(monkeypatch, lambda: [product(fn, fn).hermitian_defects
+                                               for product in (jordan_product, lie_product)])
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_MAX_ENTRY_POINTS))
+def test_self_adjointness_is_decided_once_per_function(monkeypatch, rng, entry):
+    run = REAL_MAX_ENTRY_POINTS[entry]
+    bad = MatrixFunction(CIRCLE6, M2, tuple(random_element(M2, rng) for _ in range(6)))
+    with pytest.raises(InputError, match="self-adjoint"):
+        run(bad)
+
+    # made from channels: Hermitian by construction, no defect is computed
+    chans = from_channels(CIRCLE6, M2, 1e-3 * rng.normal(size=(6, 4)))
+    products = _product_defect_calls(monkeypatch, chans, entry)
+    assert _defect_calls(monkeypatch, lambda: run(chans)) == products
+
+    # made from values, off Hermitian by less than the slack: both defects
+    # are computed on the first read and never again
+    skew = AlgElement(M2, (np.array([[0.0, 1e-12], [0.0, 0.0]]),))
+    vals = [v.scaled(1e-3) for v in random_sa_function(CIRCLE6, M2, rng).values]
+    vals[0] = vals[0] + skew
+    own = _defect_calls(monkeypatch, lambda: MatrixFunction(CIRCLE6, M2, vals).hermitian_defects)
+    assert own == 1 + (CIRCLE6.size - 1)  # the values, then one per row of differences
+    fn = MatrixFunction(CIRCLE6, M2, vals)
+    products = _product_defect_calls(monkeypatch, fn, entry)
+    assert _defect_calls(monkeypatch, lambda: run(fn)) == own + products
+    every = REAL_MAX_ENTRY_POINTS.values()
+    assert _defect_calls(monkeypatch, lambda: [other(fn) for other in every]) == (
+        _product_defect_calls(monkeypatch, fn, "quasi_leibniz_check"))
 
 
 def _count_elements(monkeypatch):

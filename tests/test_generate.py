@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_algebra, random_pure_state, random_sa_element
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
 from qmetric.generate import (circle_net, interval_net, random_alg_state,
-                              random_algebra, random_planar_space,
-                              random_pure_state, random_sa_element,
-                              scaled_to_diameter)
+                              random_planar_space, scaled_to_diameter)
 from qmetric.metric import diameter
 
 M23 = Algebra((2, 3))

@@ -146,7 +146,7 @@ def test_operator_interval_brackets_the_truth(rng):
     assert lipnorm(shrunk, op_spec) <= 1.0 + 1e-9
     assert _pairing(mu, nu, shrunk) >= res.lower - 1e-9
     # sampled feasible elements never beat the upper endpoint
-    from qmetric.generate import random_sa_function
+    from helpers import random_sa_function
     for _ in range(20):
         fn = random_sa_function(space, M2, rng)
         l_op = lipnorm(fn, op_spec)

@@ -11,8 +11,8 @@ from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
 from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, _match_elements, approx_table, build_bridge,
-                                 match_element, propinquity_upper_bound)
+from qmetric.propinquity import (Bridge, _bridge, _match_elements, approx_table,
+                                 build_bridge, match_element, propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
 M2 = Algebra((2,))
@@ -205,7 +205,7 @@ def test_bridge_is_a_plain_record():
 
 
 def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
-    x = circle_net(8, "chord")
+    x, path = circle_net(8, "chord"), _path(3)
     shapes = []
     real = metric._triangle_violation
 
@@ -216,6 +216,9 @@ def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
     monkeypatch.setattr(metric, "_triangle_violation", counted)
     bridge = build_bridge(x, x, x.dist, EPS, M2)
     assert shapes == [(16, 16)]
+    # a bound builds its backward bridge from the forward bridge's join
+    propinquity_upper_bound(path, x, np.full((3, 8), 2.0), EPS, M2, samples=1)
+    assert shapes == [(16, 16), (11, 11)]
     monkeypatch.undo()
     full = FiniteMetricSpace(bridge.joined_metric.labels, bridge.joined.full_matrix())
     assert np.array_equal(bridge.joined_metric.dist, full.dist)
@@ -224,3 +227,19 @@ def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
     far[0, 0] = far[0, 2] = 0.0
     with pytest.raises(InputError, match="joined metric fails the triangle"):
         build_bridge(_path(3), _path(3), far, EPS, M2)
+
+
+def test_mirrored_join_builds_the_backward_bridge():
+    """The backward bridge of a bound, built from the forward bridge's
+    join, equals a bridge built from scratch, field for field."""
+    x, y = _path(4), circle_net(6, "chord")
+    cross = 2.0 + 0.05 * np.add.outer(np.arange(4.0), np.arange(6.0))
+    forward = build_bridge(x, y, cross, EPS, M2)
+    got = _bridge(forward.joined.mirrored(), cross.T, EPS, M2)
+    want = build_bridge(y, x, cross.T, EPS, M2)
+    assert (got.x, got.y, got.algebra) == (want.x, want.y, want.algebra)
+    assert got.joined.cross.tobytes() == want.joined.cross.tobytes()
+    assert got.joined_metric.labels == want.joined_metric.labels
+    assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
+    assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
+        want.epsilon, want.delta_xy, want.threshold, want.w_set)

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import random_element, random_sa_function
 from oracles import loop_evaluate
 from qmetric.algebra import Algebra, apply_state, matrix_unit, tracial_state
 from qmetric.errors import InputError
 from qmetric.funcspace import MatrixFunction
-from qmetric.generate import (
-    random_alg_state,
-    random_element,
-    random_product_state,
-    random_sa_function,
-)
+from qmetric.generate import random_alg_state, random_product_state
 from qmetric.metric import FiniteMetricSpace
 from qmetric.states import (
     FunctionalState,
