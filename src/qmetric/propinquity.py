@@ -23,7 +23,7 @@ from .generate import random_product_state
 from .lpcore import TAU_LP
 from .mcshane import extend_channels
 from .metric import FiniteMetricSpace, JoinedSpace, epsilon_net, hausdorff
-from .mk import mk_distance
+from .mk import _exact_distances
 
 _ROOT2 = math.sqrt(2.0)
 
@@ -102,17 +102,20 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
     from channels, so it is Hermitian by construction.
 
     Returns:
-      (matched function on Y, certificate dict).  The certificate entries
-      are re-verified from scratch; failure raises BoundViolation.
+      (matched function on Y, certificate dict).  The source's lipnorm is
+      computed here and every certificate entry is re-verified; failure
+      raises BoundViolation.
     """
     return _match_elements(bridge, (a_fn,))[0]
 
 
-def _match_elements(bridge: Bridge, a_fns) -> list:
+def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
     """match_element of each element, bit for bit, in one batch: one
     batched lipnorm for the sources, one extension of all their channel
-    columns, one batched lipnorm for the images.  Returns a list of
-    (matched function, certificate) pairs."""
+    columns, one batched lipnorm for the images.  lipnorms, if given, are
+    the sources' certified conv seminorms (mk witnesses, made from
+    channels and so self-adjoint), used instead of the sources' batch.
+    Returns a list of (matched function, certificate) pairs."""
     if not a_fns:
         return []
     spec = conv_spec()
@@ -121,7 +124,7 @@ def _match_elements(bridge: Bridge, a_fns) -> list:
             raise InputError("element must live on the bridge's X side")
         if a_fn.algebra.block_sizes != bridge.algebra.block_sizes:
             raise InputError("element algebra does not match the bridge algebra")
-    l_as = _lipnorms(a_fns, spec)
+    l_as = _lipnorms(a_fns, spec) if lipnorms is None else lipnorms
     for l_a in l_as:
         if l_a > 1.0 + TAU_LP:
             raise InputError("element lipnorm %.12g exceeds the unit ball slack"
@@ -179,12 +182,6 @@ class PropinquityBound:
                 "certificates": list(self.certificates)}
 
 
-def _sample_witness(space, algebra, rng):
-    mu = random_product_state(space, algebra, rng)
-    nu = random_product_state(space, algebra, rng)
-    return mk_distance(space, algebra, mu, nu, conv_spec()).witness
-
-
 def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
                             cross, epsilon: float, algebra: Algebra,
                             samples: int = 3, seed: int = 0) -> PropinquityBound:
@@ -194,7 +191,10 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     extreme points (distance-LP witnesses) both ways across the bridge as
     falsification attempts.  delta_xy is the Hausdorff distance of the
     supplied embedding, itself an upper bound for the optimal one.
+    samples is the number of witnesses per direction, a nonnegative integer.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise InputError("samples must be a nonnegative integer, got %r" % (samples,))
     cross = np.asarray(cross, dtype=float)
     forward = build_bridge(x, y, cross, epsilon, algebra)
     # the mirrored join has the same triples, so it is not scanned again
@@ -202,11 +202,14 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     bound = _ROOT2 * algebra.max_block * forward.delta_xy + epsilon / 2.0
     rng = np.random.default_rng(seed)
     certificates = []
-    # matching draws no randomness, so sampling a direction's witnesses
-    # first keeps the draws in the one-at-a-time order
+    # solving and matching draw no randomness, so drawing a direction's
+    # states first keeps the draws in the one-at-a-time order
     for direction, bridge in (("forward", forward), ("backward", backward)):
-        witnesses = [_sample_witness(bridge.x, algebra, rng) for _ in range(samples)]
-        for _, cert in _match_elements(bridge, witnesses):
+        pairs = [(random_product_state(bridge.x, algebra, rng),
+                  random_product_state(bridge.x, algebra, rng)) for _ in range(samples)]
+        solved = _exact_distances(bridge.x, algebra, pairs, conv_spec())
+        for _, cert in _match_elements(bridge, [r.witness for r, _ in solved],
+                                       [lip for _, lip in solved]):
             cert["direction"] = direction
             certificates.append(cert)
     return PropinquityBound(forward.delta_xy, epsilon, bound,

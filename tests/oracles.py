@@ -635,3 +635,53 @@ def loop_pairing_vector(algebra, state, positions):
                 col += 2
             off += m * m
     return coefs
+
+
+def one_at_a_time_bound(x, y, cross, epsilon, algebra, samples, seed):
+    """propinquity_upper_bound's JSON, one witness at a time: both bridges
+    built from scratch, then per sampled state pair a fresh mk_distance and
+    a match_element, which computes the source's lipnorm itself.  Returns
+    (JSON dict, the witnesses in certificate order)."""
+    from qmetric.funcspace import conv_spec
+    from qmetric.generate import random_product_state
+    from qmetric.mk import mk_distance
+    from qmetric.propinquity import build_bridge, match_element
+
+    cross = np.asarray(cross, dtype=float)
+    forward = build_bridge(x, y, cross, epsilon, algebra)
+    backward = build_bridge(y, x, cross.T, epsilon, algebra)
+    rng = np.random.default_rng(seed)
+    certificates, witnesses = [], []
+    for direction, bridge in (("forward", forward), ("backward", backward)):
+        for _ in range(samples):
+            mu = random_product_state(bridge.x, algebra, rng)
+            nu = random_product_state(bridge.x, algebra, rng)
+            witness = mk_distance(bridge.x, algebra, mu, nu, conv_spec()).witness
+            _, cert = match_element(bridge, witness)
+            cert["direction"] = direction
+            certificates.append(cert)
+            witnesses.append(witness)
+    bound = math.sqrt(2.0) * algebra.max_block * forward.delta_xy + epsilon / 2.0
+    return ({"delta_xy": forward.delta_xy, "epsilon": epsilon, "bound": bound,
+             "delta_is_embedding_hausdorff": True, "certificates": certificates},
+            witnesses)
+
+
+def one_at_a_time_table(x, algebra, schedule, epsilon, samples, seed):
+    """approx_table's rows from one_at_a_time_bound, one per net scale: the
+    greedy net bridged against the whole space.  Returns (rows, the
+    witnesses of every row in certificate order)."""
+    from qmetric.metric import epsilon_net, hausdorff
+
+    rows, witnesses = [], []
+    for row_i, eps_n in enumerate(schedule):
+        net = epsilon_net(x, eps_n)
+        bound, row_witnesses = one_at_a_time_bound(
+            x.subspace(net), x, x.dist[np.ix_(net, range(x.size))], epsilon,
+            algebra, samples, seed + row_i)
+        rows.append({"eps_n": float(eps_n), "net_size": len(net),
+                     "hausdorff": hausdorff(x, net, list(range(x.size))),
+                     "delta_xy": bound["delta_xy"], "bound": bound["bound"],
+                     "certificates": bound["certificates"]})
+        witnesses += row_witnesses
+    return rows, witnesses

@@ -185,6 +185,22 @@ def test_approx_csv_has_the_pinned_columns(files, capsys, tmp_path):
     assert len(lines) == 5
 
 
+def test_negative_samples_are_exit_two(files, capsys, tmp_path):
+    cross = tmp_path / "cross.json"
+    cross.write_text(json.dumps(_path(4).dist.tolist()))
+    space, algebra = str(files["space"]), str(files["algebra"])
+    for argv in (["approx", "--space", space, "--algebra", algebra, "--rows", "2"],
+                 ["bridge", "--space-x", space, "--space-y", space,
+                  "--cross", str(cross), "--algebra", algebra]):
+        rc, out, err = _run(capsys, argv + ["--samples", "-1"])
+        assert (rc, out) == (2, "")
+        assert "samples must be a nonnegative integer" in err
+        rc, out, _ = _run(capsys, argv + ["--samples", "0"])
+        assert rc == 0
+        report = _report(out)
+        assert all(row["certificates"] == [] for row in report.get("rows", [report]))
+
+
 def test_generic_csv_carries_version_and_hash(files, capsys):
     rc, out, _ = _run(capsys, ["norms", str(files["element"]),
                                "--algebra", str(files["algebra"]),

@@ -684,3 +684,73 @@ def test_shared_diagonal_flows_give_the_polygon_solve_bit_for_bit(q_kind, algebr
             shared = mk._support_optimum(sup, polygon, (z, flows))
             assert np.float64(shared[0]).tobytes() == np.float64(alone[0]).tobytes()
             assert shared[1].tobytes() == alone[1].tobytes()
+
+
+def _one_by_one(space, algebra, pairs, spec):
+    """mk_distance per pair, each result or the message it raised."""
+    out = []
+    for mu, nu in pairs:
+        try:
+            out.append(mk_distance(space, algebra, mu, nu, spec))
+        except BoundViolation as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C", "state"])
+def test_batched_certificates_equal_mk_distance_pair_by_pair(monkeypatch, q_kind, rng):
+    """One batch of exact distances certifies each pair as mk_distance does
+    alone, bit for bit: values, witness channels, the certified lipnorm,
+    the rescale branch for a witness just outside the ball, and the first
+    failing pair's message."""
+    space = random_planar_space(7, rng)
+    spec = _flow_spec(q_kind, rng, space, M23)
+    pairs = [tuple(_spread_state(space, M23, rng, points) for _ in range(2))
+             for points in (range(7), [1, 4], [2], [0, 3, 6])]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    sizes, real_lipnorms = [], mk._lipnorms
+
+    def lipnorms(fns, spec):
+        sizes.append(len(fns))
+        return real_lipnorms(fns, spec)
+
+    monkeypatch.setattr(mk, "_lipnorms", lipnorms)
+
+    def check(tamper):
+        """Pair 1 goes through tamper(value, z); the batch against one by one."""
+        key = mk._restrict(space, M23, *pairs[1], spec).gain.tobytes()
+        real = mk._support_optimum
+
+        def optimum(sup, *args):
+            value, z, flows, lam = real(sup, *args)
+            if sup.gain.tobytes() == key:
+                value, z = tamper(value, z)
+            return value, z, flows, lam
+
+        monkeypatch.setattr(mk, "_support_optimum", optimum)
+        sizes.clear()
+        want = _one_by_one(space, M23, pairs, spec)
+        one_sizes = sizes[:]
+        sizes.clear()
+        try:
+            got = mk._exact_distances(space, M23, pairs, spec)
+        except BoundViolation as exc:
+            assert str(exc) == next(w for w in want if isinstance(w, str))
+            return one_sizes, None
+        monkeypatch.setattr(mk, "_support_optimum", real)
+        for (res, lip), one in zip(got, want):
+            assert res.kind == "exact" and res.value == one.value
+            assert res.witness.channels.tobytes() == one.witness.channels.tobytes()
+            assert "stacks" not in vars(res.witness)
+            assert json.dumps(res.to_json_dict()) == json.dumps(one.to_json_dict())
+            assert lip == lipnorm(one.witness, spec)
+        assert len(got) == len(pairs)
+        return one_sizes, sizes[:]
+
+    # one batched lipnorm for the five witnesses
+    assert check(lambda value, z: (value, z)) == ([1] * 5, [5])
+    # channels just outside the ball are rescaled and checked again alone
+    assert check(lambda value, z: (value, (1.0 + 1e-6) * z)) == ([1, 1, 1, 1, 1, 1], [5, 1])
+    # the second pair's value is off: the batch raises its message
+    assert check(lambda value, z: (1.01 * value + 0.01, z)) == ([1] * 5, None)
+    assert mk._exact_distances(space, M23, [], spec) == []

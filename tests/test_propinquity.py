@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import loop_transport
-from qmetric import metric
+from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table
+from qmetric import funcspace, metric
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
 from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
@@ -141,6 +142,86 @@ def test_batched_matching_equals_one_at_a_time(rng):
         assert repr(cert) == repr(one_cert)
         assert b_fn.channels.tobytes() == one_fn.channels.tobytes()
     assert _match_elements(bridge, []) == []
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_bounds_equal_the_one_at_a_time_reference(samples):
+    """A bound solves and certifies each direction's witnesses in one batch
+    and reuses their certified lipnorms; its JSON is the reference's, a
+    fresh mk_distance and match_element per witness, and every
+    lipnorm_source is a fresh lipnorm of its witness."""
+    m23 = Algebra((2, 3))
+    x = circle_net(10, "chord")
+    net = epsilon_net(x, 0.6)
+    cross = x.dist[np.ix_(net, range(x.size))]
+    spec = conv_spec()
+    for seed in (0, 5, 11):
+        pub = propinquity_upper_bound(x.subspace(net), x, cross, EPS, m23,
+                                      samples=samples, seed=seed)
+        want, witnesses = one_at_a_time_bound(x.subspace(net), x, cross, EPS, m23,
+                                              samples, seed)
+        assert json.dumps(pub.to_json_dict()) == json.dumps(want)
+        assert len(witnesses) == 2 * samples
+        for cert, witness in zip(pub.certificates, witnesses):
+            assert cert["lipnorm_source"] == lipnorm(witness, spec)
+    for seed in (2, 9):
+        rows = approx_table(x, M2, [1.0, 0.5, 0.25], EPS, samples=samples, seed=seed)
+        want, witnesses = one_at_a_time_table(x, M2, [1.0, 0.5, 0.25], EPS, samples, seed)
+        assert json.dumps(rows) == json.dumps(want)
+        certs = [c for row in rows for c in row["certificates"]]
+        assert len(certs) == len(witnesses) == 6 * samples
+        for cert, witness in zip(certs, witnesses):
+            assert cert["lipnorm_source"] == lipnorm(witness, spec)
+
+
+def test_each_witness_is_certified_once(monkeypatch):
+    """Per direction, one batched seminorm certifies the witnesses and one
+    checks their images; matching computes no source seminorm again."""
+    x = circle_net(10, "chord")
+    sizes, real = [], funcspace._lip_parts
+
+    def lip_parts(fns, *args):
+        sizes.append(len(fns))
+        return real(fns, *args)
+
+    monkeypatch.setattr(funcspace, "_lip_parts", lip_parts)
+    pub = propinquity_upper_bound(x.subspace([0, 3, 6]), x, x.dist[[0, 3, 6]], EPS, M2,
+                                  samples=3, seed=4)
+    assert len(pub.certificates) == 6
+    assert sizes == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("samples", [-1, -2, 1.5, 2.0, True, "3", None])
+def test_samples_must_be_a_nonnegative_integer(samples):
+    x = _path(3)
+    with pytest.raises(InputError, match="samples must be a nonnegative integer"):
+        propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=samples)
+    with pytest.raises(InputError, match="samples must be a nonnegative integer"):
+        approx_table(x, M2, [1.0], EPS, samples=samples)
+
+
+def test_zero_samples_give_a_bound_without_certificates():
+    x = _path(3)
+    pub = propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=0)
+    assert pub.certificates == () and pub.bound == EPS / 2.0
+    assert len(propinquity_upper_bound(x, x, x.dist, EPS, M2,
+                                       samples=np.int64(1)).certificates) == 2
+
+
+def test_supplied_lipnorms_replace_the_sources_batch(rng):
+    """_match_elements takes the sources' certified lipnorms as given and
+    still refuses one above the ball's slack."""
+    x = circle_net(8, "chord")
+    bridge = build_bridge(x, x, x.dist, EPS, M2)
+    witnesses = [_witness_on(x, rng) for _ in range(2)]
+    fresh = _match_elements(bridge, witnesses)
+    given = _match_elements(bridge, witnesses, [0.25, 0.5])
+    for (b_fn, cert), (b_one, one), l_a in zip(given, fresh, (0.25, 0.5)):
+        assert cert["lipnorm_source"] == l_a
+        assert {**cert, "lipnorm_source": None} == {**one, "lipnorm_source": None}
+        assert b_fn.channels.tobytes() == b_one.channels.tobytes()
+    with pytest.raises(InputError, match="exceeds the unit ball slack"):
+        _match_elements(bridge, witnesses, [1.0, 1.0 + 2e-7])
 
 
 def test_bound_is_direction_independent():
