@@ -16,7 +16,7 @@ C*-norm and the spectral spread come from LAPACK through numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,19 +323,22 @@ def _scalar_distances(stacks, norm_kind, tol, pooled):
 
 @dataclass(frozen=True, eq=False)
 class AlgState:
-    """A state given by block weights plus one density matrix per block."""
+    """A state given by finite block weights plus one density matrix per
+    block, checked with slack TAU_STATE."""
 
     weights: tuple[float, ...]
     densities: tuple[np.ndarray, ...]
-    tol: float = field(default=TAU_STATE, compare=False)
 
     def __post_init__(self):
         w = tuple(float(t) for t in self.weights)
         if len(w) != len(self.densities):
             raise InputError("need one density per block weight")
-        if min(w) < -self.tol:
+        # every comparison with NaN is false, so NaN would pass the checks below
+        if not all(math.isfinite(t) for t in w):
+            raise InputError("block weights must be finite")
+        if min(w) < -TAU_STATE:
             raise InputError("block weights must be nonnegative")
-        if abs(sum(w) - 1.0) > self.tol:
+        if abs(sum(w) - 1.0) > TAU_STATE:
             raise InputError("block weights must sum to 1, got %.12g" % sum(w))
         mats = []
         for rho in self.densities:
@@ -344,12 +347,12 @@ class AlgState:
                 raise InputError("densities must be square matrices")
             if not np.isfinite(arr).all():
                 raise InputError("densities must have finite entries")
-            if np.abs(arr - arr.conj().T).max() > self.tol:
+            if np.abs(arr - arr.conj().T).max() > TAU_STATE:
                 raise InputError("densities must be Hermitian")
-            if abs(np.trace(arr) - 1.0) > self.tol:
+            if abs(np.trace(arr) - 1.0) > TAU_STATE:
                 raise InputError("densities must have trace 1")
             smallest = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))[0]
-            if float(smallest) < -self.tol:
+            if float(smallest) < -TAU_STATE:
                 raise InputError("densities must be positive semidefinite")
             mats.append(_frozen(arr))
         object.__setattr__(self, "weights", w)

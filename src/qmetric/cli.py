@@ -245,6 +245,8 @@ def cmd_approx(args) -> dict:
 
 
 def cmd_gen(args) -> dict:
+    if args.seed < 0:
+        raise InputError("--seed must be a nonnegative integer, got %d" % args.seed)
     if args.kind == "circle":
         space = circle_net(args.n, metric=args.metric, radius=args.radius)
     elif args.kind == "interval":

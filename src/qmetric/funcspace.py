@@ -294,13 +294,6 @@ def _lipnorms(fns, spec: SeminormSpec, tol: float = TAU_SA) -> list[float]:
             for lip, fn in zip(_lip_parts(fns, spec.norm_kind, tol), fns)]
 
 
-def optimal_conv_shift(fn: MatrixFunction) -> float:
-    """The real scalar attaining the pooled real max quotient term."""
-    diags = np.concatenate([np.diagonal(s, axis1=1, axis2=2).real.ravel()
-                            for s in fn.stacks])
-    return 0.5 * (float(diags.max()) + float(diags.min()))
-
-
 def classical_embed(space: FiniteMetricSpace, values, algebra: Algebra) -> MatrixFunction:
     """Embed a scalar function as scalar multiples of the identity."""
     vals = list(values)

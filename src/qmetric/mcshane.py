@@ -24,15 +24,14 @@ class ExtensionProblem:
 
     values holds one float per subset point and lip_bound one constant K.
     Values and K must be finite, and K nonnegative.  The data must already
-    be K-Lipschitz on the subset (checked with slack tol); extension cannot
-    repair data that violates its own bound.
+    be K-Lipschitz on the subset (checked with slack TAU_SA); extension
+    cannot repair data that violates its own bound.
     """
 
     space: FiniteMetricSpace
     subset: tuple[int, ...]
     values: tuple[float, ...]
     lip_bound: float
-    tol: float = TAU_SA
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.subset)
@@ -56,7 +55,7 @@ class ExtensionProblem:
         if not (math.isfinite(k) and k >= 0):
             raise InputError("the Lipschitz bound must be finite and nonnegative")
         gap = np.abs(v[:, None] - v[None, :])
-        allowed = k * self.space.dist[np.ix_(idx, idx)] + self.tol
+        allowed = k * self.space.dist[np.ix_(idx, idx)] + TAU_SA
         bad = np.argwhere(np.triu(gap > allowed, 1))
         if len(bad):
             a, b = bad[0]  # row-major: lowest a, then lowest b

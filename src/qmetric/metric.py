@@ -131,14 +131,18 @@ def scale(space: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
     return FiniteMetricSpace(space.labels, space.dist * float(c))
 
 
+def _block_hausdorff(block: np.ndarray) -> float:
+    """Hausdorff distance of the row set and the column set of a distance block."""
+    return max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
+
+
 def hausdorff(space: FiniteMetricSpace, sub_a, sub_b) -> float:
     """Two-sided Hausdorff distance between two nonempty point subsets."""
     a = list(sub_a)
     b = list(sub_b)
     if not a or not b:
         raise InputError("Hausdorff distance needs nonempty subsets")
-    block = space.dist[np.ix_(a, b)]
-    return max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
+    return _block_hausdorff(space.dist[np.ix_(a, b)])
 
 
 def epsilon_net(space: FiniteMetricSpace, eps: float, start: int = 0) -> list[int]:
@@ -280,7 +284,7 @@ class JoinedSpace:
 
     def hausdorff_between(self) -> float:
         """Hausdorff distance between the X part and the Y part of the union."""
-        return max(float(self.cross.min(axis=1).max()), float(self.cross.min(axis=0).max()))
+        return _block_hausdorff(self.cross)
 
 
 def gh_upper(x: FiniteMetricSpace, y: FiniteMetricSpace, cross) -> float:

@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, stack_norms
+from .algebra import Algebra
 from .errors import BoundViolation, InputError
 # lipnorm is unused here, but bench/test_bench.py checks that the tracer
 # wraps this module's alias of it
-from .funcspace import (MatrixFunction, _lipnorms, conv_spec, from_channels,  # noqa: F401
-                        lipnorm, optimal_conv_shift, to_channels)
+from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # noqa: F401
+                        from_channels, lipnorm, to_channels)
 from .generate import random_product_state
 from .lpcore import TAU_LP
 from .mcshane import extend_channels
-from .metric import FiniteMetricSpace, JoinedSpace, epsilon_net, hausdorff
+from .metric import FiniteMetricSpace, JoinedSpace, _block_hausdorff, epsilon_net
 from .mk import _exact_distances
 
 _ROOT2 = math.sqrt(2.0)
@@ -55,8 +55,8 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
     of the admission slack, so the joined matrix can stay a metric while
     every point still finds a partner within threshold."""
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError("epsilon must be positive and finite")
     cross = np.asarray(cross, dtype=float)
     if cross.shape != (x.size, y.size):
         raise InputError("cross matrix must be %dx%d, got %r"
@@ -77,8 +77,7 @@ def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
               + tuple("Y|%s" % lab for lab in y.labels))
     joined_metric = joined.metric_space(labels)
 
-    delta_xy = max(float(cross.min(axis=1).max()),
-                   float(cross.min(axis=0).max()))
+    delta_xy = _block_hausdorff(cross)
     threshold = delta_xy + epsilon / (2.0 * _ROOT2 * algebra.max_block)
     pairs = np.argwhere(joined.cross <= threshold)
     w_set = tuple((int(i), int(j)) for i, j in pairs)
@@ -110,12 +109,12 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
 
 
 def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
-    """match_element of each element, bit for bit, in one batch: one
-    batched lipnorm for the sources, one extension of all their channel
-    columns, one batched lipnorm for the images.  lipnorms, if given, are
-    the sources' certified conv seminorms (mk witnesses, made from
-    channels and so self-adjoint), used instead of the sources' batch.
-    Returns a list of (matched function, certificate) pairs."""
+    """match_element of each element, bit for bit, in one batch: one batched
+    lipnorm each for the sources and the images, one extension of the
+    sources' channels (k, nx, w) to the images' (k, ny, w), and certificates
+    reduced over both arrays.  lipnorms, if given, are the sources' certified
+    conv seminorms (mk witnesses, made from channels and so self-adjoint),
+    used instead of the sources' batch.  Returns (matched, certificate) pairs."""
     if not a_fns:
         return []
     spec = conv_spec()
@@ -131,21 +130,23 @@ def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
                              % l_a)
 
     algebra = bridge.algebra
-    nx = bridge.x.size
-    chans = extend_channels(bridge.joined_metric, range(nx),
-                            np.concatenate([to_channels(a_fn) for a_fn in a_fns], axis=1))
-    b_fns = [from_channels(bridge.y, algebra, part)
-             for part in np.split(chans[nx:], len(a_fns), axis=1)]
+    k, nx = len(a_fns), bridge.x.size
+    a_chans = np.stack([to_channels(a_fn) for a_fn in a_fns])
+    ext = extend_channels(bridge.joined_metric, range(nx), np.hstack(a_chans))
+    b_chans = np.stack(np.split(ext[nx:], k, axis=1))
+    b_fns = [from_channels(bridge.y, algebra, b) for b in b_chans]
     l_bs = _lipnorms(b_fns, spec)
 
     src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
+    w_defects = np.abs(a_chans[:, src] - b_chans[:, dst]).max(axis=(1, 2), initial=0.0)
+    # the conv shift is the diagonal channels' midpoint and moves only them; b_fns hold copies
+    diag = np.concatenate([slots[0] for slots in channel_slots(algebra)])
+    shifts = 0.5 * (a_chans[:, :, diag].max(axis=(1, 2)) + a_chans[:, :, diag].min(axis=(1, 2)))
+    b_chans[:, :, diag] -= shifts[:, None, None]
+    q_at_shifts = np.abs(b_chans).max(axis=(1, 2))
     matched = []
-    for a_fn, b_fn, l_a, l_b in zip(a_fns, b_fns, l_as, l_bs):
-        r_a = optimal_conv_shift(a_fn)
-        shifted = [s - e for s, e in zip(b_fn.stacks, algebra.scalar(r_a).blocks)]
-        q_at_shift = float(stack_norms(shifted, "real_max").max())
-        pair_diffs = [sa[src] - sb[dst] for sa, sb in zip(a_fn.stacks, b_fn.stacks)]
-        w_defect = float(stack_norms(pair_diffs, "real_max").max(initial=0.0))
+    for b_fn, l_a, l_b, r_a, q_at_shift, w_defect in zip(
+            b_fns, l_as, l_bs, shifts.tolist(), q_at_shifts.tolist(), w_defects.tolist()):
         certificate = {
             "lipnorm_source": l_a,
             "lipnorm_matched": l_b,
@@ -164,6 +165,13 @@ def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
                 % (l_b, q_at_shift, w_defect, bridge.threshold))
         matched.append((b_fn, certificate))
     return matched
+
+
+def _require_count(name: str, value) -> None:
+    """InputError unless value is a nonnegative integer (numpy integers
+    too; a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InputError("%s must be a nonnegative integer, got %r" % (name, value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,10 +199,11 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     extreme points (distance-LP witnesses) both ways across the bridge as
     falsification attempts.  delta_xy is the Hausdorff distance of the
     supplied embedding, itself an upper bound for the optimal one.
-    samples is the number of witnesses per direction, a nonnegative integer.
+    samples is the number of witnesses per direction and seed that of
+    their states' generator, both nonnegative integers.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 0:
-        raise InputError("samples must be a nonnegative integer, got %r" % (samples,))
+    _require_count("samples", samples)
+    _require_count("seed", seed)
     cross = np.asarray(cross, dtype=float)
     forward = build_bridge(x, y, cross, epsilon, algebra)
     # the mirrored join has the same triples, so it is not scanned again
@@ -222,7 +231,8 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
 
     Each row restricts the ground metric to a greedy net, bridges the net
     against the full space, and records the pinned columns (eps_n,
-    net_size, hausdorff, delta_xy, bound)."""
+    net_size, hausdorff, delta_xy, bound).  The net lies in the space, so
+    its Hausdorff distance is the bridge's delta_xy."""
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
         raise InputError("the net schedule must be nonempty")
@@ -230,16 +240,17 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
         raise InputError("net scales must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("the net schedule must be strictly decreasing")
+    # row i draws from seed + i, which would turn a bool seed into an int
+    _require_count("seed", seed)
     rows = []
     for row_i, eps_n in enumerate(schedule):
         net = epsilon_net(x, eps_n)
         x_n = x.subspace(net)
         cross = x.dist[np.ix_(net, range(x.size))]
-        haus = hausdorff(x, net, list(range(x.size)))
         pub = propinquity_upper_bound(x_n, x, cross, epsilon, algebra,
                                       samples=samples, seed=seed + row_i)
         rows.append({"eps_n": eps_n, "net_size": len(net),
-                     "hausdorff": haus, "delta_xy": pub.delta_xy,
+                     "hausdorff": pub.delta_xy, "delta_xy": pub.delta_xy,
                      "bound": pub.bound,
                      "certificates": list(pub.certificates)})
     return rows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ class FunctionalState:
         for w, x, phi in self.terms:
             w = float(w)
             x = int(x)
+            # every comparison with NaN is false, so NaN would pass the checks below
+            if not math.isfinite(w):
+                raise InputError("term weights must be finite")
             if w < -TAU_STATE or w > 1.0 + TAU_STATE:
                 raise InputError("term weights must lie in [0, 1]")
             if w < 0.0:  # within the slack below 0: no mass, as support() reads it

@@ -1,13 +1,13 @@
 """Test-only builders: random algebras, elements, self-adjoint functions and
-pure states, all driven by a caller-supplied Generator, and one element's
-distance to the scalars."""
+pure states, all driven by a caller-supplied Generator, a function scaled
+into the conv unit ball, and one element's distance to the scalars."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from qmetric.algebra import TAU_SA, Algebra, AlgElement, scalar_distance, vector_state
-from qmetric.funcspace import MatrixFunction
+from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.metric import FiniteMetricSpace
 from qmetric.states import FunctionalState, delta_embed
 
@@ -46,6 +46,12 @@ def random_sa_function(space: FiniteMetricSpace, algebra: Algebra,
                        rng: np.random.Generator) -> MatrixFunction:
     values = tuple(random_sa_element(algebra, rng) for _ in range(space.size))
     return MatrixFunction(space, algebra, values)
+
+
+def in_conv_unit_ball(fn: MatrixFunction) -> MatrixFunction:
+    """fn divided by its conv seminorm, made from values."""
+    scale = 1.0 / lipnorm(fn, conv_spec())
+    return MatrixFunction(fn.space, fn.algebra, tuple(v.scaled(scale) for v in fn.values))
 
 
 def random_pure_state(space: FiniteMetricSpace, algebra: Algebra,

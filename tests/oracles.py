@@ -406,6 +406,27 @@ def loop_transport(bridge, a_fn):
     return out
 
 
+def stack_certificate(bridge, a_fn, b_fn):
+    """(source_shift, q_at_source_shift, w_defect) of a bridge certificate,
+    read from the complex stacks of the source and of its image.
+
+    The shift is the midpoint of the source's pooled real diagonals; q is
+    the real max norm of the image minus that scalar, and the defect the
+    largest real max norm of a matched pair's difference.
+    """
+    from qmetric.algebra import stack_norms
+
+    diags = np.concatenate([np.diagonal(s, axis1=1, axis2=2).real.ravel()
+                            for s in a_fn.stacks])
+    r_a = 0.5 * (float(diags.max()) + float(diags.min()))
+    shifted = [s - e for s, e in zip(b_fn.stacks, bridge.algebra.scalar(r_a).blocks)]
+    q_at_shift = float(stack_norms(shifted, "real_max").max())
+    src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
+    pair_diffs = [sa[src] - sb[dst] for sa, sb in zip(a_fn.stacks, b_fn.stacks)]
+    w_defect = float(stack_norms(pair_diffs, "real_max").max(initial=0.0))
+    return r_a, q_at_shift, w_defect
+
+
 def hermitian_eigenvalues(mat, tol=1e-11):
     """All eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 

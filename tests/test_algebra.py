@@ -308,6 +308,8 @@ def test_state_validation_rejects_bad_inputs():
         AlgState((1.0,), (np.array([[0.5, 0.5], [0.0, 0.5]]),))  # not hermitian
     with pytest.raises(InputError, match="finite"):
         AlgState((1.0,), (np.array([[np.nan, 0.0], [0.0, 1.0]]),))
+    with pytest.raises(InputError, match="block weights must be finite"):
+        AlgState((np.nan, 1.0), (np.eye(2) / 2, np.eye(2) / 2))
 
 
 def test_apply_state_is_linear_and_unital(rng):

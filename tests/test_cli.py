@@ -201,6 +201,49 @@ def test_negative_samples_are_exit_two(files, capsys, tmp_path):
         assert all(row["certificates"] == [] for row in report.get("rows", [report]))
 
 
+def test_bad_seed_and_epsilon_are_exit_two(files, capsys, tmp_path):
+    """A negative seed or a NaN or infinite epsilon used to end in a numpy
+    or a cross-distance traceback."""
+    cross = tmp_path / "cross.json"
+    cross.write_text(json.dumps(_path(4).dist.tolist()))
+    space, algebra = str(files["space"]), str(files["algebra"])
+    for argv in (["approx", "--space", space, "--algebra", algebra, "--rows", "2"],
+                 ["bridge", "--space-x", space, "--space-y", space,
+                  "--cross", str(cross), "--algebra", algebra]):
+        rc, out, err = _run(capsys, argv + ["--seed", "-1"])
+        assert (rc, out) == (2, "")
+        assert "seed must be a nonnegative integer" in err
+        for eps in ("nan", "inf", "0"):
+            rc, out, err = _run(capsys, argv + ["--eps", eps])
+            assert (rc, out) == (2, "")
+            assert "epsilon must be positive and finite" in err
+    rc, out, err = _run(capsys, ["gen", "planar", "--n", "4", "--seed", "-3"])
+    assert (rc, out) == (2, "")
+    assert "--seed must be a nonnegative integer" in err
+    rc, _, _ = _run(capsys, ["gen", "planar", "--n", "4", "--seed", "0"])
+    assert rc == 0
+
+
+def test_nan_weights_are_exit_two(files, capsys):
+    """A NaN weight used to pass state validation: mk then died with a
+    KeyError traceback, and embed-check blamed a supply row."""
+    rest = ["--space", str(files["space"]), "--algebra", str(files["algebra"])]
+    mu = files["dir"] / "mu_nan.json"
+    data = tracial_functional(M2, (1.0,), 0).to_json_dict(_path(4).labels)
+    extra = tracial_functional(M2, (1.0,), 2).to_json_dict(_path(4).labels)["terms"][0]
+    data["terms"].append(dict(extra, w=float("nan")))
+    mu.write_text(json.dumps(data))
+    rc, out, err = _run(capsys, ["mk", str(mu), str(files["nu"])] + rest)
+    assert (rc, out) == (2, "")
+    assert "term weights must be finite" in err
+    two = files["dir"] / "alg2.json"
+    two.write_text(json.dumps(Algebra((2, 2)).to_json_dict()))
+    rc, out, err = _run(capsys, ["embed-check", "--space", str(files["space"]),
+                                 "--algebra", str(two), "--weights", "nan,1"])
+    assert (rc, out) == (2, "")
+    assert "block weights must be finite" in err
+
+
 def test_generic_csv_carries_version_and_hash(files, capsys):
     rc, out, _ = _run(capsys, ["norms", str(files["element"]),
                                "--algebra", str(files["algebra"]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dist_to_scalars, random_element, random_sa_function
+from helpers import dist_to_scalars, in_conv_unit_ball, random_element, random_sa_function
 from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
 from qmetric import algebra as alg
 from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, _hermitian_defect, op_norm
@@ -22,7 +22,6 @@ from qmetric.funcspace import (
     lie_product,
     lip_part,
     lipnorm,
-    optimal_conv_shift,
     q_term,
     quasi_leibniz_check,
     sup_norm,
@@ -206,12 +205,21 @@ def test_conv_term_is_half_range_for_diagonal_functions():
     fn = classical_embed(space, vals, M2)
     spec = conv_spec()
     assert q_term(fn, spec) == pytest.approx(2.0)  # (3 - (-1)) / 2
-    assert optimal_conv_shift(fn) == pytest.approx(1.0)  # midpoint
+    # a bridge certificate recentres its source at the midpoint; a quarter
+    # of fn lies in the unit ball, as matching requires
+    assert _conv_shift(classical_embed(space, vals / 4, M2)) == pytest.approx(0.25)
+
+
+def _conv_shift(fn):
+    """The source_shift of fn's certificate across its self-bridge."""
+    _, cert = match_element(build_bridge(fn.space, fn.space, fn.space.dist, 1e-3,
+                                         fn.algebra), fn)
+    return cert["source_shift"]
 
 
 def test_conv_shift_minimises_the_recentred_norm(rng):
-    fn = _sa_fn(rng)
-    r = optimal_conv_shift(fn)
+    fn = in_conv_unit_ball(_sa_fn(rng))
+    r = _conv_shift(fn)
     base = max(np.max(np.abs(np.diag(np.asarray(b)).real - r))
                for v in fn.values for b in v.blocks)
     for other in np.linspace(r - 1.0, r + 1.0, 41):

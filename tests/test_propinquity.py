@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table
+from helpers import in_conv_unit_ball, random_sa_function
+from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table, stack_certificate
 from qmetric import funcspace, metric
-from qmetric.algebra import Algebra
+from qmetric.algebra import AlgElement, Algebra
 from qmetric.errors import InputError
 from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
@@ -48,8 +49,11 @@ def test_bridge_admits_exactly_the_close_pairs():
 
 def test_bridge_rejects_bad_inputs():
     x = _path(3)
-    with pytest.raises(InputError, match="positive"):
-        build_bridge(x, x, x.dist, 0.0, M2)
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="epsilon must be positive and finite"):
+            build_bridge(x, x, x.dist, eps, M2)
+        with pytest.raises(InputError, match="epsilon must be positive and finite"):
+            approx_table(x, M2, [1.0], eps)
     with pytest.raises(InputError, match="3x2"):
         build_bridge(x, _path(2), x.dist, EPS, M2)
     with pytest.raises(InputError, match="finite"):
@@ -144,6 +148,55 @@ def test_batched_matching_equals_one_at_a_time(rng):
     assert _match_elements(bridge, []) == []
 
 
+@pytest.mark.parametrize("blocks", [(2,), (2, 3)])
+def test_certificates_equal_the_stack_reference(blocks):
+    """source_shift, q_at_source_shift and w_defect, read from the channel
+    arrays, equal the reference read from the complex stacks bit for bit:
+    batches of one to four exactly Hermitian sources, made from channels
+    and from values, on a self-bridge and on a net-against-space bridge
+    both ways."""
+    algebra = Algebra(blocks)
+    rng = np.random.default_rng(17)
+    x = circle_net(10, "chord")
+    net = epsilon_net(x, 1.0)
+    x_n, cross = x.subspace(net), x.dist[np.ix_(net, range(x.size))]
+    for bridge in (build_bridge(x, x, x.dist, EPS, algebra),
+                   build_bridge(x_n, x, cross, EPS, algebra),
+                   build_bridge(x, x_n, cross.T, EPS, algebra)):
+        for k in range(1, 5):
+            sources = []
+            for i in range(k):
+                mu = random_product_state(bridge.x, algebra, rng)
+                nu = random_product_state(bridge.x, algebra, rng)
+                witness = mk_distance(bridge.x, algebra, mu, nu, conv_spec()).witness
+                sources.append((witness, MatrixFunction(bridge.x, algebra, witness.values),
+                                in_conv_unit_ball(random_sa_function(bridge.x, algebra, rng)))[i % 3])
+            for a_fn, (b_fn, cert) in zip(sources, _match_elements(bridge, sources)):
+                assert a_fn.hermitian_defects == (0.0, 0.0)
+                got = (cert["source_shift"], cert["q_at_source_shift"], cert["w_defect"])
+                assert repr(got) == repr(stack_certificate(bridge, a_fn, b_fn))
+
+
+def test_a_near_hermitian_source_moves_w_defect_by_at_most_its_defect(rng):
+    """A source within the self-adjointness slack but not exactly Hermitian
+    is transported from its upper triangle, and w_defect measures those
+    channels: it differs from the stack reading by at most the source's
+    Hermitian defect."""
+    x = circle_net(8, "chord")
+    bridge = build_bridge(x, x, x.dist, EPS, M2)
+    witness = _witness_on(x, rng)
+    bump = np.zeros((2, 2))
+    bump[1, 0] = 1e-10
+    near = MatrixFunction(x, M2, tuple(AlgElement(M2, (v.blocks[0] + bump,))
+                                       for v in witness.values))
+    assert 0.0 < near.hermitian_defects[0] <= 1e-9  # inside the slack TAU_SA
+    (b_fn, cert), (b_one, _) = _match_elements(bridge, [near, witness])
+    assert b_fn.channels.tobytes() == b_one.channels.tobytes()
+    shift, q_at_shift, w_defect = stack_certificate(bridge, near, b_fn)
+    assert (cert["source_shift"], cert["q_at_source_shift"]) == (shift, q_at_shift)
+    assert abs(cert["w_defect"] - w_defect) <= near.hermitian_defects[0]
+
+
 @pytest.mark.parametrize("samples", [1, 2, 3])
 def test_bounds_equal_the_one_at_a_time_reference(samples):
     """A bound solves and certifies each direction's witnesses in one batch
@@ -200,12 +253,25 @@ def test_samples_must_be_a_nonnegative_integer(samples):
         approx_table(x, M2, [1.0], EPS, samples=samples)
 
 
+@pytest.mark.parametrize("seed", [-1, -3, np.int64(-1), 1.0, 0.5, True, False, None, "2"])
+def test_seed_must_be_a_nonnegative_integer(seed):
+    x = _path(3)
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=1, seed=seed)
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        approx_table(x, M2, [1.0], EPS, samples=1, seed=seed)
+
+
 def test_zero_samples_give_a_bound_without_certificates():
     x = _path(3)
     pub = propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=0)
     assert pub.certificates == () and pub.bound == EPS / 2.0
     assert len(propinquity_upper_bound(x, x, x.dist, EPS, M2,
                                        samples=np.int64(1)).certificates) == 2
+    # numpy integer seeds draw as the equal int does
+    for seed in (np.int64(4), np.uint8(4)):
+        assert json.dumps(approx_table(x, M2, [1.0, 0.5], EPS, samples=1, seed=seed)) == \
+            json.dumps(approx_table(x, M2, [1.0, 0.5], EPS, samples=1, seed=4))
 
 
 def test_supplied_lipnorms_replace_the_sources_batch(rng):
@@ -260,6 +326,8 @@ def test_net_table_rows_and_formula():
     assert [set(("eps_n", "net_size", "hausdorff", "delta_xy", "bound"))
             <= set(r) for r in rows] == [True, True]
     for r in rows:
+        net = epsilon_net(x, r["eps_n"])
+        assert repr(r["hausdorff"]) == repr(metric.hausdorff(x, net, range(x.size)))
         assert r["hausdorff"] <= r["eps_n"] + 1e-12
         assert r["delta_xy"] <= r["hausdorff"] + 1e-12
         assert r["bound"] == pytest.approx(

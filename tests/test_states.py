@@ -181,3 +181,14 @@ def test_weights_just_below_zero_are_clamped(rng):
     assert st.to_json_dict(SPACE.labels)["terms"][1]["w"] == 0.0
     with pytest.raises(InputError, match="weights must lie"):
         FunctionalState(((1.0, 0, phi), (-1e-6, 2, phi)))
+
+
+def test_non_finite_term_weights_are_rejected(rng):
+    """Every comparison with NaN is false, so a NaN weight used to pass the
+    range and sum checks."""
+    phi = random_alg_state(ALG, rng)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="term weights must be finite"):
+            FunctionalState(((1.0, 0, phi), (bad, 2, phi)))
+        with pytest.raises(InputError, match="term weights must be finite"):
+            FunctionalState(((bad, 0, phi),))
