@@ -54,6 +54,8 @@ def random_planar_space(n: int, rng: np.random.Generator,
     """
     if n < 1:
         raise InputError("need at least one point")
+    if not (math.isfinite(box) and box > 0):
+        raise InputError("the box must be positive and finite, got %r" % (box,))
     floor = 1e-3 * box
     for _ in range(100):
         pts = rng.uniform(0.0, box, size=(n, 2))

@@ -22,10 +22,17 @@ from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # 
 from .generate import random_product_state
 from .lpcore import TAU_LP
 from .mcshane import extend_channels
-from .metric import FiniteMetricSpace, JoinedSpace, _block_hausdorff, epsilon_net
+from .metric import TAU_METRIC, FiniteMetricSpace, JoinedSpace, _block_hausdorff, epsilon_net
 from .mk import _exact_distances
 
 _ROOT2 = math.sqrt(2.0)
+
+# samples drawn per direction and row; the state pairs of a group of rows
+# are drawn before any is solved
+_MAX_SAMPLES = 10_000
+
+# functions per side that one group of table rows certifies in one batch
+_GROUP_FUNCTIONS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +60,9 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
 
     The cross distances are lifted by epsilon / (8 sqrt(2) m_A), a quarter
     of the admission slack, so the joined matrix can stay a metric while
-    every point still finds a partner within threshold."""
+    every point still finds a partner within threshold.  An epsilon whose
+    lift leaves some cross distance at or below the metric tolerance
+    TAU_METRIC is bad input."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InputError("epsilon must be positive and finite")
@@ -65,17 +74,30 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
         raise InputError("cross distances must be finite and nonnegative")
 
     offset = epsilon / (8.0 * _ROOT2 * algebra.max_block)
-    return _bridge(JoinedSpace(x, y, cross + offset), cross, epsilon, algebra)
+    lifted = cross + offset
+    if lifted.min() <= TAU_METRIC:
+        raise InputError(
+            "epsilon %.12g is too small: its cross offset epsilon / (8 sqrt(2) m_A) "
+            "= %.3g lifts a cross distance only to %.3g, not above the metric "
+            "tolerance %.3g" % (epsilon, offset, lifted.min(), TAU_METRIC))
+    return _bridge(JoinedSpace(x, y, lifted), cross, epsilon, algebra)
 
 
 def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
-            algebra: Algebra) -> Bridge:
+            algebra: Algebra, dist=None) -> Bridge:
     """The bridge over a checked join of the offset cross distances;
-    cross holds the raw ones."""
+    cross holds the raw ones.  dist, if given, is the join's matrix,
+    already validated as a metric, and is taken as it is."""
     x, y = joined.x, joined.y
     labels = (tuple("X|%s" % lab for lab in x.labels)
               + tuple("Y|%s" % lab for lab in y.labels))
-    joined_metric = joined.metric_space(labels)
+    if dist is None:
+        joined_metric = joined.metric_space(labels)
+    else:
+        dist.setflags(write=False)
+        joined_metric = object.__new__(FiniteMetricSpace)
+        object.__setattr__(joined_metric, "labels", labels)
+        object.__setattr__(joined_metric, "dist", dist)
 
     delta_xy = _block_hausdorff(cross)
     threshold = delta_xy + epsilon / (2.0 * _ROOT2 * algebra.max_block)
@@ -87,6 +109,20 @@ def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
             "quarter of the admission slack, so this cannot happen")
     return Bridge(x, y, joined, joined_metric, algebra, epsilon,
                   delta_xy, threshold, w_set)
+
+
+def _mirrored(forward: Bridge, cross: np.ndarray) -> Bridge:
+    """build_bridge(y, x, cross.T), bit for bit, from the forward bridge.
+
+    The mirrored join has the forward join's triples, so it is not scanned
+    again, and its matrix is the forward's validated one with the blocks
+    swapped: every axiom is invariant under that permutation and the
+    symmetrising mean 0.5 (a + b) is commutative, so it is not validated
+    again either."""
+    nx, n = forward.x.size, forward.joined_metric.size
+    order = np.r_[nx:n, :nx]
+    return _bridge(forward.joined.mirrored(), cross.T, forward.epsilon, forward.algebra,
+                   forward.joined_metric.dist[np.ix_(order, order)])
 
 
 def match_element(bridge: Bridge, a_fn: MatrixFunction):
@@ -105,73 +141,95 @@ def match_element(bridge: Bridge, a_fn: MatrixFunction):
       computed here and every certificate entry is re-verified; failure
       raises BoundViolation.
     """
-    return _match_elements(bridge, (a_fn,))[0]
+    (matched, certificate), = _match_elements(bridge, (a_fn,))
+    _require_ok(certificate)
+    return matched, certificate
 
 
 def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
-    """match_element of each element, bit for bit, in one batch: one batched
-    lipnorm each for the sources and the images, one extension of the
-    sources' channels (k, nx, w) to the images' (k, ny, w), and certificates
-    reduced over both arrays.  lipnorms, if given, are the sources' certified
-    conv seminorms (mk witnesses, made from channels and so self-adjoint),
-    used instead of the sources' batch.  Returns (matched, certificate) pairs."""
+    """match_element of each element, bit for bit, in one batch, except
+    that the certificates are not yet required ok: _transport, then one
+    batched lipnorm for the images.  lipnorms, if given, are the sources'
+    certified conv seminorms (mk witnesses, made from channels and so
+    self-adjoint), used instead of the sources' batch.  Returns (matched,
+    certificate) pairs."""
     if not a_fns:
         return []
-    spec = conv_spec()
+    l_as, b_chans, reductions = _transport(bridge, a_fns, lipnorms)
+    b_fns = [from_channels(bridge.y, bridge.algebra, b) for b in b_chans]
+    return list(zip(b_fns, _certificates(bridge.threshold, bridge.algebra, l_as,
+                                         _lipnorms(b_fns, conv_spec()), *reductions)))
+
+
+def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
+    """The sources' lipnorms (or the given ones), their images' channels
+    and the image-free part of their certificates: the sources' channels
+    are stacked once, (k, nx, w), extended once, and the images'
+    (k, ny, w) read from the extension; source_shift, q_at_source_shift
+    and w_defect are whole-batch reductions over those two arrays.
+    Returns (lipnorms, image channels, (shifts, q_at_shifts, w_defects))."""
     for a_fn in a_fns:
         if a_fn.space.labels != bridge.x.labels:
             raise InputError("element must live on the bridge's X side")
         if a_fn.algebra.block_sizes != bridge.algebra.block_sizes:
             raise InputError("element algebra does not match the bridge algebra")
-    l_as = _lipnorms(a_fns, spec) if lipnorms is None else lipnorms
+    l_as = _lipnorms(a_fns, conv_spec()) if lipnorms is None else lipnorms
     for l_a in l_as:
         if l_a > 1.0 + TAU_LP:
             raise InputError("element lipnorm %.12g exceeds the unit ball slack"
                              % l_a)
 
-    algebra = bridge.algebra
     k, nx = len(a_fns), bridge.x.size
     a_chans = np.stack([to_channels(a_fn) for a_fn in a_fns])
     ext = extend_channels(bridge.joined_metric, range(nx), np.hstack(a_chans))
     b_chans = np.stack(np.split(ext[nx:], k, axis=1))
-    b_fns = [from_channels(bridge.y, algebra, b) for b in b_chans]
-    l_bs = _lipnorms(b_fns, spec)
 
     src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
     w_defects = np.abs(a_chans[:, src] - b_chans[:, dst]).max(axis=(1, 2), initial=0.0)
-    # the conv shift is the diagonal channels' midpoint and moves only them; b_fns hold copies
-    diag = np.concatenate([slots[0] for slots in channel_slots(algebra)])
+    # the conv shift is the diagonal channels' midpoint and moves only them
+    diag = np.concatenate([slots[0] for slots in channel_slots(bridge.algebra)])
     shifts = 0.5 * (a_chans[:, :, diag].max(axis=(1, 2)) + a_chans[:, :, diag].min(axis=(1, 2)))
-    b_chans[:, :, diag] -= shifts[:, None, None]
-    q_at_shifts = np.abs(b_chans).max(axis=(1, 2))
-    matched = []
-    for b_fn, l_a, l_b, r_a, q_at_shift, w_defect in zip(
-            b_fns, l_as, l_bs, shifts.tolist(), q_at_shifts.tolist(), w_defects.tolist()):
-        certificate = {
-            "lipnorm_source": l_a,
-            "lipnorm_matched": l_b,
-            "source_shift": r_a,
-            "q_at_source_shift": q_at_shift,
-            "w_defect": w_defect,
-            "w_defect_op_bound": _ROOT2 * algebra.max_block * w_defect,
-            "threshold": bridge.threshold,
-            "ok": bool(l_b <= 1.0 + TAU_LP and q_at_shift <= 1.0 + TAU_LP
-                       and w_defect <= bridge.threshold + TAU_LP),
-        }
-        if not certificate["ok"]:
-            raise BoundViolation(
-                "matched element failed its certificate: lipnorm %.12g, "
-                "q at source shift %.12g, defect %.12g vs threshold %.12g"
-                % (l_b, q_at_shift, w_defect, bridge.threshold))
-        matched.append((b_fn, certificate))
-    return matched
+    shifted = b_chans.copy()
+    shifted[:, :, diag] -= shifts[:, None, None]
+    q_at_shifts = np.abs(shifted).max(axis=(1, 2))
+    return l_as, b_chans, (shifts.tolist(), q_at_shifts.tolist(), w_defects.tolist())
 
 
-def _require_count(name: str, value) -> None:
-    """InputError unless value is a nonnegative integer (numpy integers
-    too; a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise InputError("%s must be a nonnegative integer, got %r" % (name, value))
+def _certificates(threshold: float, algebra: Algebra, l_as, l_bs, shifts,
+                  q_at_shifts, w_defects) -> list:
+    """One certificate per transported element, not yet required ok."""
+    op_factor = _ROOT2 * algebra.max_block
+    return [{"lipnorm_source": l_a,
+             "lipnorm_matched": l_b,
+             "source_shift": r_a,
+             "q_at_source_shift": q_at_shift,
+             "w_defect": w_defect,
+             "w_defect_op_bound": op_factor * w_defect,
+             "threshold": threshold,
+             "ok": bool(l_b <= 1.0 + TAU_LP and q_at_shift <= 1.0 + TAU_LP
+                        and w_defect <= threshold + TAU_LP)}
+            for l_a, l_b, r_a, q_at_shift, w_defect
+            in zip(l_as, l_bs, shifts, q_at_shifts, w_defects)]
+
+
+def _require_ok(certificate: dict) -> None:
+    if not certificate["ok"]:
+        raise BoundViolation(
+            "matched element failed its certificate: lipnorm %.12g, "
+            "q at source shift %.12g, defect %.12g vs threshold %.12g"
+            % (certificate["lipnorm_matched"], certificate["q_at_source_shift"],
+               certificate["w_defect"], certificate["threshold"]))
+
+
+def _require_run(samples, seed) -> None:
+    """InputError unless samples and seed are nonnegative integers and
+    samples is at most _MAX_SAMPLES (numpy integers too; a bool is not
+    one)."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise InputError("%s must be a nonnegative integer, got %r" % (name, value))
+    if samples > _MAX_SAMPLES:
+        raise InputError("samples must be at most %d, got %d" % (_MAX_SAMPLES, samples))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,30 +257,13 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     extreme points (distance-LP witnesses) both ways across the bridge as
     falsification attempts.  delta_xy is the Hausdorff distance of the
     supplied embedding, itself an upper bound for the optimal one.
-    samples is the number of witnesses per direction and seed that of
-    their states' generator, both nonnegative integers.
+    samples is the number of witnesses per direction, at most 10000, and
+    seed that of their states' generator, both nonnegative integers.
     """
-    _require_count("samples", samples)
-    _require_count("seed", seed)
-    cross = np.asarray(cross, dtype=float)
-    forward = build_bridge(x, y, cross, epsilon, algebra)
-    # the mirrored join has the same triples, so it is not scanned again
-    backward = _bridge(forward.joined.mirrored(), cross.T, forward.epsilon, algebra)
-    bound = _ROOT2 * algebra.max_block * forward.delta_xy + epsilon / 2.0
-    rng = np.random.default_rng(seed)
-    certificates = []
-    # solving and matching draw no randomness, so drawing a direction's
-    # states first keeps the draws in the one-at-a-time order
-    for direction, bridge in (("forward", forward), ("backward", backward)):
-        pairs = [(random_product_state(bridge.x, algebra, rng),
-                  random_product_state(bridge.x, algebra, rng)) for _ in range(samples)]
-        solved = _exact_distances(bridge.x, algebra, pairs, conv_spec())
-        for _, cert in _match_elements(bridge, [r.witness for r, _ in solved],
-                                       [lip for _, lip in solved]):
-            cert["direction"] = direction
-            certificates.append(cert)
-    return PropinquityBound(forward.delta_xy, epsilon, bound,
-                            tuple(certificates))
+    _require_run(samples, seed)
+    (delta_xy, bound, certificates), = _bound_rows(
+        y, [(x, np.asarray(cross, dtype=float), seed)], epsilon, algebra, samples)
+    return PropinquityBound(delta_xy, epsilon, bound, tuple(certificates))
 
 
 def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
@@ -232,7 +273,9 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     Each row restricts the ground metric to a greedy net, bridges the net
     against the full space, and records the pinned columns (eps_n,
     net_size, hausdorff, delta_xy, bound).  The net lies in the space, so
-    its Hausdorff distance is the bridge's delta_xy."""
+    its Hausdorff distance is the bridge's delta_xy.  Row i is
+    propinquity_upper_bound of its net with seed + i; samples is at most
+    10000."""
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
         raise InputError("the net schedule must be nonempty")
@@ -241,16 +284,91 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("the net schedule must be strictly decreasing")
     # row i draws from seed + i, which would turn a bool seed into an int
-    _require_count("seed", seed)
-    rows = []
+    _require_run(samples, seed)
+    rows, net = [], None
     for row_i, eps_n in enumerate(schedule):
-        net = epsilon_net(x, eps_n)
-        x_n = x.subspace(net)
-        cross = x.dist[np.ix_(net, range(x.size))]
-        pub = propinquity_upper_bound(x_n, x, cross, epsilon, algebra,
-                                      samples=samples, seed=seed + row_i)
-        rows.append({"eps_n": eps_n, "net_size": len(net),
-                     "hausdorff": pub.delta_xy, "delta_xy": pub.delta_xy,
-                     "bound": pub.bound,
-                     "certificates": list(pub.certificates)})
-    return rows
+        # the nets of one greedy run are prefixes of each other, so equal
+        # nets are consecutive; they share one subspace and cross matrix,
+        # which tells _bound_rows to keep their bridges
+        row_net = epsilon_net(x, eps_n)
+        if row_net != net:
+            net = row_net
+            x_n, cross = x.subspace(net), x.dist[np.ix_(net, range(x.size))]
+        rows.append((x_n, cross, seed + row_i))
+    return [{"eps_n": eps_n, "net_size": x_n.size,
+             "hausdorff": delta_xy, "delta_xy": delta_xy, "bound": bound,
+             "certificates": certificates}
+            for eps_n, (x_n, _, _), (delta_xy, bound, certificates)
+            in zip(schedule, rows, _bound_rows(x, rows, epsilon, algebra, samples))]
+
+
+def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
+                samples: int) -> list:
+    """propinquity_upper_bound of each row (x, cross, seed) against the
+    common space y, bit for bit: one (delta_xy, bound, certificates) per
+    row, in order.
+
+    Consecutive rows form a group while rows x samples <= _GROUP_FUNCTIONS,
+    so at 32 samples or more each row is its own group.  A group draws
+    each row's forward, then backward, state pairs from the row's own
+    generator before anything is solved (solving and matching draw
+    nothing).  The backward witnesses all live on y: they are solved and
+    certified in one batch.  Rows then run one at a time.  A row builds
+    its bridge pair only when its (x, cross) objects are not the previous
+    row's, and drops the previous pair first.  It leaves behind only its
+    forward images' channels, their reductions, its threshold and its
+    backward certificates.  The images also live on y, so their seminorms
+    are one batch at the end of the group.  Certificates are required ok
+    in the order of one row at a time: forward, then backward, row by
+    row."""
+    spec = conv_spec()
+    out, net, forward, backward = [], None, None, None
+    size = max(1, _GROUP_FUNCTIONS // samples) if samples else len(rows)
+    for start in range(0, len(rows), size):
+        group = rows[start:start + size]
+        drawn = []
+        for x, _, seed in group:
+            rng = np.random.default_rng(seed)
+            drawn.append([[(random_product_state(space, algebra, rng),
+                            random_product_state(space, algebra, rng))
+                           for _ in range(samples)] for space in (x, y)])
+        backward_solved, pending = None, []
+        for i, ((x, cross, _), (forward_pairs, _)) in enumerate(zip(group, drawn)):
+            if net is None or net[0] is not x or net[1] is not cross:
+                # the previous pair is dropped before the next is built
+                forward = backward = None
+                forward = build_bridge(x, y, cross, epsilon, algebra)
+                backward = _mirrored(forward, cross)
+                net = (x, cross)
+            if backward_solved is None:
+                # after the group's first bridge, so bad bridge input fails before any solve
+                backward_solved = _exact_distances(
+                    y, algebra, [pair for _, pairs in drawn for pair in pairs], spec)
+            transported, backward_certificates = ([], [], ([], [], [])), []
+            if samples:
+                solved = _exact_distances(x, algebra, forward_pairs, spec)
+                transported = _transport(forward, [r.witness for r, _ in solved],
+                                         [lip for _, lip in solved])
+                solved = backward_solved[i * samples:(i + 1) * samples]
+                backward_certificates = [cert for _, cert in _match_elements(
+                    backward, [r.witness for r, _ in solved], [lip for _, lip in solved])]
+            pending.append((forward.delta_xy, forward.threshold, transported,
+                            backward_certificates))
+
+        images = [from_channels(y, algebra, b) for _, _, (_, chans, _), _ in pending
+                  for b in chans]
+        l_bs = iter(_lipnorms(images, spec) if images else ())
+        del images
+        for delta_xy, threshold, (l_as, _, reductions), backward_certificates in pending:
+            certificates = []
+            for direction, batch in (
+                    ("forward", _certificates(threshold, algebra, l_as,
+                                              [next(l_bs) for _ in l_as], *reductions)),
+                    ("backward", backward_certificates)):
+                for certificate in batch:
+                    _require_ok(certificate)
+                    certificate["direction"] = direction
+                    certificates.append(certificate)
+            out.append((delta_xy, _ROOT2 * algebra.max_block * delta_xy + epsilon / 2.0,
+                        certificates))
+    return out

@@ -224,6 +224,31 @@ def test_bad_seed_and_epsilon_are_exit_two(files, capsys, tmp_path):
     assert rc == 0
 
 
+def test_bad_box_samples_and_small_epsilon_are_exit_two(files, capsys, tmp_path):
+    """A bad planar box and an epsilon whose cross offset is below the
+    metric tolerance used to end in a traceback or blame a distance; too
+    many samples drew states until the process was killed."""
+    for box in ("-1", "0", "nan", "inf"):
+        rc, out, err = _run(capsys, ["gen", "planar", "--n", "3", "--box", box])
+        assert (rc, out) == (2, "")
+        assert "box must be positive and finite" in err
+    space, algebra = str(files["space"]), str(files["algebra"])
+    cross = tmp_path / "cross.json"
+    cross.write_text(json.dumps(_path(4).dist.tolist()))
+    for argv in (["approx", "--space", space, "--algebra", algebra, "--rows", "2"],
+                 ["bridge", "--space-x", space, "--space-y", space,
+                  "--cross", str(cross), "--algebra", algebra]):
+        for samples in ("10001", "100000000000000000000"):
+            rc, out, err = _run(capsys, argv + ["--samples", samples])
+            assert (rc, out) == (2, "")
+            assert "samples must be at most 10000" in err
+        rc, out, err = _run(capsys, argv + ["--eps", "1e-8"])
+        assert (rc, out) == (2, "")
+        assert "epsilon 1e-08 is too small" in err and "tolerance" in err
+        rc, _, _ = _run(capsys, argv + ["--eps", "1e-7", "--samples", "1"])
+        assert rc == 0
+
+
 def test_nan_weights_are_exit_two(files, capsys):
     """A NaN weight used to pass state validation: mk then died with a
     KeyError traceback, and embed-check blamed a supply row."""

@@ -63,6 +63,14 @@ def test_planar_spaces_are_separated_and_reproducible():
     assert off.min() > 1e-3 * 2.0
 
 
+@pytest.mark.parametrize("box", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_planar_box_must_be_positive_and_finite(box):
+    """A negative, NaN or infinite box used to end in a numpy ValueError or
+    OverflowError, and a zero box in a failed placement."""
+    with pytest.raises(InputError, match="box must be positive and finite"):
+        random_planar_space(3, np.random.default_rng(0), box=box)
+
+
 def test_random_algebra_respects_limits(rng):
     for _ in range(20):
         alg = random_algebra(rng, max_blocks=3, max_block=4)

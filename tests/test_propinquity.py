@@ -1,19 +1,20 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from helpers import in_conv_unit_ball, random_sa_function
 from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table, stack_certificate
-from qmetric import funcspace, metric
+from qmetric import funcspace, metric, propinquity
 from qmetric.algebra import AlgElement, Algebra
-from qmetric.errors import InputError
+from qmetric.errors import BoundViolation, InputError
 from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
 from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, _bridge, _match_elements, approx_table,
+from qmetric.propinquity import (Bridge, _bridge, _match_elements, _mirrored, approx_table,
                                  build_bridge, match_element, propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
@@ -227,9 +228,32 @@ def test_bounds_equal_the_one_at_a_time_reference(samples):
             assert cert["lipnorm_source"] == lipnorm(witness, spec)
 
 
+# a schedule whose last four nets are the whole 10-point chord circle
+TABLE = [1.0, 0.5, 0.25, 0.05, 0.01]
+
+
+@pytest.mark.parametrize("blocks", [(2,), (2, 3)])
+@pytest.mark.parametrize("samples", [0, 1, 3, 40])
+def test_tables_equal_the_one_at_a_time_reference(blocks, samples):
+    """A table certifies its rows in groups of at most 32 functions per
+    side and keeps one bridge pair across equal nets; its JSON is the
+    one-row-at-a-time reference's, whether its rows form one group (0, 1
+    and 3 samples) or each row is its own (40)."""
+    algebra = Algebra(blocks)
+    x = circle_net(10, "chord")
+    assert [len(epsilon_net(x, e)) for e in TABLE] == [4, 10, 10, 10, 10]
+    for seed in (4391, 7723)[:1 if samples == 40 else 2]:
+        rows = approx_table(x, algebra, TABLE, EPS, samples=samples, seed=seed)
+        want, _ = one_at_a_time_table(x, algebra, TABLE, EPS, samples, seed)
+        assert json.dumps(rows) == json.dumps(want)
+
+
 def test_each_witness_is_certified_once(monkeypatch):
     """Per direction, one batched seminorm certifies the witnesses and one
-    checks their images; matching computes no source seminorm again."""
+    checks their images; matching computes no source seminorm again.  A
+    table certifies all the witnesses and images that live on the full
+    space of a group of rows in one batch each, and builds one bridge pair
+    per distinct net."""
     x = circle_net(10, "chord")
     sizes, real = [], funcspace._lip_parts
 
@@ -243,6 +267,28 @@ def test_each_witness_is_certified_once(monkeypatch):
     assert len(pub.certificates) == 6
     assert sizes == [3, 3, 3, 3]
 
+    built, real_build = [], propinquity.build_bridge
+
+    def build_bridge_spy(x_n, *args):
+        built.append(x_n.labels)
+        return real_build(x_n, *args)
+
+    monkeypatch.setattr(propinquity, "build_bridge", build_bridge_spy)
+    nets = [tuple(x.labels[i] for i in epsilon_net(x, e)) for e in TABLE]
+    # one group of 5 rows: the full space's two batches hold 5 x 3
+    # functions, and each net's (forward witnesses, backward images) 3
+    sizes.clear()
+    approx_table(x, M2, TABLE, EPS, samples=3, seed=4)
+    assert sizes == [15] + [3, 3] * 5 + [15]
+    assert built == [nets[0], nets[1]]
+    # at 12 samples a group holds 2 rows (24 <= 32 < 36): rows 0-1, 2-3
+    # and 4, and the bridge of the full net is kept across groups
+    sizes.clear()
+    built.clear()
+    approx_table(x, M2, TABLE, EPS, samples=12, seed=4)
+    assert sizes == ([24] + [12, 12] * 2 + [24]) * 2 + [12, 12, 12, 12]
+    assert built == [nets[0], nets[1]]
+
 
 @pytest.mark.parametrize("samples", [-1, -2, 1.5, 2.0, True, "3", None])
 def test_samples_must_be_a_nonnegative_integer(samples):
@@ -251,6 +297,56 @@ def test_samples_must_be_a_nonnegative_integer(samples):
         propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=samples)
     with pytest.raises(InputError, match="samples must be a nonnegative integer"):
         approx_table(x, M2, [1.0], EPS, samples=samples)
+
+
+@pytest.mark.parametrize("failing_side", ["y", "net"])
+def test_a_failed_image_certificate_raises(monkeypatch, failing_side):
+    """An image seminorm above the ball fails its certificate, whether it
+    is checked in the table's batch on the full space (forward images) or
+    in its net's batch (backward images)."""
+    x = circle_net(10, "chord")
+    real = propinquity._lipnorms
+
+    def lipnorms(fns, spec):
+        on_y = fns[0].space is x
+        return [2.0] * len(fns) if on_y == (failing_side == "y") else real(fns, spec)
+
+    monkeypatch.setattr(propinquity, "_lipnorms", lipnorms)
+    with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 2,"):
+        approx_table(x, M2, TABLE, EPS, samples=2, seed=3)
+    with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 2,"):
+        propinquity_upper_bound(x.subspace([0, 5]), x, x.dist[[0, 5]], EPS, M2,
+                                samples=1, seed=3)
+
+
+def test_samples_are_at_most_ten_thousand():
+    """Too many samples are refused before any state is drawn."""
+    x = circle_net(6, "chord")
+    for samples in (10_001, np.int64(10_001), 10 ** 20):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="samples must be at most 10000"):
+            propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=samples)
+        with pytest.raises(InputError, match="samples must be at most 10000"):
+            approx_table(x, M2, [1.0, 0.5], EPS, samples=samples)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_a_small_epsilon_is_refused_before_the_join():
+    """A cross offset that leaves some cross distance at or below the
+    metric tolerance is bad input that names epsilon, the offset and the
+    tolerance, not a failed positivity check of the join."""
+    x = circle_net(6, "chord")
+    offset = 1e-8 / (8.0 * math.sqrt(2.0) * 2)
+    message = (r"epsilon 1e-08 is too small: its cross offset epsilon / \(8 sqrt\(2\) m_A\) "
+               r"= %.3g .* not above the metric tolerance 1e-09" % offset)
+    with pytest.raises(InputError, match=message):
+        build_bridge(x, x, x.dist, 1e-8, M2)
+    with pytest.raises(InputError, match=message):
+        approx_table(x, M2, [1.0], 1e-8)
+    assert build_bridge(x, x, x.dist, 1e-7, M2).threshold > 0
+    # positive cross distances need no offset to stay positive
+    far = build_bridge(_path(3), x, np.full((3, 6), 2.0), 1e-12, M2)
+    assert far.delta_xy == 2.0
 
 
 @pytest.mark.parametrize("seed", [-1, -3, np.int64(-1), 1.0, 0.5, True, False, None, "2"])
@@ -390,5 +486,33 @@ def test_mirrored_join_builds_the_backward_bridge():
     assert got.joined.cross.tobytes() == want.joined.cross.tobytes()
     assert got.joined_metric.labels == want.joined_metric.labels
     assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
+    assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
+        want.epsilon, want.delta_xy, want.threshold, want.w_set)
+
+
+def test_mirrored_bridge_reuses_the_forward_metric(monkeypatch):
+    """The backward bridge of a bound permutes the forward bridge's
+    validated matrix instead of validating the mirrored join; it equals a
+    bridge built from scratch, field for field."""
+    x, y = _path(4), circle_net(6, "chord")
+    cross = 2.0 + 0.05 * np.add.outer(np.arange(4.0), np.arange(6.0))
+    forward = build_bridge(x, y, cross, EPS, M2)
+    validated = []
+    real = FiniteMetricSpace._validate
+
+    def validate(self, *args, **kwargs):
+        validated.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteMetricSpace, "_validate", validate)
+    got = _mirrored(forward, cross)
+    assert validated == []
+    monkeypatch.undo()
+    want = build_bridge(y, x, cross.T, EPS, M2)
+    assert (got.x, got.y, got.algebra) == (want.x, want.y, want.algebra)
+    assert got.joined.cross.tobytes() == want.joined.cross.tobytes()
+    assert got.joined_metric.labels == want.joined_metric.labels
+    assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
+    assert not got.joined_metric.dist.flags.writeable
     assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
         want.epsilon, want.delta_xy, want.threshold, want.w_set)
