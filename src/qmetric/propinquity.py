@@ -84,20 +84,13 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
 
 
 def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
-            algebra: Algebra, dist=None) -> Bridge:
+            algebra: Algebra) -> Bridge:
     """The bridge over a checked join of the offset cross distances;
-    cross holds the raw ones.  dist, if given, is the join's matrix,
-    already validated as a metric, and is taken as it is."""
+    cross holds the raw ones."""
     x, y = joined.x, joined.y
     labels = (tuple("X|%s" % lab for lab in x.labels)
               + tuple("Y|%s" % lab for lab in y.labels))
-    if dist is None:
-        joined_metric = joined.metric_space(labels)
-    else:
-        dist.setflags(write=False)
-        joined_metric = object.__new__(FiniteMetricSpace)
-        object.__setattr__(joined_metric, "labels", labels)
-        object.__setattr__(joined_metric, "dist", dist)
+    joined_metric = joined.metric_space(labels)
 
     delta_xy = _block_hausdorff(cross)
     threshold = delta_xy + epsilon / (2.0 * _ROOT2 * algebra.max_block)
@@ -109,20 +102,6 @@ def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
             "quarter of the admission slack, so this cannot happen")
     return Bridge(x, y, joined, joined_metric, algebra, epsilon,
                   delta_xy, threshold, w_set)
-
-
-def _mirrored(forward: Bridge, cross: np.ndarray) -> Bridge:
-    """build_bridge(y, x, cross.T), bit for bit, from the forward bridge.
-
-    The mirrored join has the forward join's triples, so it is not scanned
-    again, and its matrix is the forward's validated one with the blocks
-    swapped: every axiom is invariant under that permutation and the
-    symmetrising mean 0.5 (a + b) is commutative, so it is not validated
-    again either."""
-    nx, n = forward.x.size, forward.joined_metric.size
-    order = np.r_[nx:n, :nx]
-    return _bridge(forward.joined.mirrored(), cross.T, forward.epsilon, forward.algebra,
-                   forward.joined_metric.dist[np.ix_(order, order)])
 
 
 def match_element(bridge: Bridge, a_fn: MatrixFunction):
@@ -262,7 +241,7 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     """
     _require_run(samples, seed)
     (delta_xy, bound, certificates), = _bound_rows(
-        y, [(x, np.asarray(cross, dtype=float), seed)], epsilon, algebra, samples)
+        y, [(None, x, np.asarray(cross, dtype=float), seed)], epsilon, algebra, samples)
     return PropinquityBound(delta_xy, epsilon, bound, tuple(certificates))
 
 
@@ -287,59 +266,69 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     _require_run(samples, seed)
     rows, net = [], None
     for row_i, eps_n in enumerate(schedule):
-        # the nets of one greedy run are prefixes of each other, so equal
-        # nets are consecutive; they share one subspace and cross matrix,
-        # which tells _bound_rows to keep their bridges
-        row_net = epsilon_net(x, eps_n)
+        row_net = tuple(epsilon_net(x, eps_n))
         if row_net != net:
+            # the nets of one greedy run are prefixes of each other, so
+            # equal nets are consecutive and share one subspace
             net = row_net
             x_n, cross = x.subspace(net), x.dist[np.ix_(net, range(x.size))]
-        rows.append((x_n, cross, seed + row_i))
+        rows.append((net, x_n, cross, seed + row_i))
     return [{"eps_n": eps_n, "net_size": x_n.size,
              "hausdorff": delta_xy, "delta_xy": delta_xy, "bound": bound,
              "certificates": certificates}
-            for eps_n, (x_n, _, _), (delta_xy, bound, certificates)
+            for eps_n, (_, x_n, _, _), (delta_xy, bound, certificates)
             in zip(schedule, rows, _bound_rows(x, rows, epsilon, algebra, samples))]
 
 
 def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
                 samples: int) -> list:
-    """propinquity_upper_bound of each row (x, cross, seed) against the
-    common space y, bit for bit: one (delta_xy, bound, certificates) per
-    row, in order.
+    """propinquity_upper_bound of each row (net, x, cross, seed) against
+    the common space y: one (delta_xy, bound, certificates) per row, in
+    order, bit for bit when every certificate is ok.  net is a key for
+    the row's bridge: consecutive rows with equal keys share one bridge
+    pair, so they must have equal x and cross.
 
     Consecutive rows form a group while rows x samples <= _GROUP_FUNCTIONS,
     so at 32 samples or more each row is its own group.  A group draws
     each row's forward, then backward, state pairs from the row's own
     generator before anything is solved (solving and matching draw
     nothing).  The backward witnesses all live on y: they are solved and
-    certified in one batch.  Rows then run one at a time.  A row builds
-    its bridge pair only when its (x, cross) objects are not the previous
-    row's, and drops the previous pair first.  It leaves behind only its
-    forward images' channels, their reductions, its threshold and its
-    backward certificates.  The images also live on y, so their seminorms
-    are one batch at the end of the group.  Certificates are required ok
-    in the order of one row at a time: forward, then backward, row by
-    row."""
+    certified in one batch, after the group's first bridge is built.
+    Rows then run one at a time.  A row builds its bridge pair only when
+    its key differs from the previous row's, and drops the previous pair
+    first.  It leaves behind only its forward images' channels, their
+    reductions, its threshold and its backward certificates.  The images
+    also live on y, so their seminorms are one batch at the end of the
+    group.
+
+    A table with a bad row or a failed certificate can raise a different
+    first error than one row at a time would.  A group fails in this
+    order: the first row's bridges; every row's backward witnesses (solve
+    and certificate); then, row by row, the row's bridges if new, its
+    forward witnesses and the transports of both directions; last, at the
+    end of the group, the image certificates, forward then backward, row
+    by row."""
     spec = conv_spec()
     out, net, forward, backward = [], None, None, None
     size = max(1, _GROUP_FUNCTIONS // samples) if samples else len(rows)
     for start in range(0, len(rows), size):
         group = rows[start:start + size]
         drawn = []
-        for x, _, seed in group:
+        for _, x, _, seed in group:
             rng = np.random.default_rng(seed)
             drawn.append([[(random_product_state(space, algebra, rng),
                             random_product_state(space, algebra, rng))
                            for _ in range(samples)] for space in (x, y)])
         backward_solved, pending = None, []
-        for i, ((x, cross, _), (forward_pairs, _)) in enumerate(zip(group, drawn)):
-            if net is None or net[0] is not x or net[1] is not cross:
+        for i, ((key, x, cross, _), (forward_pairs, _)) in enumerate(zip(group, drawn)):
+            if forward is None or key != net:
                 # the previous pair is dropped before the next is built
                 forward = backward = None
                 forward = build_bridge(x, y, cross, epsilon, algebra)
-                backward = _mirrored(forward, cross)
-                net = (x, cross)
+                # the mirrored join has the same triples, so it is not scanned again
+                backward = _bridge(forward.joined.mirrored(), cross.T, forward.epsilon,
+                                   algebra)
+                net = key
             if backward_solved is None:
                 # after the group's first bridge, so bad bridge input fails before any solve
                 backward_solved = _exact_distances(

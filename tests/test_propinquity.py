@@ -1,6 +1,5 @@
 import json
 import math
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
 from qmetric.generate import circle_net, random_product_state
 from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, _bridge, _match_elements, _mirrored, approx_table,
+from qmetric.propinquity import (Bridge, _bridge, _match_elements, approx_table,
                                  build_bridge, match_element, propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
@@ -319,16 +318,19 @@ def test_a_failed_image_certificate_raises(monkeypatch, failing_side):
                                 samples=1, seed=3)
 
 
-def test_samples_are_at_most_ten_thousand():
+def test_samples_are_at_most_ten_thousand(monkeypatch):
     """Too many samples are refused before any state is drawn."""
     x = circle_net(6, "chord")
+
+    def draw(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(propinquity, "random_product_state", draw)
     for samples in (10_001, np.int64(10_001), 10 ** 20):
-        start = time.perf_counter()
         with pytest.raises(InputError, match="samples must be at most 10000"):
             propinquity_upper_bound(x, x, x.dist, EPS, M2, samples=samples)
         with pytest.raises(InputError, match="samples must be at most 10000"):
             approx_table(x, M2, [1.0, 0.5], EPS, samples=samples)
-        assert time.perf_counter() - start < 0.1
 
 
 def test_a_small_epsilon_is_refused_before_the_join():
@@ -486,33 +488,5 @@ def test_mirrored_join_builds_the_backward_bridge():
     assert got.joined.cross.tobytes() == want.joined.cross.tobytes()
     assert got.joined_metric.labels == want.joined_metric.labels
     assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
-    assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
-        want.epsilon, want.delta_xy, want.threshold, want.w_set)
-
-
-def test_mirrored_bridge_reuses_the_forward_metric(monkeypatch):
-    """The backward bridge of a bound permutes the forward bridge's
-    validated matrix instead of validating the mirrored join; it equals a
-    bridge built from scratch, field for field."""
-    x, y = _path(4), circle_net(6, "chord")
-    cross = 2.0 + 0.05 * np.add.outer(np.arange(4.0), np.arange(6.0))
-    forward = build_bridge(x, y, cross, EPS, M2)
-    validated = []
-    real = FiniteMetricSpace._validate
-
-    def validate(self, *args, **kwargs):
-        validated.append(args[0])
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(FiniteMetricSpace, "_validate", validate)
-    got = _mirrored(forward, cross)
-    assert validated == []
-    monkeypatch.undo()
-    want = build_bridge(y, x, cross.T, EPS, M2)
-    assert (got.x, got.y, got.algebra) == (want.x, want.y, want.algebra)
-    assert got.joined.cross.tobytes() == want.joined.cross.tobytes()
-    assert got.joined_metric.labels == want.joined_metric.labels
-    assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
-    assert not got.joined_metric.dist.flags.writeable
     assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
         want.epsilon, want.delta_xy, want.threshold, want.w_set)
