@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -238,7 +239,14 @@ def cmd_approx(args) -> dict:
         start = diameter(space) / 2.0
         if start <= 0.0:
             raise InputError("space has zero diameter; give --schedule")
-        schedule = [start / 2.0 ** i for i in range(rows)]
+        # ldexp halves without forming 2.0 ** i, which overflows at i = 1024;
+        # halving is exact down to the smallest normal float, then it rounds
+        normal = next(i for i in itertools.count()
+                      if math.ldexp(start, -i) < sys.float_info.min)
+        if rows > normal:
+            raise InputError("--rows must be at most %d here: further halvings of %.12g "
+                             "fall below the smallest normal float" % (normal, start))
+        schedule = [math.ldexp(start, -i) for i in range(rows)]
     table = approx_table(space, algebra, schedule, args.eps,
                          samples=args.samples, seed=args.seed)
     return {"rows": table}

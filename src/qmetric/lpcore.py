@@ -3,8 +3,10 @@
 ``min_cost_flows`` solves the transport problems that every exact MK
 distance splits into, one per real channel, on the complete graph of the
 support plus one anchor node, by a primal-dual method.  The k channels of
-one support share the cost matrix, so they run in lockstep in O(k n^2)
-memory: each round, per unfinished channel, one shortest-path forest from
+one support share its cost matrix, and channels of several supports of
+one size each bring their own; either way they run in lockstep in
+O(k n^2) memory: each round, per unfinished channel, one shortest-path
+forest from
 all excess nodes by min-plus relaxation of the reduced costs, every
 potential moved by its distance, and a push along each forest path to an
 unmet demand.  Each channel's flow and potentials are bit for bit those of
@@ -218,7 +220,8 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     """Cheapest flows on the complete directed graph, one per supply row.
 
     In row r node i sends out supplies[r, i] more than it takes in; arc
-    i -> j carries any amount >= 0 at cost[i, j] >= 0 per unit.  This is the
+    i -> j carries any amount >= 0 at cost[i, j] >= 0 per unit, or at
+    cost[r, i, j] if cost is a stack of one matrix per row.  This is the
     dual of: maximize supply . y subject to y_i - y_j <= cost[i, j], y = 0 on
     the last node; each row's potentials solve it, supply . y = flow cost.
 
@@ -234,8 +237,11 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     alone.
     """
     c, excess = np.asarray(cost, dtype=float), np.array(supplies, dtype=float)
-    if excess.ndim != 2 or excess.shape[1] == 0 or c.shape != (excess.shape[1],) * 2:
+    if excess.ndim != 2 or excess.shape[1] == 0 or c.shape[-2:] != (excess.shape[1],) * 2:
         raise InputError("need nonempty supply rows and a square cost matrix of their length")
+    if c.ndim not in (2, 3) or c.ndim == 3 and len(c) != len(excess):
+        raise InputError("a cost stack needs one matrix per supply row, got %r for %d rows"
+                         % (c.shape, len(excess)))
     if not np.isfinite(c).all() or (c < 0).any():
         raise InputError("arc costs must be finite and nonnegative")
     k, n = excess.shape
@@ -256,7 +262,8 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
         if not live.size:
             break
         p = pi[live]
-        reduced = c + p[:, :, None] - p[:, None, :]
+        # one shared matrix broadcasts over the rows
+        reduced = (c if c.ndim == 2 else c[live]) + p[:, :, None] - p[:, None, :]
         back = flow[live].swapaxes(1, 2) > 0.0  # arc i -> j can cancel flow on j -> i
         reduced = np.maximum(np.where(back, -reduced.swapaxes(1, 2), reduced), 0.0)
         dist, pred = _forests(reduced, sources)

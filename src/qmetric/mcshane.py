@@ -1,9 +1,9 @@
 """Bound- and Lipschitz-constant-preserving extension of real functions.
 
-Every extension here is McShane's clamped inf-convolution, pinned on the
-subset, computed by one array kernel.  extend(problem) runs it on one
-checked channel of outside data; extend_channels runs it on a whole
-channel array with the constants it realizes, which need no check.
+Every extension here is McShane's clamped inf-convolution, one array
+kernel over target-to-subset distances.  extend(problem) runs it on one
+checked channel of outside data, extend_channels on a channel array with
+the constants it realizes, which need no check; both pin the subset.
 """
 
 from __future__ import annotations
@@ -84,23 +84,25 @@ class ExtensionProblem:
         return cls(space, subset, tuple(data["values"]), data["lip_bound"])
 
 
-def _clamped_inf_convolution(space: FiniteMetricSpace, idx: np.ndarray,
-                             chans: np.ndarray, lip) -> np.ndarray:
-    """Each column of chans (len(idx), c) extended with its constant in lip,
-    one float or one per column.
+def _clamped_inf_convolution(rows: np.ndarray, chans: np.ndarray, lip) -> np.ndarray:
+    """Each column of chans, values (k, c) on k subset points, extended with
+    its constant in lip (a float or one per column) to the t targets whose
+    distances to the subset are rows (t, k): min over y of f(y) + K d(z, y),
+    clamped to [min f, max f], unpinned, one y at a time in O(t c) memory."""
+    low = np.full((len(rows), chans.shape[1]), np.inf)
+    for d_y, f_y in zip(rows.T, chans):
+        np.minimum(low, d_y[:, None] * lip + f_y, out=low)
+    return np.clip(low, chans.min(axis=0), chans.max(axis=0))
 
-    The value at z is min over subset points y of f(y) + K d(z, y), clamped
-    to [min f, max f]; subset points are then pinned to their inputs.
-    The minimum runs over y, one subset point at a time, so memory stays
-    O(space.size * c) however many channels a batch extends.
-    Returns a (space.size, c) array.
-    """
-    low = np.full((space.size, chans.shape[1]), np.inf)
-    for y, f_y in zip(idx, chans):
-        np.minimum(low, space.dist[:, y, None] * lip + f_y, out=low)
-    out = np.clip(low, chans.min(axis=0), chans.max(axis=0))
-    out[idx] = chans
-    return out
+
+def _realized_extension(rows: np.ndarray, dist: np.ndarray, chans: np.ndarray) -> np.ndarray:
+    """The kernel with each column's realized Lipschitz constant on the
+    subset, whose own distances are dist (k, k)."""
+    consts = np.zeros(chans.shape[1])
+    for a in range(len(dist) - 1):
+        quot = np.abs(chans[a] - chans[a + 1:]) / dist[a, a + 1:, None]
+        consts = np.maximum(consts, quot.max(axis=0))
+    return _clamped_inf_convolution(rows, chans, consts)
 
 
 def extend(problem: ExtensionProblem) -> np.ndarray:
@@ -109,26 +111,22 @@ def extend(problem: ExtensionProblem) -> np.ndarray:
     The restriction identity holds exactly, the output is K-Lipschitz, and
     its range equals the input range.  Returns a (space.size,) array.
     """
-    vals = np.array(problem.values)
-    out = _clamped_inf_convolution(problem.space, np.array(problem.subset, dtype=int),
-                                   vals[:, None], problem.lip_bound)
+    idx, vals = list(problem.subset), np.array(problem.values)
+    out = _clamped_inf_convolution(problem.space.dist[:, idx], vals[:, None], problem.lip_bound)
+    out[idx] = vals[:, None]
     return out[:, 0]
 
 
 def extend_channels(space: FiniteMetricSpace, subset, channels) -> np.ndarray:
-    """Extend each column of a float array (len(subset), c) to all of space.
-
-    Each column is extended with its own realized Lipschitz constant on the
-    subset, so the data meet their bounds by construction and are not
-    checked; returns a (space.size, c) array.
+    """Extend each column of a float array (len(subset), c) to all of space
+    with its realized Lipschitz constant on the subset, so the data meet
+    their bounds by construction and are not checked: the kernel over
+    space.dist[:, subset], then the subset pinned.  Returns (space.size, c).
     """
     idx = np.array(subset, dtype=int)
-    dist = space.dist[np.ix_(idx, idx)]
-    consts = np.zeros(channels.shape[1])
-    for a in range(len(idx) - 1):
-        quot = np.abs(channels[a] - channels[a + 1:]) / dist[a, a + 1:, None]
-        consts = np.maximum(consts, quot.max(axis=0))
-    return _clamped_inf_convolution(space, idx, channels, consts)
+    out = _realized_extension(space.dist[:, idx], space.dist[np.ix_(idx, idx)], channels)
+    out[idx] = channels
+    return out
 
 
 def extend_as_map(problem: ExtensionProblem) -> dict:

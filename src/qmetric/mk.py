@@ -148,18 +148,32 @@ def _restrict(space, algebra, mu, nu, spec) -> _Support:
     return _Support(support, gain, psi, beta, cost)
 
 
-def _channel_flows(cost, gain, channels):
-    """The listed channels' min-cost flows in one call, each point supplying its
-    gain: the potentials (0 in unlisted channels) and (channel, supply, solution)."""
-    n = gain.shape[0]
-    chans = np.zeros_like(gain)
-    supplies = np.empty((len(channels), n + 1))
-    supplies[:, :n] = gain[:, channels].T
-    supplies[:, n] = -supplies[:, :n].sum(axis=1)
-    sols = min_cost_flows(cost, supplies) if len(channels) else []
-    for ch, sol in zip(channels, sols):
-        chans[:, ch] = sol.potential[:n]
-    return chans, [(int(ch), s, sol) for ch, s, sol in zip(channels, supplies, sols)]
+def _channel_flows(problems) -> list:
+    """The listed channels' min-cost flows of each (cost, gain, channels),
+    all costs of one shape, in one call, each point supplying its gain:
+    per problem the potentials (0 in unlisted channels) and (channel,
+    supply, solution).  Several problems solve over a stack of one cost
+    per channel, each bit for bit as if alone."""
+    supplies = []
+    for _, gain, channels in problems:
+        n = gain.shape[0]
+        rows = np.empty((len(channels), n + 1))
+        rows[:, :n] = gain[:, channels].T
+        rows[:, n] = -rows[:, :n].sum(axis=1)
+        supplies.append(rows)
+    counts = [len(rows) for rows in supplies]
+    cost = (problems[0][0] if len(problems) == 1 else
+            np.repeat(np.stack([cost for cost, _, _ in problems]), counts, axis=0))
+    sols = iter(min_cost_flows(cost, np.concatenate(supplies)) if sum(counts) else ())
+    out = []
+    for (_, gain, channels), rows in zip(problems, supplies):
+        chans, flows = np.zeros_like(gain), []
+        for ch, supply in zip(channels, rows):
+            sol = next(sols)
+            chans[:, ch] = sol.potential[:-1]
+            flows.append((int(ch), supply, sol))
+        out.append((chans, flows))
+    return out
 
 
 # Normals of the regular 16-gon: the modulus bound |w| <= r on a complex
@@ -225,8 +239,8 @@ def _maximize(cost, channels, polygon, objective):
     entries) each off-diagonal entry is one polygon LP instead.  Returns z,
     the flows and the (LinearProgram, LpSolution) pairs."""
     if polygon is None:
-        return (*_channel_flows(cost, objective, channels), [])
-    z, flows = _channel_flows(cost, objective, np.setdiff1d(channels, polygon[2]))
+        return (*_channel_flows([(cost, objective, channels)])[0], [])
+    z, flows = _channel_flows([(cost, objective, np.setdiff1d(channels, polygon[2]))])[0]
     return z, flows, _entry_lps(polygon, objective, z)
 
 
@@ -306,15 +320,43 @@ def _support_optimum(sup: _Support, polygon=None, unbounded=None):
         flows = [f for f in unbounded[1] if f[0] not in taken]
         lps = _entry_lps(polygon, sup.gain, z)
     elif sup.psi is None:
-        live = np.flatnonzero(sup.gain.any(axis=0))
-        z, flows, lps = _maximize(sup.cost, live, polygon, sup.gain)
+        z, flows, lps = _maximize(sup.cost, _live(sup), polygon, sup.gain)
     else:
         live = np.flatnonzero(sup.gain.any(axis=0) | sup.psi.any(axis=0))
         lam, z, flows, lps = _state_optimum(sup.gain, sup.psi,
                                             partial(_maximize, sup.cost, live, polygon))
+    return _certified_value(sup, z, flows, lps), z, flows, lam
+
+
+def _live(sup: _Support) -> np.ndarray:
+    """The channels that the pairing reads; the others stay 0."""
+    return np.flatnonzero(sup.gain.any(axis=0))
+
+
+def _certified_value(sup: _Support, z, flows, lps=()) -> float:
+    """The pairing of z, certified from above by the flows and polygons."""
     value = max(float((sup.gain * z).sum()), 0.0)
     _certify_flows(sup.cost, sup.beta, flows, value, *lps)
-    return value, z, flows, lam
+    return value
+
+
+def _support_optima(sups) -> list:
+    """(value, z) of _support_optimum for each support, bit for bit.  The
+    state q kind runs each support's own multiplier search.  Otherwise the
+    supports are grouped by size, every live channel of a group is solved
+    in one min_cost_flows call, and each support's flows are certified on
+    their own."""
+    if sups and sups[0].psi is not None:
+        return [_support_optimum(sup)[:2] for sup in sups]
+    by_size = {}
+    for i, sup in enumerate(sups):
+        by_size.setdefault(len(sup.points), []).append(i)
+    optima = [None] * len(sups)
+    for group in by_size.values():
+        solved = _channel_flows([(sups[i].cost, sups[i].gain, _live(sups[i])) for i in group])
+        for i, (z, flows) in zip(group, solved):
+            optima[i] = _certified_value(sups[i], z, flows), z
+    return optima
 
 
 def _certify_flows(cost, beta, flows, value, *polygons) -> None:
@@ -404,13 +446,12 @@ def _certify_witnesses(space, algebra, spec, solved) -> list:
 
 def _exact_distances(space, algebra, pairs, spec) -> list:
     """mk_distance of each checked (mu, nu) pair under a real_max spec, bit
-    for bit: solved one by one, certified in one batch.  Returns one
-    (MkResult, certified lipnorm of its witness) per pair."""
-    solved = []
-    for mu, nu in pairs:
-        sup = _restrict(space, algebra, mu, nu, spec)
-        value, z = _support_optimum(sup)[:2]
-        solved.append((mu, nu, sup, z, value))
+    for bit: restricted one by one, solved in one flow call per support
+    size (_support_optima), certified in one batch.  Returns one (MkResult,
+    certified lipnorm of its witness) per pair."""
+    sups = [_restrict(space, algebra, mu, nu, spec) for mu, nu in pairs]
+    solved = [(mu, nu, sup, z, value) for (mu, nu), sup, (value, z)
+              in zip(pairs, sups, _support_optima(sups))]
     return _certify_witnesses(space, algebra, spec, solved) if solved else []
 
 

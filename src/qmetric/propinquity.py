@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # 
                         from_channels, lipnorm, to_channels)
 from .generate import random_product_state
 from .lpcore import TAU_LP
-from .mcshane import extend_channels
+from .mcshane import _realized_extension
 from .metric import TAU_METRIC, FiniteMetricSpace, JoinedSpace, _block_hausdorff, epsilon_net
 from .mk import _exact_distances
 
@@ -37,7 +38,7 @@ _GROUP_FUNCTIONS = 32
 
 @dataclass(frozen=True, eq=False)
 class Bridge:
-    """A joined metric with its matched-pair set, ready to transport elements.
+    """A checked join with its matched-pair set, ready to transport elements.
 
     delta_xy is the Hausdorff distance of the supplied embedding (raw cross),
     threshold the pair-admission cut on the offset joined metric.
@@ -46,12 +47,17 @@ class Bridge:
     x: FiniteMetricSpace
     y: FiniteMetricSpace
     joined: JoinedSpace
-    joined_metric: FiniteMetricSpace
     algebra: Algebra
     epsilon: float
     delta_xy: float
     threshold: float
     w_set: tuple
+
+    @cached_property
+    def joined_metric(self) -> FiniteMetricSpace:
+        """The join as one space, "X|..." labels first; transport never reads it."""
+        return self.joined.metric_space(["X|" + lab for lab in self.x.labels]
+                                        + ["Y|" + lab for lab in self.y.labels])
 
 
 def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
@@ -85,30 +91,26 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
 
 def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
             algebra: Algebra) -> Bridge:
-    """The bridge over a checked join of the offset cross distances;
-    cross holds the raw ones."""
-    x, y = joined.x, joined.y
-    labels = (tuple("X|%s" % lab for lab in x.labels)
-              + tuple("Y|%s" % lab for lab in y.labels))
-    joined_metric = joined.metric_space(labels)
-
+    """The bridge over a checked join of the offset cross distances (raw in
+    cross).  The join needs no further check to be a metric: it scanned the
+    triples that mix X and Y, and symmetry, a zero diagonal and positivity
+    follow from the validated X and Y and build_bridge's TAU_METRIC check."""
     delta_xy = _block_hausdorff(cross)
     threshold = delta_xy + epsilon / (2.0 * _ROOT2 * algebra.max_block)
     pairs = np.argwhere(joined.cross <= threshold)
     w_set = tuple((int(i), int(j)) for i, j in pairs)
-    if len({i for i, _ in w_set}) != x.size or len({j for _, j in w_set}) != y.size:
+    if (len({i for i, _ in w_set}), len({j for _, j in w_set})) != joined.cross.shape:
         raise ArithmeticError(
             "matched-pair projections are not surjective; the offset is a "
             "quarter of the admission slack, so this cannot happen")
-    return Bridge(x, y, joined, joined_metric, algebra, epsilon,
-                  delta_xy, threshold, w_set)
+    return Bridge(joined.x, joined.y, joined, algebra, epsilon, delta_xy, threshold, w_set)
 
 
 def match_element(bridge: Bridge, a_fn: MatrixFunction):
     """Transport a Lip-ball element across the bridge, with certificate.
 
-    Extends every real entry channel from the X side over the joined
-    space (clamped, own realized constant) and restricts to Y.  Clamping
+    Extends every real entry channel from the X side onto Y across the
+    join's cross block (clamped, own realized constant on X).  Clamping
     keeps each channel inside its source range, so the recentring scalar
     that certified the source also certifies the image; the matched-pair
     defect is bounded by the channel constants times the pair distances.
@@ -142,10 +144,10 @@ def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
 
 def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
     """The sources' lipnorms (or the given ones), their images' channels
-    and the image-free part of their certificates: the sources' channels
-    are stacked once, (k, nx, w), extended once, and the images'
-    (k, ny, w) read from the extension; source_shift, q_at_source_shift
-    and w_defect are whole-batch reductions over those two arrays.
+    and the image-free part of their certificates.  The sources' channels
+    (k, nx, w) are extended once onto Y over the cross block, bit for bit
+    the Y rows of extend_channels over the joined metric, into (k, ny, w);
+    source_shift, q_at_source_shift and w_defect are reductions over both.
     Returns (lipnorms, image channels, (shifts, q_at_shifts, w_defects))."""
     for a_fn in a_fns:
         if a_fn.space.labels != bridge.x.labels:
@@ -158,10 +160,9 @@ def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
             raise InputError("element lipnorm %.12g exceeds the unit ball slack"
                              % l_a)
 
-    k, nx = len(a_fns), bridge.x.size
     a_chans = np.stack([to_channels(a_fn) for a_fn in a_fns])
-    ext = extend_channels(bridge.joined_metric, range(nx), np.hstack(a_chans))
-    b_chans = np.stack(np.split(ext[nx:], k, axis=1))
+    ext = _realized_extension(bridge.joined.cross.T, bridge.x.dist, np.hstack(a_chans))
+    b_chans = np.stack(np.split(ext, len(a_fns), axis=1))
 
     src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
     w_defects = np.abs(a_chans[:, src] - b_chans[:, dst]).max(axis=(1, 2), initial=0.0)
@@ -258,8 +259,8 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     schedule = [float(e) for e in eps_schedule]
     if not schedule:
         raise InputError("the net schedule must be nonempty")
-    if any(e <= 0 for e in schedule):
-        raise InputError("net scales must be positive")
+    if not all(math.isfinite(e) and e > 0 for e in schedule):
+        raise InputError("net scales must be positive and finite")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("the net schedule must be strictly decreasing")
     # row i draws from seed + i, which would turn a bool seed into an int

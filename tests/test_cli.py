@@ -249,6 +249,38 @@ def test_bad_box_samples_and_small_epsilon_are_exit_two(files, capsys, tmp_path)
         assert rc == 0
 
 
+def test_bad_net_scales_and_too_many_rows_are_exit_two(files, capsys, monkeypatch):
+    """An infinite net scale used to give a table with Infinity in it, a
+    NaN one blamed epsilon_net, and --rows 1030 overflowed 2.0 ** i into
+    a traceback with exit 1.  The row limit is checked before any scale
+    of the schedule is built."""
+    rest = ["approx", "--space", str(files["space"]), "--algebra", str(files["algebra"])]
+    for schedule in ("inf,0.5", "0.5,nan"):
+        rc, out, err = _run(capsys, rest + ["--schedule", schedule])
+        assert (rc, out) == (2, "")
+        assert "net scales must be positive and finite" in err
+    # the path's half diameter 1.5 halves to a normal float 1022 times
+    calls = []
+    real = cli.math.ldexp
+
+    def ldexp(x, i):
+        calls.append(i)
+        assert len(calls) < 10_000, "the schedule was built before the check"
+        return real(x, i)
+
+    monkeypatch.setattr(cli.math, "ldexp", ldexp)
+    for rows in ("1024", "1030", "100000000"):
+        calls.clear()
+        rc, out, err = _run(capsys, rest + ["--rows", rows])
+        assert (rc, out) == (2, "")
+        assert "--rows must be at most 1023 here" in err
+        assert len(calls) == 1024
+    monkeypatch.undo()
+    rc, out, _ = _run(capsys, rest + ["--rows", "3", "--samples", "1"])
+    assert rc == 0
+    assert [row["eps_n"] for row in _report(out)["rows"]] == [1.5, 0.75, 0.375]
+
+
 def test_nan_weights_are_exit_two(files, capsys):
     """A NaN weight used to pass state validation: mk then died with a
     KeyError traceback, and embed-check blamed a supply row."""

@@ -334,6 +334,37 @@ def test_batched_flow_input_errors_name_the_row():
     assert min_cost_flows(np.ones((2, 2)), np.zeros((0, 2))) == []
 
 
+def test_a_cost_stack_gives_each_row_its_solve_alone(rng):
+    for k in (1, 2, 5):
+        for n in (1, 2, 4, 9):
+            costs = np.stack([_support_cost(rng, n) for _ in range(k)])
+            supplies = rng.normal(size=(k, n))
+            supplies[:, -1] = -supplies[:, :-1].sum(axis=1)
+            supplies[k // 2] = 0.0  # a row that needs no round
+            for cost, supply, sol in zip(costs, supplies, min_cost_flows(costs, supplies)):
+                alone, = min_cost_flows(cost, supply[None])
+                assert sol.flow.tobytes() == alone.flow.tobytes()
+                assert sol.potential.tobytes() == alone.potential.tobytes()
+            # one matrix repeated is the shared matrix, broadcast
+            repeated = min_cost_flows(np.repeat(costs[:1], k, axis=0), supplies)
+            for sol, shared in zip(repeated, min_cost_flows(costs[0], supplies)):
+                assert sol.flow.tobytes() == shared.flow.tobytes()
+                assert sol.potential.tobytes() == shared.potential.tobytes()
+
+
+def test_bad_cost_stacks_are_rejected():
+    supplies = [[1.0, -1.0], [0.5, -0.5]]
+    for shape in ((1, 2, 2), (3, 2, 2), (2, 2, 2, 2)):
+        with pytest.raises(InputError, match="one matrix per supply row"):
+            min_cost_flows(np.ones(shape), supplies)
+    for shape in ((2, 2, 3), (2, 3, 3), (2,)):
+        with pytest.raises(InputError, match="square"):
+            min_cost_flows(np.ones(shape), supplies)
+    with pytest.raises(InputError, match="nonnegative"):
+        min_cost_flows(-np.ones((2, 2, 2)), supplies)
+    assert min_cost_flows(np.ones((0, 2, 2)), np.zeros((0, 2))) == []
+
+
 @st.composite
 def _flow_instances(draw):
     """A cost matrix and supply rows: costs from a short list (so that paths

@@ -717,9 +717,10 @@ def test_batched_certificates_equal_mk_distance_pair_by_pair(monkeypatch, q_kind
     monkeypatch.setattr(mk, "_lipnorms", lipnorms)
 
     def check(tamper):
-        """Pair 1 goes through tamper(value, z); the batch against one by one."""
+        """Pair 1 goes through tamper(value, z), after mk_distance's solve
+        and after the batched solve; the batch against one by one."""
         key = mk._restrict(space, M23, *pairs[1], spec).gain.tobytes()
-        real = mk._support_optimum
+        real, real_optima = mk._support_optimum, mk._support_optima
 
         def optimum(sup, *args):
             value, z, flows, lam = real(sup, *args)
@@ -727,9 +728,15 @@ def test_batched_certificates_equal_mk_distance_pair_by_pair(monkeypatch, q_kind
                 value, z = tamper(value, z)
             return value, z, flows, lam
 
+        def optima(sups):
+            return [tamper(*found) if sup.gain.tobytes() == key else found
+                    for sup, found in zip(sups, real_optima(sups))]
+
         monkeypatch.setattr(mk, "_support_optimum", optimum)
         sizes.clear()
         want = _one_by_one(space, M23, pairs, spec)
+        monkeypatch.setattr(mk, "_support_optimum", real)
+        monkeypatch.setattr(mk, "_support_optima", optima)
         one_sizes = sizes[:]
         sizes.clear()
         try:
@@ -737,7 +744,8 @@ def test_batched_certificates_equal_mk_distance_pair_by_pair(monkeypatch, q_kind
         except BoundViolation as exc:
             assert str(exc) == next(w for w in want if isinstance(w, str))
             return one_sizes, None
-        monkeypatch.setattr(mk, "_support_optimum", real)
+        finally:
+            monkeypatch.setattr(mk, "_support_optima", real_optima)
         for (res, lip), one in zip(got, want):
             assert res.kind == "exact" and res.value == one.value
             assert res.witness.channels.tobytes() == one.witness.channels.tobytes()
@@ -754,3 +762,31 @@ def test_batched_certificates_equal_mk_distance_pair_by_pair(monkeypatch, q_kind
     # the second pair's value is off: the batch raises its message
     assert check(lambda value, z: (1.01 * value + 0.01, z)) == ([1] * 5, None)
     assert mk._exact_distances(space, M23, [], spec) == []
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K", "quotient_C"])
+def test_exact_distances_make_one_flow_call_per_support_size(monkeypatch, q_kind, rng):
+    """Every live channel of the pairs of one support size is solved in one
+    min_cost_flows call: over a cost stack when several pairs share the
+    size, over the one cost matrix when a pair is alone; each result is
+    mk_distance's bit for bit."""
+    space = random_planar_space(7, rng)
+    spec = _flow_spec(q_kind, rng, space, M23)
+    supports = ([1, 4], range(7), [2], [0, 5], [0, 3, 6], [3], range(7))
+    pairs = [tuple(_spread_state(space, M23, rng, points) for _ in range(2))
+             for points in supports]
+    want = [mk_distance(space, M23, mu, nu, spec) for mu, nu in pairs]
+    calls, real = [], mk.min_cost_flows
+
+    def flows(cost, supplies):
+        calls.append((np.shape(cost), len(supplies)))
+        return real(cost, supplies)
+
+    monkeypatch.setattr(mk, "min_cost_flows", flows)
+    got = mk._exact_distances(space, M23, pairs, spec)
+    # support sizes 2, 7, 1 and 3, plus the anchor, in order of first use
+    assert [shape[-1] for shape, _ in calls] == [3, 8, 2, 4]
+    assert [len(shape) for shape, _ in calls] == [3, 3, 3, 2]
+    assert all(shape[0] == rows for shape, rows in calls[:3])
+    for (res, _), one in zip(got, want):
+        assert json.dumps(res.to_json_dict()) == json.dumps(one.to_json_dict())

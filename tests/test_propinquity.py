@@ -9,11 +9,12 @@ from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table, st
 from qmetric import funcspace, metric, propinquity
 from qmetric.algebra import AlgElement, Algebra
 from qmetric.errors import BoundViolation, InputError
-from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm
+from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm, to_channels
 from qmetric.generate import circle_net, random_product_state
+from qmetric.mcshane import extend_channels
 from qmetric.metric import FiniteMetricSpace, epsilon_net
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, _bridge, _match_elements, approx_table,
+from qmetric.propinquity import (Bridge, _bridge, _match_elements, _transport, approx_table,
                                  build_bridge, match_element, propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
@@ -123,6 +124,29 @@ def test_transport_equals_the_per_channel_loop(rng):
         b_fn, _ = match_element(bridge, a_fn)
         for got, want in zip(b_fn.values, loop_transport(bridge, a_fn)):
             assert all(p.tobytes() == q.tobytes() for p, q in zip(got.blocks, want))
+
+
+@pytest.mark.parametrize("algebra", [M2, Algebra((2, 3))], ids=["M2", "M23"])
+def test_cross_block_transport_equals_the_joined_extension(algebra, rng):
+    """Transport onto Y over the cross block gives, byte for byte, the Y
+    rows of extend_channels over the whole joined metric: nets of one,
+    several and all points, both directions of a bridge."""
+    y = circle_net(12, "chord")
+    sizes = []
+    for eps_n in (10.0, 0.6, 1e-3):
+        net = epsilon_net(y, eps_n)
+        sizes.append(len(net))
+        cross = y.dist[np.ix_(net, range(y.size))]
+        forward = build_bridge(y.subspace(net), y, cross, EPS, algebra)
+        backward = _bridge(forward.joined.mirrored(), cross.T, EPS, algebra)
+        for bridge, k in ((forward, 1), (forward, 3), (backward, 2)):
+            sources = [random_sa_function(bridge.x, algebra, rng) for _ in range(k)]
+            _, b_chans, _ = _transport(bridge, sources, [1.0] * k)
+            nx = bridge.x.size
+            ext = extend_channels(bridge.joined_metric, range(nx),
+                                  np.hstack([to_channels(fn) for fn in sources]))
+            assert b_chans.tobytes() == np.stack(np.split(ext[nx:], k, axis=1)).tobytes()
+    assert sizes[0] == 1 and 1 < sizes[1] < 12 and sizes[2] == 12
 
 
 def test_batched_matching_equals_one_at_a_time(rng):
@@ -439,6 +463,9 @@ def test_net_schedule_validation():
         approx_table(x, M2, [], EPS)
     with pytest.raises(InputError, match="positive"):
         approx_table(x, M2, [1.0, 0.0], EPS)
+    for schedule in ([math.inf, 0.5], [0.5, math.nan], [1.0, -math.inf]):
+        with pytest.raises(InputError, match="net scales must be positive and finite"):
+            approx_table(x, M2, schedule, EPS)
     with pytest.raises(InputError, match="decreasing"):
         approx_table(x, M2, [1.0, 1.0], EPS)
 
