@@ -46,6 +46,10 @@ _Q_FLAGS = {"cx": "quotient_CX", "c": "quotient_C", "state": "state",
 
 _APPROX_COLUMNS = ("eps_n", "net_size", "hausdorff", "delta_xy", "bound")
 
+# arguments that name input files: the config hash reads their contents
+_INPUT_FILES = frozenset(("space", "algebra", "cross", "space_x", "space_y", "ref_state",
+                          "element", "function", "mu", "nu", "space_a", "space_b"))
+
 
 def _cli_tol(default: float = TAU_SA) -> float:
     """Comparison slack for checks made at the CLI layer.
@@ -284,8 +288,14 @@ def _pyify(obj):
 
 
 def _config_hash(args) -> str:
+    """Hash of every argument but the output ones, with each input file
+    counted by the SHA-256 of its bytes, not by its path."""
     skip = {"out", "format", "func"}
     cfg = {key: val for key, val in vars(args).items() if key not in skip}
+    for key in _INPUT_FILES & cfg.keys():
+        if cfg[key] is not None:
+            with open(cfg[key], "rb") as fh:
+                cfg[key] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
     blob = json.dumps(cfg, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

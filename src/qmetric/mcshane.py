@@ -4,6 +4,9 @@ Every extension here is McShane's clamped inf-convolution, one array
 kernel over target-to-subset distances.  extend(problem) runs it on one
 checked channel of outside data, extend_channels on a channel array with
 the constants it realizes, which need no check; both pin the subset.
+The kernel works in tiles whose temporaries hold at most _BLOCK elements;
+each element is the one a loop over subset points would form, and min and
+max are exact, so the tiling does not change a bit of the result.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from .algebra import TAU_SA
 from .errors import InputError
 from .metric import FiniteMetricSpace
+
+# elements in one tile of the extension kernels' temporaries (128 KB)
+_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,24 +90,58 @@ class ExtensionProblem:
         return cls(space, subset, tuple(data["values"]), data["lip_bound"])
 
 
-def _clamped_inf_convolution(rows: np.ndarray, chans: np.ndarray, lip) -> np.ndarray:
+def _tiles(t: int, k: int, c: int):
+    """(target, subset, channel) slices that tile a (t, k, c) array in
+    boxes of at most _BLOCK elements.  A box takes as many channels as fit,
+    then every subset point or at least 8 of them (as many as fit), then
+    as many targets as fit."""
+    cw = max(1, min(c, _BLOCK))
+    kw = max(1, min(k, _BLOCK // cw, max(8, _BLOCK // (cw * max(t, 1)))))
+    tw = max(1, min(t, _BLOCK // (cw * kw)))
+    for c0 in range(0, c, cw):
+        for t0 in range(0, t, tw):
+            for k0 in range(0, k, kw):
+                yield (slice(t0, min(t0 + tw, t)), slice(k0, min(k0 + kw, k)),
+                       slice(c0, min(c0 + cw, c)))
+
+
+def _clamped_inf_convolution(rows: np.ndarray, chans: np.ndarray, lip: np.ndarray) -> np.ndarray:
     """Each column of chans, values (k, c) on k subset points, extended with
-    its constant in lip (a float or one per column) to the t targets whose
-    distances to the subset are rows (t, k): min over y of f(y) + K d(z, y),
-    clamped to [min f, max f], unpinned, one y at a time in O(t c) memory."""
-    low = np.full((len(rows), chans.shape[1]), np.inf)
-    for d_y, f_y in zip(rows.T, chans):
-        np.minimum(low, d_y[:, None] * lip + f_y, out=low)
+    its constant in lip (c,) to the t targets whose distances to the subset
+    are rows (t, k): min over y of f(y) + K d(z, y), clamped to [min f,
+    max f], unpinned.  Each tile of (targets, subset, channels) forms its
+    d K + f as (subset, targets, channels) and takes the minimum over its
+    first axis."""
+    (t, k), c = rows.shape, chans.shape[1]
+    low = np.full((t, c), np.inf)
+    for ts, ks, cs in _tiles(t, k, c):
+        cand = np.multiply(rows.T[ks, ts, None], lip[cs], order="C")
+        cand += chans[ks, None, cs]
+        np.minimum(low[ts, cs], cand.min(axis=0), out=low[ts, cs])
     return np.clip(low, chans.min(axis=0), chans.max(axis=0))
 
 
 def _realized_extension(rows: np.ndarray, dist: np.ndarray, chans: np.ndarray) -> np.ndarray:
     """The kernel with each column's realized Lipschitz constant on the
-    subset, whose own distances are dist (k, k)."""
-    consts = np.zeros(chans.shape[1])
-    for a in range(len(dist) - 1):
-        quot = np.abs(chans[a] - chans[a + 1:]) / dist[a, a + 1:, None]
-        consts = np.maximum(consts, quot.max(axis=0))
+    subset, whose own distances are dist (k, k): the largest |f(a) - f(b)|
+    / d(a, b) over a < b, 0 for one point, taken over the tiles of
+    (b, a, channels), trimmed to b > a.start and a < b.stop - 1.  A tile
+    of several a can still meet the diagonal; its pairs with a >= b are
+    divided by inf, which gives 0."""
+    k, c = chans.shape
+    consts = np.zeros(c)
+    for b, a, cs in _tiles(k, k, c):
+        b = slice(max(b.start, a.start + 1), b.stop)
+        a = slice(a.start, min(a.stop, b.stop - 1))
+        if a.start >= a.stop:
+            continue
+        den = dist[a, b]
+        if a.stop > b.start:
+            den = np.where(np.arange(a.start, a.stop)[:, None] < np.arange(b.start, b.stop),
+                           den, np.inf)
+        quot = np.abs(chans[a, None, cs] - chans[None, b, cs])
+        quot /= den[:, :, None]
+        np.maximum(consts[cs], quot.max(axis=(0, 1)), out=consts[cs])
     return _clamped_inf_convolution(rows, chans, consts)
 
 
@@ -112,7 +152,8 @@ def extend(problem: ExtensionProblem) -> np.ndarray:
     its range equals the input range.  Returns a (space.size,) array.
     """
     idx, vals = list(problem.subset), np.array(problem.values)
-    out = _clamped_inf_convolution(problem.space.dist[:, idx], vals[:, None], problem.lip_bound)
+    out = _clamped_inf_convolution(problem.space.dist[:, idx], vals[:, None],
+                                   np.array([problem.lip_bound]))
     out[idx] = vals[:, None]
     return out[:, 0]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,9 +15,11 @@ GH_EXACT_CAP = 5
 
 
 def _triangle_violation(d: np.ndarray, tol: float, split=None):
-    """First triple (i, k, j) with d[i,j] > d[i,k] + d[k,j] + tol, or None:
-    the smallest such k, then its most violated (i, j), the first in
-    row-major order on ties.
+    """(triple, worst): the first triple (i, k, j) with d[i,j] > d[i,k] +
+    d[k,j] + tol, or None, and the least slack fl(fl(d[i,k] + d[k,j]) -
+    d[i,j]) that the scan computed.  The triple is the smallest such k, then
+    its most violated (i, j), the first in row-major order on ties; with no
+    triple, worst is over every scanned triple.
 
     With a split, only the triples that mix the points below it with those
     at or above it are scanned.  That is for an exactly symmetric d whose
@@ -26,16 +29,19 @@ def _triangle_violation(d: np.ndarray, tol: float, split=None):
     the rows below it, so the scan reports the full scan's triple.
     """
     n = d.shape[0]
+    worst = math.inf
     for k in range(n):
         if split is None:
             rows, c0 = n, 0
         else:
             rows, c0 = (n, split) if k < split else (split, 0)
         slack = d[:rows, k][:, None] + d[k, c0:][None, :] - d[:rows, c0:]
-        if slack.min() < -tol:
+        least = slack.min()
+        if least < -tol:
             i, j = np.unravel_index(int(slack.argmin()), slack.shape)
-            return int(i), int(k), int(j) + c0
-    return None
+            return (int(i), int(k), int(j) + c0), float(least)
+        worst = min(worst, float(least))
+    return None, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,23 +51,34 @@ class FiniteMetricSpace:
     Construction is validation: symmetry, a zero diagonal, strictly positive
     off-diagonal distances, and the triangle inequality are all checked and
     the first violated axiom is reported with its indices.
+
+    The triangle scan's least slack is kept as _worst_slack: a lower bound
+    on fl(fl(d[i,k] + d[k,j]) - d[i,j]) over every triple (i, k, j) of the
+    stored dist, at least -TAU_METRIC.  It is exact when the scanned matrix
+    is the stored one bit for bit, and -inf (no bound) when symmetrizing
+    changed it.  A subspace keeps its parent's value, since its triples are
+    some of the parent's; a space built without a scan records -inf.
+    JoinedSpace._net_join reads it.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
 
     def __post_init__(self):
-        self._validate(self.labels, self.dist, triangle=True)
+        self._validate(self.labels, self.dist)
 
     @classmethod
-    def _triangle_checked(cls, labels, dist) -> "FiniteMetricSpace":
+    def _triangle_checked(cls, labels, dist, worst_slack=-math.inf) -> "FiniteMetricSpace":
         """Build from a matrix whose triangle inequality the caller has
-        already verified at TAU_METRIC; every other axiom is checked."""
+        already verified at TAU_METRIC, with worst_slack a lower bound on
+        its triangle slacks; every other axiom is checked."""
         space = object.__new__(cls)
-        space._validate(labels, dist, triangle=False)
+        space._validate(labels, dist, worst_slack)
         return space
 
-    def _validate(self, labels, dist, triangle: bool) -> None:
+    def _validate(self, labels, dist, worst_slack=None) -> None:
+        """Check every axiom, the triangle inequality only when no
+        worst_slack is given, and store the space."""
         labels = tuple(str(x) for x in labels)
         d = np.array(dist, dtype=float)
         n = len(labels)
@@ -82,16 +99,20 @@ class FiniteMetricSpace:
         if off.min() <= TAU_METRIC:
             i, j = np.unravel_index(int(off.argmin()), off.shape)
             raise InputError("distance between distinct points %d and %d is not positive" % (i, j))
-        trip = _triangle_violation(d, TAU_METRIC) if triangle else None
+        trip, worst = (_triangle_violation(d, TAU_METRIC) if worst_slack is None
+                       else (None, worst_slack))
         if trip is not None:
             i, k, j = trip
             raise InputError(
                 "triangle inequality fails: d(%d,%d) > d(%d,%d) + d(%d,%d)" % (i, j, i, k, k, j))
+        scanned = d
         d = 0.5 * (d + d.T)
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", d)
+        object.__setattr__(self, "_worst_slack",
+                           worst if np.array_equal(scanned, d) else -math.inf)
 
     @property
     def size(self) -> int:
@@ -108,8 +129,10 @@ class FiniteMetricSpace:
         if not idx:
             raise InputError("a subspace needs at least one point")
         labels = tuple(self.labels[i] for i in idx)
-        # a restriction of a metric keeps its triangle inequality
-        return FiniteMetricSpace._triangle_checked(labels, self.dist[np.ix_(idx, idx)])
+        # a restriction of a metric keeps its triangle inequality, and its
+        # slacks are some of the metric's
+        return FiniteMetricSpace._triangle_checked(labels, self.dist[np.ix_(idx, idx)],
+                                                   self._worst_slack)
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "dist": [[float(x) for x in row] for row in self.dist]}
@@ -237,7 +260,9 @@ class JoinedSpace:
     inequality.  Both spaces are validated metrics, so only the triples
     that mix X and Y points are checked; a failure reports the triple a
     scan of every triple would.  Zero cross distances are allowed, so the
-    union may be a pseudometric.
+    union may be a pseudometric.  A net joined to its own space with an
+    offset (_net_join, for approx_table rows) is a metric by a lemma, and
+    is scanned only when rounding might break it.
     """
 
     x: FiniteMetricSpace
@@ -245,6 +270,53 @@ class JoinedSpace:
     cross: np.ndarray
 
     def __post_init__(self):
+        self._check(scan=True)
+
+    @classmethod
+    def _net_join(cls, x: FiniteMetricSpace, y: FiniteMetricSpace, net, cross,
+                  offset: float) -> "JoinedSpace":
+        """The join of x, the subspace of y on the indices net, to y, across
+        cross = fl(y.dist[net] + offset) with offset >= 0.  It checks what a
+        JoinedSpace checks, but skips the scan of mixed triples when it can
+        prove that the scan finds nothing.
+
+        Lemma.  In exact arithmetic every mixed triangle slack of this join
+        is a slack of y plus 0 or 2 offset.  For net points a, b and points
+        p, q of y, D(a, p) <= D(a, b) + D(b, p) and D(a, p) <= D(a, q) +
+        D(q, p) have the offset on both sides, while D(a, b) <= D(a, p) +
+        D(p, b) and D(p, q) <= D(p, a) + D(a, q) have it twice on the right.
+
+        Rounding.  Let u = eps / 2 and M = diam(y) + offset.  For entries in
+        [0, B], the scan's fl(fl(a + b) - c) lies within 5uB of a + b - c.
+        So every exact slack of y is at least w - 5u diam(y), with w the
+        least slack its scan computed (y._worst_slack).  Each stored cross
+        distance lies within uM of d + offset, so the mixed slacks of the
+        stored entries are at least w - 5u diam(y) - 3uM, and the scan
+        computes them to within 5uM(1 + u).  Every computed mixed slack is
+        therefore at least w - 14uM = w - 7 eps M.  The margin 16 eps (M +
+        TAU_METRIC) covers that with room for the rounding of the test
+        itself, so when w - margin >= -TAU_METRIC no computed slack is below
+        -TAU_METRIC and the scan is skipped.
+
+        It runs as for any join when that test fails, or when x, net,
+        cross or offset are not as stated (checked in O(|net| |y|)).
+        """
+        joined = object.__new__(cls)
+        for name, val in (("x", x), ("y", y), ("cross", cross)):
+            object.__setattr__(joined, name, val)
+        idx = np.asarray(net, dtype=int)
+        margin = 16.0 * np.finfo(float).eps * (float(y.dist.max()) + offset + TAU_METRIC)
+        proved = (offset >= 0 and idx.shape == (x.size,)
+                  and bool(((idx >= 0) & (idx < y.size)).all())
+                  and np.array_equal(x.dist, y.dist[np.ix_(idx, idx)])
+                  and np.array_equal(cross, y.dist[idx] + offset)
+                  and y._worst_slack - margin >= -TAU_METRIC)
+        joined._check(scan=not proved)
+        return joined
+
+    def _check(self, scan: bool) -> None:
+        """Check the cross matrix, then the mixed triples if scan, and store
+        the cross matrix read-only."""
         c = np.array(self.cross, dtype=float)
         if c.shape != (self.x.size, self.y.size):
             raise InputError("cross matrix must be %dx%d, got %r"
@@ -253,15 +325,16 @@ class JoinedSpace:
             raise InputError("cross distances must be finite")
         if c.min() < -TAU_METRIC:
             raise InputError("cross distances must be nonnegative")
-        full = np.block([[self.x.dist, c], [c.T, self.y.dist]])
-        trip = _triangle_violation(full, TAU_METRIC, self.x.size)
-        if trip is not None:
-            i, k, j = trip
-            nx = self.x.size
-            def name(t):
-                return "X%d" % t if t < nx else "Y%d" % (t - nx)
-            raise InputError("joined metric fails the triangle inequality on (%s, %s, %s)"
-                             % (name(i), name(k), name(j)))
+        if scan:
+            full = np.block([[self.x.dist, c], [c.T, self.y.dist]])
+            trip, _ = _triangle_violation(full, TAU_METRIC, self.x.size)
+            if trip is not None:
+                i, k, j = trip
+                nx = self.x.size
+                def name(t):
+                    return "X%d" % t if t < nx else "Y%d" % (t - nx)
+                raise InputError("joined metric fails the triangle inequality on (%s, %s, %s)"
+                                 % (name(i), name(k), name(j)))
         c.setflags(write=False)
         object.__setattr__(self, "cross", c)
 

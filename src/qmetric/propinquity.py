@@ -61,14 +61,20 @@ class Bridge:
 
 
 def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
-                 epsilon: float, algebra: Algebra) -> Bridge:
+                 epsilon: float, algebra: Algebra, net=None) -> Bridge:
     """Join two spaces with the offset cross metric and admit close pairs.
 
     The cross distances are lifted by epsilon / (8 sqrt(2) m_A), a quarter
     of the admission slack, so the joined matrix can stay a metric while
     every point still finds a partner within threshold.  An epsilon whose
     lift leaves some cross distance at or below the metric tolerance
-    TAU_METRIC is bad input."""
+    TAU_METRIC is bad input.
+
+    The join's mixed triples are scanned.  net, given by approx_table rows,
+    names the indices in y of x's points, with x y's subspace on them and
+    cross y.dist[net]: such a join is a metric by the lemma of
+    JoinedSpace._net_join, which scans only when rounding might break it
+    or when the inputs are not as stated."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InputError("epsilon must be positive and finite")
@@ -86,7 +92,9 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
             "epsilon %.12g is too small: its cross offset epsilon / (8 sqrt(2) m_A) "
             "= %.3g lifts a cross distance only to %.3g, not above the metric "
             "tolerance %.3g" % (epsilon, offset, lifted.min(), TAU_METRIC))
-    return _bridge(JoinedSpace(x, y, lifted), cross, epsilon, algebra)
+    joined = (JoinedSpace(x, y, lifted) if net is None
+              else JoinedSpace._net_join(x, y, net, lifted, offset))
+    return _bridge(joined, cross, epsilon, algebra)
 
 
 def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
@@ -97,9 +105,9 @@ def _bridge(joined: JoinedSpace, cross: np.ndarray, epsilon: float,
     follow from the validated X and Y and build_bridge's TAU_METRIC check."""
     delta_xy = _block_hausdorff(cross)
     threshold = delta_xy + epsilon / (2.0 * _ROOT2 * algebra.max_block)
-    pairs = np.argwhere(joined.cross <= threshold)
-    w_set = tuple((int(i), int(j)) for i, j in pairs)
-    if (len({i for i, _ in w_set}), len({j for _, j in w_set})) != joined.cross.shape:
+    admitted = joined.cross <= threshold
+    w_set = tuple(map(tuple, np.argwhere(admitted).tolist()))
+    if not (admitted.any(axis=1).all() and admitted.any(axis=0).all()):
         raise ArithmeticError(
             "matched-pair projections are not surjective; the offset is a "
             "quarter of the admission slack, so this cannot happen")
@@ -253,7 +261,9 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     Each row restricts the ground metric to a greedy net, bridges the net
     against the full space, and records the pinned columns (eps_n,
     net_size, hausdorff, delta_xy, bound).  The net lies in the space, so
-    its Hausdorff distance is the bridge's delta_xy.  Row i is
+    its Hausdorff distance is the bridge's delta_xy, and its join to the
+    space is a metric by a lemma, scanned only when rounding might break
+    it (build_bridge's net).  Row i is
     propinquity_upper_bound of its net with seed + i; samples is at most
     10000."""
     schedule = [float(e) for e in eps_schedule]
@@ -285,9 +295,11 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
                 samples: int) -> list:
     """propinquity_upper_bound of each row (net, x, cross, seed) against
     the common space y: one (delta_xy, bound, certificates) per row, in
-    order, bit for bit when every certificate is ok.  net is a key for
-    the row's bridge: consecutive rows with equal keys share one bridge
-    pair, so they must have equal x and cross.
+    order, bit for bit when every certificate is ok.  net is None for a
+    caller's cross, or the indices of x in y with cross y.dist[net], and
+    is build_bridge's net.  It is also the key of the row's bridge:
+    consecutive rows with equal keys share one bridge pair, so they must
+    have equal x and cross.
 
     Consecutive rows form a group while rows x samples <= _GROUP_FUNCTIONS,
     so at 32 samples or more each row is its own group.  A group draws
@@ -325,7 +337,7 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
             if forward is None or key != net:
                 # the previous pair is dropped before the next is built
                 forward = backward = None
-                forward = build_bridge(x, y, cross, epsilon, algebra)
+                forward = build_bridge(x, y, cross, epsilon, algebra, key)
                 # the mirrored join has the same triples, so it is not scanned again
                 backward = _bridge(forward.joined.mirrored(), cross.T, forward.epsilon,
                                    algebra)

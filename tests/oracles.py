@@ -6,7 +6,8 @@ instead of search, a Jacobi eigensolver of our own where the package
 calls LAPACK, one-channel-at-a-time flow loops where the package solves
 all channels in lockstep (its own primal-dual rounds, and the successive
 shortest paths it replaced, for the optimum), term-by-term pairings where
-the package contracts all terms at once, and a dense slack-basis tableau
+the package contracts all terms at once, extensions one subset point at
+a time where the package extends in tiles, and a dense slack-basis tableau
 where the package runs a revised simplex on the dual.  Slow on purpose;
 only run on tiny instances.
 """
@@ -91,6 +92,27 @@ def brute_lipschitz(dist, vals):
         for j in range(i + 1, n):
             best = max(best, abs(vals[i] - vals[j]) / dist[i, j])
     return best
+
+
+def loop_inf_convolution(rows, chans, lip):
+    """McShane's clamped inf-convolution one subset point at a time: each
+    column of chans (k, c) extended with its constant in lip (a float or one
+    per column) to the targets whose distances to the subset are rows
+    (t, k), clamped to the column's range and unpinned."""
+    low = np.full((len(rows), chans.shape[1]), np.inf)
+    for d_y, f_y in zip(rows.T, chans):
+        np.minimum(low, d_y[:, None] * lip + f_y, out=low)
+    return np.clip(low, chans.min(axis=0), chans.max(axis=0))
+
+
+def loop_realized_extension(rows, dist, chans):
+    """loop_inf_convolution with each column's realized constant on the
+    subset (distances dist), from one subset point's pairs at a time."""
+    consts = np.zeros(chans.shape[1])
+    for a in range(len(dist) - 1):
+        quot = np.abs(chans[a] - chans[a + 1:]) / dist[a, a + 1:, None]
+        consts = np.maximum(consts, quot.max(axis=0))
+    return loop_inf_convolution(rows, chans, consts)
 
 
 def brute_triangle_violation(d, tol):

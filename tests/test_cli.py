@@ -121,6 +121,65 @@ def test_repeat_runs_are_byte_identical(files, capsys):
     assert out1 == out2
 
 
+def test_config_hash_reads_input_contents_not_paths(capsys, tmp_path):
+    """The same space and algebra in two directories give one hash; a
+    space overwritten with other contents gives another.  The state files
+    of mk and a bridge's cross file count the same way."""
+    def write(name, obj):
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def hash_of(argv):
+        rc, out, _ = _run(capsys, argv)
+        assert rc == 0
+        return json.loads(out)["config_hash"]
+
+    circle = circle_net(6).to_json_dict()
+    hashes = [hash_of(["approx", "--space", write(d + "/s.json", circle),
+                       "--algebra", write(d + "/a.json", M2.to_json_dict()), "--rows", "2"])
+              for d in ("one", "two")]
+    assert hashes[0] == hashes[1]
+    write("one/s.json", circle_net(7).to_json_dict())
+    argv = ["approx", "--space", str(tmp_path / "one/s.json"),
+            "--algebra", str(tmp_path / "one/a.json"), "--rows", "2"]
+    assert hash_of(argv) != hashes[0]
+    # the output path still does not count
+    assert _run(capsys, argv + ["--out", str(tmp_path / "r.json")])[0] == 0
+    assert json.loads((tmp_path / "r.json").read_text())["config_hash"] == hash_of(argv)
+    space = _path(4)
+    states = [tracial_functional(M2, (1.0,), p).to_json_dict(space.labels) for p in (0, 3, 1)]
+    mk = [["mk", write(d + "/mu.json", states[0]), write(d + "/nu.json", states[i]),
+           "--space", write(d + "/p.json", space.to_json_dict()),
+           "--algebra", write(d + "/a.json", M2.to_json_dict())]
+          for d, i in (("three", 1), ("four", 1), ("five", 2))]
+    assert hash_of(mk[0]) == hash_of(mk[1]) != hash_of(mk[2])
+    bridge = [["bridge", "--space-x", write(d + "/p.json", space.to_json_dict()),
+               "--space-y", write(d + "/p.json", space.to_json_dict()),
+               "--cross", write(d + "/c.json", (space.dist + lift).tolist()),
+               "--algebra", write(d + "/a.json", M2.to_json_dict()), "--samples", "1"]
+              for d, lift in (("six", 0.0), ("seven", 0.0), ("eight", 0.5))]
+    assert hash_of(bridge[0]) == hash_of(bridge[1]) != hash_of(bridge[2])
+
+
+def test_bridge_scans_a_caller_cross(capsys, tmp_path):
+    """A caller's cross matrix is scanned: the space's own distances with
+    d(X0, Y0) raised to 10 break the triangle through X1."""
+    space = tmp_path / "s.json"
+    space.write_text(json.dumps(circle_net(6).to_json_dict()))
+    algebra = tmp_path / "a.json"
+    algebra.write_text(json.dumps(M2.to_json_dict()))
+    bad = circle_net(6).dist.tolist()
+    bad[0][0] = 10.0
+    cross = tmp_path / "bad.json"
+    cross.write_text(json.dumps(bad))
+    rc, _, err = _run(capsys, ["bridge", "--space-x", str(space), "--space-y", str(space),
+                               "--cross", str(cross), "--algebra", str(algebra)])
+    assert rc == 2
+    assert "joined metric fails the triangle inequality on (X0, X1, Y0)" in err
+
+
 def test_embed_check_uses_uniform_default_weights(files, capsys):
     rc, out, _ = _run(capsys, ["embed-check",
                                "--space", str(files["space"]),

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_lipschitz
+from oracles import brute_lipschitz, loop_inf_convolution, loop_realized_extension
 
+from qmetric import mcshane
 from qmetric.errors import InputError
-from qmetric.mcshane import ExtensionProblem, extend, extend_as_map, extend_channels
+from qmetric.mcshane import (ExtensionProblem, _clamped_inf_convolution, _realized_extension,
+                             _tiles, extend, extend_as_map, extend_channels)
 from qmetric.metric import FiniteMetricSpace
 
 
@@ -179,3 +181,68 @@ def test_channels_with_large_gaps_extend(rng, scale):
             assert (np.abs(got[:, None] - got[None, :])
                     <= lip * space.dist + slack).all()
             assert col.min() <= got.min() and got.max() <= col.max()
+
+
+@pytest.mark.parametrize("block", [mcshane._BLOCK, 96, 7])
+def test_tiles_cover_the_box_once_within_the_block(monkeypatch, block):
+    monkeypatch.setattr(mcshane, "_BLOCK", block)
+    for t, k, c in [(1, 1, 1), (5, 1, 3), (1, 9, 2), (30, 17, 1), (7, 7, 13), (3, 50, 40),
+                    (200, 3, 40), (2, 2, 150), (300, 40, 12), (0, 4, 2), (4, 4, 0)]:
+        seen = np.zeros((t, k, c), dtype=int)
+        for ts, ks, cs in _tiles(t, k, c):
+            assert seen[ts, ks, cs].size <= block
+            seen[ts, ks, cs] += 1
+        assert (seen == 1).all()
+
+
+def _kernel_case(rng, t, k, c):
+    """Distances from t targets to k subset points, the subset's own, and
+    k x c channel values, integer ones (tied) half the time."""
+    pts = rng.uniform(0.0, 3.0, size=(t + k, 2))
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    chans = rng.normal(size=(k, c)) * 10.0 ** rng.integers(-3, 4)
+    if rng.random() < 0.5:
+        chans = np.round(chans)
+    return d[k:, :k], d[:k, :k], chans
+
+
+@pytest.mark.parametrize("c", [1, 13, 40])
+@pytest.mark.parametrize("block", [mcshane._BLOCK, 96, 32])
+def test_blocked_kernel_equals_the_point_loop(monkeypatch, rng, block, c):
+    """The tiled kernel, with one constant per column or the realized ones,
+    gives the one-point-at-a-time loop's bytes: one and two subset points,
+    and one below, at and above a tile's subset width, for targets fewer
+    and more than the subset points.  RuntimeWarnings are errors, so no
+    0/0 of a pair with itself goes unnoticed."""
+    monkeypatch.setattr(mcshane, "_BLOCK", block)
+    for t in (50, 400):
+        _, width, _ = next(_tiles(t, 10 ** 6, c))
+        for k in sorted({1, 2, width.stop - 1, width.stop, width.stop + 1} - {0}):
+            rows, dist, chans = _kernel_case(rng, t, k, c)
+            lip = rng.uniform(0.0, 5.0, size=c)
+            assert (_clamped_inf_convolution(rows, chans, lip).tobytes()
+                    == loop_inf_convolution(rows, chans, lip).tobytes())
+            assert (_realized_extension(rows, dist, chans).tobytes()
+                    == loop_realized_extension(rows, dist, chans).tobytes())
+
+
+@pytest.mark.parametrize("block", [mcshane._BLOCK, 32])
+def test_extensions_equal_the_point_loop(monkeypatch, rng, block):
+    """extend (one checked constant) and extend_channels (realized ones)
+    give the loop's bytes, pinned on the subset."""
+    monkeypatch.setattr(mcshane, "_BLOCK", block)
+    for _ in range(20):
+        n = int(rng.integers(2, 40))
+        space = _random_space(rng, n)
+        k = int(rng.integers(1, n + 1))
+        subset = list(rng.choice(n, size=k, replace=False))
+        dist = space.dist[np.ix_(subset, subset)]
+        chans = rng.normal(size=(k, int(rng.choice([1, 13, 40]))))
+        want = loop_realized_extension(space.dist[:, subset], dist, chans)
+        want[subset] = chans
+        assert extend_channels(space, subset, chans).tobytes() == want.tobytes()
+        lip = brute_lipschitz(dist, chans[:, 0]) + 0.5
+        want = loop_inf_convolution(space.dist[:, subset], chans[:, :1], lip)
+        want[subset] = chans[:, :1]
+        got = extend(ExtensionProblem(space, tuple(subset), tuple(chans[:, 0]), lip))
+        assert got.tobytes() == want[:, 0].tobytes()

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import brute_triangle_violation, gh_by_correspondences
 from qmetric import metric
 from qmetric.errors import InputError
-from qmetric.generate import random_planar_space
+from qmetric.generate import circle_net, random_planar_space
 from qmetric.metric import (
     TAU_METRIC,
     FiniteMetricSpace,
@@ -189,6 +191,132 @@ def test_subspace_is_built_without_a_triangle_scan(monkeypatch):
     assert calls == []
     full = FiniteMetricSpace(sub.labels, PATH4.dist[np.ix_((3, 0, 2), (3, 0, 2))])
     assert np.array_equal(sub.dist, full.dist)
+
+
+def _slacks(d):
+    """fl(fl(d[i,k] + d[k,j]) - d[i,j]) at [i, k, j], as the scan forms it."""
+    return (d[:, :, None] + d[None, :, :]) - d[:, None, :]
+
+
+def test_spaces_record_their_least_triangle_slack(rng):
+    """A scanned space records its least slack; a subspace keeps its
+    parent's, a lower bound on its own; a space whose stored matrix is not
+    the scanned one, or that was not scanned, records no bound."""
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        space = random_planar_space(n, rng)
+        assert space._worst_slack == _slacks(space.dist).min()
+        sub = space.subspace(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        assert space._worst_slack <= sub._worst_slack <= _slacks(sub.dist).min()
+    # a line bent by half the tolerance: the subspace keeps the bend
+    bent = PATH4.dist.copy()
+    bent[0, 3] = bent[3, 0] = 3.0 + 0.5 * TAU_METRIC
+    bent = FiniteMetricSpace(PATH4.labels, bent)
+    sub = bent.subspace((3, 1, 0))
+    assert bent._worst_slack <= sub._worst_slack <= _slacks(sub.dist).min() < -0.4 * TAU_METRIC
+    skewed = PATH4.dist.copy()
+    skewed[0, 1] += 1e-12
+    assert FiniteMetricSpace(PATH4.labels, skewed)._worst_slack == -math.inf
+    two = FiniteMetricSpace(("u", "v"), np.array([[0.0, 2.0], [2.0, 0.0]]))
+    cross = np.array([[0.5, 2.5], [0.5, 1.5], [1.5, 0.5], [2.5, 0.5]])
+    joined = JoinedSpace(PATH4, two, cross).metric_space(tuple("abcduv"))
+    assert joined._worst_slack == -math.inf
+
+
+def _net_join_case(rng):
+    """A space y, a net of it (indices in any order) and a cross offset, or
+    None if y is rejected.  y is planar, l1 on the integer grid (where
+    slacks tie at 0), or a line whose end-to-end distance is raised by a
+    few ulps less than TAU_METRIC or by half of it: accepted just inside
+    the tolerance, or well inside."""
+    n = int(rng.integers(2, 8))
+    kind = rng.integers(3)
+    if kind == 0:
+        pts = rng.uniform(0.0, 3.0, size=(n, 2))
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    elif kind == 1:
+        pts = rng.choice(49, size=n, replace=False)
+        pts = np.stack([pts // 7, pts % 7], axis=1).astype(float)
+        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    else:
+        pts = rng.choice(20, size=n + 1, replace=False).astype(float)
+        d = np.abs(pts[:, None] - pts[None, :])
+        ends = int(pts.argmin()), int(pts.argmax())
+        bump = TAU_METRIC * rng.choice([0.5, 1.0]) - rng.uniform(0.0, 2e-14)
+        d[ends, ends[::-1]] += bump
+    try:
+        y = FiniteMetricSpace(tuple("y%d" % i for i in range(len(d))), d)
+    except InputError:
+        return None
+    net = rng.choice(y.size, size=int(rng.integers(1, y.size + 1)), replace=False)
+    offset = float(rng.choice([0.0, 1e-12, 1e-6, 0.01, 1.0]) * rng.uniform(0.5, 2.0))
+    return y, tuple(int(i) for i in net), offset
+
+
+def test_net_join_agrees_with_the_full_scan(monkeypatch, rng):
+    """A net joined to its own space gives what a scan of the full joined
+    matrix gives: the join, or the scan's error.  Whenever the net join
+    skips its scan, the full scan finds nothing."""
+    scans = []
+    real = metric._triangle_violation
+    monkeypatch.setattr(metric, "_triangle_violation",
+                        lambda *args: scans.append(args) or real(*args))
+    skipped = scanned = 0
+    for _ in range(400):
+        case = _net_join_case(rng)
+        if case is None:
+            continue
+        y, net, offset = case
+        x = y.subspace(net)
+        cross = y.dist[list(net)] + offset
+        want = brute_triangle_violation(np.block([[x.dist, cross], [cross.T, y.dist]]),
+                                        TAU_METRIC)
+        scans.clear()
+        if want is None:
+            joined = JoinedSpace._net_join(x, y, net, cross, offset)
+            assert joined.cross.tobytes() == cross.tobytes()
+        else:
+            with pytest.raises(InputError) as err:
+                JoinedSpace._net_join(x, y, net, cross, offset)
+            with pytest.raises(InputError) as ref:
+                JoinedSpace(x, y, cross)
+            assert str(err.value) == str(ref.value)
+        assert scans or want is None
+        skipped, scanned = skipped + (not scans), scanned + bool(scans)
+    assert skipped > 150 and scanned > 20
+
+
+def test_net_join_scans_unless_the_lemma_applies(monkeypatch):
+    """The scan runs when the recorded slack lies within the rounding margin
+    of -TAU_METRIC, when the margin itself exceeds TAU_METRIC (a space of
+    diameter 2e6), and when the net, cross or offset are not as stated."""
+    line = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    bumped = line.copy()
+    bumped[0, 3] = bumped[3, 0] = 3.0 + (TAU_METRIC - 1e-14)
+    near = FiniteMetricSpace(tuple("abcd"), bumped)
+    assert -TAU_METRIC <= near._worst_slack < -TAU_METRIC + 1e-13
+    plain = FiniteMetricSpace(tuple("abcd"), line)
+    big = scale(circle_net(8), 1e6)
+    scans = []
+    real = metric._triangle_violation
+    monkeypatch.setattr(metric, "_triangle_violation",
+                        lambda *args: scans.append(args) or real(*args))
+
+    def join(y, net, offset, cross=None):
+        scans.clear()
+        cross = y.dist[list(net)] + offset if cross is None else cross
+        JoinedSpace._net_join(y.subspace(net), y, net, cross, offset)
+        return [args[0].shape for args in scans]
+
+    assert join(plain, (0, 2), 0.01) == []
+    assert join(near, (0, 2), 0.01) == [(6, 6)]
+    assert join(big, (0, 4), 0.01) == [(10, 10)]
+    assert join(plain, (2, 0), 0.01, plain.dist[[0, 2]] + 0.01) == [(6, 6)]
+    assert join(plain, (0, 2), 0.01, plain.dist[[0, 2]] + 0.02) == [(6, 6)]
+    assert join(plain, (0, 2), -0.0) == []
+    scans.clear()
+    JoinedSpace._net_join(plain.subspace((0, 2)), plain, (0, 9), plain.dist[[0, 2]], 0.0)
+    assert len(scans) == 1
 
 
 def test_joined_space_full_matrix_and_hausdorff():

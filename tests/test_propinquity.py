@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import in_conv_unit_ball, random_sa_function
-from oracles import loop_transport, one_at_a_time_bound, one_at_a_time_table, stack_certificate
-from qmetric import funcspace, metric, propinquity
+from oracles import (loop_realized_extension, loop_transport, one_at_a_time_bound,
+                     one_at_a_time_table, stack_certificate)
+from qmetric import funcspace, mcshane, metric, propinquity
 from qmetric.algebra import AlgElement, Algebra
 from qmetric.errors import BoundViolation, InputError
 from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm, to_channels
@@ -147,6 +148,26 @@ def test_cross_block_transport_equals_the_joined_extension(algebra, rng):
                                   np.hstack([to_channels(fn) for fn in sources]))
             assert b_chans.tobytes() == np.stack(np.split(ext[nx:], k, axis=1)).tobytes()
     assert sizes[0] == 1 and 1 < sizes[1] < 12 and sizes[2] == 12
+
+
+@pytest.mark.parametrize("block", [mcshane._BLOCK, 32])
+def test_transport_equals_the_point_loop(monkeypatch, rng, block):
+    """Transport's tiled kernel, with each source channel's realized
+    constant on X, gives the one-point-at-a-time loop's bytes over the
+    cross block, both ways across net bridges."""
+    monkeypatch.setattr(mcshane, "_BLOCK", block)
+    m23, y = Algebra((2, 3)), circle_net(30, "chord")
+    for eps_n in (10.0, 0.6, 0.2):
+        net = epsilon_net(y, eps_n)
+        cross = y.dist[np.ix_(net, range(y.size))]
+        forward = build_bridge(y.subspace(net), y, cross, EPS, m23, net)
+        backward = _bridge(forward.joined.mirrored(), cross.T, EPS, m23)
+        for bridge in (forward, backward):
+            sources = [random_sa_function(bridge.x, m23, rng) for _ in range(3)]
+            _, b_chans, _ = _transport(bridge, sources, [1.0] * 3)
+            want = loop_realized_extension(bridge.joined.cross.T, bridge.x.dist,
+                                           np.hstack([to_channels(fn) for fn in sources]))
+            assert b_chans.tobytes() == np.stack(np.split(want, 3, axis=1)).tobytes()
 
 
 def test_batched_matching_equals_one_at_a_time(rng):
@@ -501,6 +522,28 @@ def test_bridge_checks_the_joined_triangle_inequality_once(monkeypatch):
     far[0, 0] = far[0, 2] = 0.0
     with pytest.raises(InputError, match="joined metric fails the triangle"):
         build_bridge(_path(3), _path(3), far, EPS, M2)
+
+
+def test_approx_nets_join_without_a_scan(monkeypatch):
+    """On the benchmark's approx input (a 96-point chord circle, M2, six
+    halvings) every net joins its space by the lemma: no triangle scan
+    runs, and the table is the one that scanning every join gives."""
+    n = 96
+    angles = 2.0 * math.pi * np.arange(n) / n
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    space = FiniteMetricSpace(tuple("c%d" % i for i in range(n)),
+                              np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2))
+    schedule = [float(space.dist.max()) / 2.0 ** (i + 1) for i in range(6)]
+    scans = []
+    real = metric._triangle_violation
+    monkeypatch.setattr(metric, "_triangle_violation",
+                        lambda *args: scans.append(args) or real(*args))
+    table = approx_table(space, M2, schedule, EPS, samples=3, seed=5)
+    assert scans == []
+    monkeypatch.setattr(metric.JoinedSpace, "_net_join",
+                        classmethod(lambda cls, x, y, net, cross, offset: cls(x, y, cross)))
+    assert json.dumps(approx_table(space, M2, schedule, EPS, samples=3, seed=5)) == json.dumps(table)
+    assert len(scans) == 5
 
 
 def test_mirrored_join_builds_the_backward_bridge():
