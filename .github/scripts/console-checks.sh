@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+# Runs the installed `qmetric` console script end to end; the tests call
+# cli.main directly. Run it from any directory after installing the package;
+# it works in a fresh temporary directory.
+#
+# approx and bridge send the batched bridge certificates through it. Bad
+# input must exit exactly 2: a negative --samples or --seed, a NaN --eps, a
+# NaN block weight, a negative planar --box, --samples above 10000, an --eps
+# whose cross offset is below the metric tolerance, an infinite net scale
+# and more --rows than halvings that stay positive. The exit code is
+# captured, since bash's set -e ignores a !-negated command. lipnorm on a
+# function made from values runs its self-adjointness decision, and norms
+# runs the element-level check of the real max norm. approx on a 160-point
+# circle joins each net to the space by the lemma, without a triangle scan;
+# a bridge over a caller's cross matrix is still scanned, so the circle's
+# own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A
+# 1024-point circle is built twice, by gen and by approx, each time with
+# the blocked triangle scan; the timeouts catch a scan that is slow again.
+set -eu
+cd "$(mktemp -d)"
+exits_2() { code=0; "$@" || code=$?; if [ "$code" -ne 2 ]; then echo "exit $code, not 2: $*"; exit 1; fi; }
+qmetric gen circle --n 6 --out s.json
+echo '{"blocks": [2, 3]}' > a.json
+qmetric embed-check --space s.json --algebra a.json
+qmetric approx --space s.json --algebra a.json --rows 2
+python -c 'import json; json.dump(json.load(open("s.json"))["dist"], open("c.json", "w"))'
+qmetric bridge --space-x s.json --space-y s.json --cross c.json --algebra a.json --samples 2
+exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --samples -1
+exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --seed -1
+exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --eps nan
+exits_2 qmetric embed-check --space s.json --algebra a.json --weights nan,1
+exits_2 qmetric gen planar --n 3 --box -1
+exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --samples 10001
+exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --eps 1e-8
+exits_2 qmetric approx --space s.json --algebra a.json --schedule inf,0.5
+exits_2 qmetric approx --space s.json --algebra a.json --rows 1030
+qmetric gen circle --n 160 --out s160.json
+qmetric approx --space s160.json --algebra a.json --rows 6 --out t160.json
+python -c 'import json; d = json.load(open("s.json"))["dist"]; d[0][0] = 10.0; json.dump(d, open("bad.json", "w"))'
+exits_2 qmetric bridge --space-x s.json --space-y s.json --cross bad.json --algebra a.json 2> bad.log
+grep -F "joined metric fails the triangle inequality on (X0, X1, Y0)" bad.log
+python -c 'import json, qmetric as q; s = q.circle_net(6); a = q.Algebra((2, 3)); json.dump(q.classical_embed(s, range(6), a).to_json_dict(), open("f.json", "w")); json.dump((q.matrix_unit(a, 1, 1, 2) + q.matrix_unit(a, 1, 2, 1)).to_json_dict(), open("e.json", "w"))'
+qmetric lipnorm f.json --spec-norm realmax --spec-q conv
+qmetric norms e.json --algebra a.json
+echo '{"blocks": [2]}' > m2.json
+timeout 60 qmetric gen circle --n 1024 --out s1024.json
+timeout 60 qmetric approx --space s1024.json --algebra m2.json --rows 3 --out t1024.json

@@ -3,8 +3,11 @@
 An algebra here is always a finite direct sum of full matrix algebras over
 the complex numbers, described by its list of block sizes.  Elements carry
 one square complex matrix per block.  Three norms are provided: the C*-norm
-(largest singular value), the entrywise max-modulus norm, and the entrywise
-real/imaginary max norm on self-adjoint elements.
+(largest singular value), the entrywise max-modulus norm, and the real max
+norm on self-adjoint elements.  The real max norm is the abs-max of the float
+view of the blocks: viewed as floats, a complex (k, m, m) stack is a
+(k, 2 m^2) array that holds the Re and Im of each entry side by side, and an
+element's norm is the largest |x| over its row of every block.
 
 Norms and distances to scalars are computed on per-block stacks of shape
 (k, m, m), so one call covers many elements: stack_norms gives each
@@ -179,8 +182,8 @@ def matrix_unit(algebra: Algebra, k: int, p: int, q: int) -> AlgElement:
 
 
 def _hermitian_defect(stack: np.ndarray) -> np.ndarray:
-    """Largest entry of |b - b^*| for each matrix b of a (k, m, m) stack."""
-    return np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    """Largest entry of |b - b^*| for each matrix b of a (..., m, m) stack."""
+    return np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def _require_self_adjoint(stacks, tol: float) -> None:
@@ -194,13 +197,30 @@ def _require_finite(stacks, norm_kind: str) -> None:
         raise InputError("the %s norm needs finite entries" % norm_kind)
 
 
+def _float_view(stack) -> np.ndarray:
+    """The float view of a complex stack of shape (..., m, m): shape
+    (..., 2 m^2), the Re and Im of each entry side by side, in row-major
+    order.  No copy for a C-contiguous complex stack; any other stack is
+    copied to one first.  Complex arithmetic on the view is entry by entry,
+    so a difference of two views is the view of the difference, bit for bit.
+    """
+    s = np.ascontiguousarray(stack, dtype=complex)
+    return s.reshape(s.shape[:-2] + (s.shape[-2] * s.shape[-1],)).view(float)
+
+
+def _real_diagonal(m: int) -> slice:
+    """The slots of the real diagonal entries in a float view of m x m blocks."""
+    return slice(None, None, 2 * (m + 1))
+
+
 def stack_norms(stacks, norm_kind: str) -> np.ndarray:
     """Norm of each element held as per-block stacks of shape (k, m, m).
 
     "operator" and "max" raise InputError on NaN or inf entries.
-    "real_max" checks nothing: its callers hand it stacks that are
-    self-adjoint, checked once per element or function, or Hermitian by
-    construction.
+    "real_max" is the abs-max of each element's row of the float views
+    (_float_view), NaN when that row holds a NaN.  It checks nothing: its
+    callers hand it stacks that are self-adjoint, checked once per element
+    or function, or Hermitian by construction.
     """
     if norm_kind in ("operator", "max"):
         _require_finite(stacks, norm_kind)
@@ -210,8 +230,7 @@ def stack_norms(stacks, norm_kind: str) -> np.ndarray:
         return np.max([np.abs(s).max(axis=(1, 2)) for s in stacks], axis=0)
     if norm_kind != "real_max":
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    return np.max([np.maximum(np.abs(s.real).max(axis=(1, 2)),
-                              np.abs(s.imag).max(axis=(1, 2))) for s in stacks], axis=0)
+    return np.max([np.abs(_float_view(s)).max(axis=1) for s in stacks], axis=0)
 
 
 def _one(a: AlgElement) -> tuple:
@@ -306,18 +325,27 @@ def _scalar_distances(stacks, norm_kind, tol, pooled):
         evs = np.concatenate([np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2)))
                               for s in stacks], axis=1).reshape(rows, -1)
         return 0.5 * (evs.max(axis=1) - evs.min(axis=1))
-    diags = [np.diagonal(s, axis1=1, axis2=2) for s in stacks]
     if norm_kind == "real_max":
-        diags = [d.real for d in diags]
+        # the scalar moves the real diagonal slots of the float views; the
+        # rest is the abs-max of every other slot
+        views = [_float_view(s) for s in stacks]
+        diags = [v[:, _real_diagonal(s.shape[1])] for s, v in zip(stacks, views)]
         pool = np.concatenate(diags, axis=1).reshape(rows, -1)
         moved = 0.5 * (pool.max(axis=1) - pool.min(axis=1))
+        rest = []
+        for s, v in zip(stacks, views):
+            mags = np.abs(v)
+            mags[:, _real_diagonal(s.shape[1])] = 0.0
+            rest.append(mags.max(axis=1))
+        rest = np.max(rest, axis=0)
     elif norm_kind == "max":
+        diags = [np.diagonal(s, axis1=1, axis2=2) for s in stacks]
         moved = [min_enclosing_radius(z)[0]
                  for z in np.concatenate(diags, axis=1).reshape(rows, -1)]
+        rest = stack_norms([s - d[:, :, None] * np.eye(s.shape[1])
+                            for s, d in zip(stacks, diags)], norm_kind)
     else:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    rest = stack_norms([s - d[:, :, None] * np.eye(s.shape[1]) for s, d in zip(stacks, diags)],
-                       norm_kind)
     return np.maximum(rest.max(keepdims=True) if pooled else rest, moved)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -76,18 +77,26 @@ class MatrixFunction:
                      for p in range(self.space.size))
 
     @cached_property
-    def hermitian_defects(self) -> tuple[float, float]:
+    def _value_defect(self) -> float:
         """Largest Hermitian defect (entry of |b - b^*|, NaN on a non-finite
-        entry) of a value and of a difference of two values; exactly 0, at
-        no cost, for a function made from channels."""
+        entry) of a value; exactly 0, at no cost, for a function made from
+        channels."""
         if self.channels is not None:
-            return 0.0, 0.0
-        values = float(np.max([alg._hermitian_defect(s) for s in self.stacks]))
-        if values == 0.0:  # then every difference is exactly Hermitian too
+            return 0.0
+        return float(np.max([alg._hermitian_defect(s) for s in self.stacks]))
+
+    @cached_property
+    def hermitian_defects(self) -> tuple[float, float]:
+        """Largest Hermitian defect of a value and of a difference of two
+        values.  The second is 0 at no cost when the values are exactly
+        Hermitian, as then is every difference.  Otherwise it is read from
+        the differences of the real_max row pass (_real_max_lips), which
+        _lip_parts runs once for their norms and their defects together,
+        recording both defects here."""
+        values = self._value_defect
+        if values == 0.0:
             return values, 0.0
-        rows = [alg._hermitian_defect(s[i, None] - s[i + 1:]).max()
-                for s in self.stacks for i in range(len(s) - 1)]
-        return values, float(np.max(rows, initial=0.0))
+        return values, float(_real_max_lips((self,), [True])[1][0])
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
         return self.hermitian_defects[0] <= tol
@@ -219,11 +228,14 @@ def conv_spec() -> SeminormSpec:
     return SeminormSpec("real_max", "conv")
 
 
+_NOT_SELF_ADJOINT = "the real max norm applies to self-adjoint functions only"
+
+
 def _require_self_adjoint(fns, tol: float, differences: bool = False) -> None:
     """InputError unless each function's values (and, with differences, the
     differences of its values) are self-adjoint within tol."""
     if not all(d <= tol for fn in fns for d in fn.hermitian_defects[:1 + differences]):
-        raise InputError("the real max norm applies to self-adjoint functions only")
+        raise InputError(_NOT_SELF_ADJOINT)
 
 
 def sup_norm(fn: MatrixFunction, norm_kind: str = "operator", tol: float = TAU_SA) -> float:
@@ -244,14 +256,24 @@ def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
 def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
     """lip_part of each of P functions on one space, bit for bit.
 
-    Runs lip_part's row loop once over per-block stacks of shape
-    (P, n, m, m), in O(P n) memory.  Under "real_max" each function's
-    values and their differences are checked once, up front, from its
-    hermitian_defects; the rows are not."""
+    Runs lip_part's row loop once over all P functions, in O(P n) memory:
+    "operator" and "max" on per-block stacks of shape (P, n, m, m),
+    "real_max" on their float views (_real_max_lips).  Under "real_max"
+    each function's values are checked up front.  The differences of a
+    function made from values that are not exactly Hermitian are checked,
+    once per function, from the same row pass that takes their norms,
+    before this returns."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
     if norm_kind == "real_max":
+        if not all(fn._value_defect <= tol for fn in fns):
+            raise InputError(_NOT_SELF_ADJOINT)
+        probe = [fn._value_defect != 0.0 and "hermitian_defects" not in vars(fn) for fn in fns]
+        best, defects = _real_max_lips(fns, probe)
+        for fn, defect in zip(compress(fns, probe), defects):
+            fn._hold(hermitian_defects=(fn._value_defect, float(defect)))
         _require_self_adjoint(fns, tol, differences=True)
+        return best
     stacks = [np.stack(blocks) for blocks in zip(*(fn.stacks for fn in fns))]
     dist = fns[0].space.dist
     best = np.zeros(len(fns))
@@ -261,6 +283,33 @@ def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
         # fmax skips a NaN row maximum, as the one-function max(best, nan) did
         best = np.fmax(best, (norms.reshape(len(fns), -1) / dist[i, i + 1:]).max(axis=1))
     return best
+
+
+def _real_max_lips(fns, probe) -> tuple[np.ndarray, np.ndarray]:
+    """The real_max Lipschitz part of each of P functions on one space, and
+    the largest Hermitian defect of a difference of two values (NaN on a
+    non-finite entry) of each function where probe is true, in order.
+
+    Each block is read through one float view of shape (P, n, 2 m^2)
+    (algebra._float_view).  A row of pairs, point i against every j > i,
+    is one subtract, abs and max per block on the views, which is the
+    complex row's real_max norm bit for bit; the probed defects read the
+    same differences before the abs."""
+    dist = fns[0].space.dist
+    sizes = fns[0].algebra.block_sizes
+    views = [alg._float_view(np.stack(blocks)) for blocks in zip(*(fn.stacks for fn in fns))]
+    probed = np.flatnonzero(probe)
+    best, worst = np.zeros(len(fns)), np.zeros(len(probed))
+    for i in range(len(dist) - 1):
+        diffs = [v[:, i, None] - v[:, i + 1:] for v in views]
+        if probed.size:
+            for m, d in zip(sizes, diffs):
+                rows = d if probed.size == len(fns) else d[probed]
+                rows = rows.view(complex).reshape(rows.shape[:2] + (m, m))
+                worst = np.maximum(worst, alg._hermitian_defect(rows).max(axis=1))
+        norms = np.max([np.abs(d, out=d).max(axis=2) for d in diffs], axis=0)
+        best = np.fmax(best, (norms / dist[i, i + 1:]).max(axis=1))
+    return best, worst
 
 
 def q_term(fn: MatrixFunction, spec: SeminormSpec, tol: float = TAU_SA) -> float:

@@ -14,12 +14,44 @@ TAU_METRIC = 1e-9
 GH_EXACT_CAP = 5
 
 
+_SCAN_ROWS = 64   # rows of one slack block, which holds 64 n floats
+_SCAN_KS = 256    # middle points k per pass over the row blocks
+
+
+def _slack_blocks(d: np.ndarray, ks, rows: int, c0: int, symmetric: bool):
+    """(k, r0, c, slack) for each block of at most _SCAN_ROWS rows below
+    rows, and within it each k of ks: slack[i - r0, j - c] is fl(fl(d[i,k]
+    + d[k,j]) - d[i,j]) for the columns j >= c.  The columns start at c0,
+    or for a symmetric d at the block's first row if that is later: every
+    pair i <= j is still covered, and each other pair (i, j) is the mirror
+    of a covered pair (j, i) with the same slack.  Each row block's slack
+    is one buffer, reused for every k."""
+    for r0 in range(0, rows, _SCAN_ROWS):
+        r1 = min(rows, r0 + _SCAN_ROWS)
+        c = max(c0, r0) if symmetric else c0
+        block = d[r0:r1, c:]
+        buf = np.empty(block.shape)
+        for k in ks:
+            np.add(d[r0:r1, k, None], d[k, c:], out=buf)
+            yield k, r0, c, np.subtract(buf, block, out=buf)
+
+
 def _triangle_violation(d: np.ndarray, tol: float, split=None):
     """(triple, worst): the first triple (i, k, j) with d[i,j] > d[i,k] +
     d[k,j] + tol, or None, and the least slack fl(fl(d[i,k] + d[k,j]) -
     d[i,j]) that the scan computed.  The triple is the smallest such k, then
     its most violated (i, j), the first in row-major order on ties; with no
-    triple, worst is over every scanned triple.
+    triple, worst is over every scanned triple, else over those of its k.
+
+    The scan takes the k in passes of _SCAN_KS and the rows in blocks of
+    _SCAN_ROWS (_slack_blocks), so it holds O(n) floats at a time.  For an
+    exactly symmetric d the slack of (i, k, j) is bit for bit that of
+    (j, k, i), since fl(a + b) = fl(b + a).  So on such a d the scan reads
+    only the pairs i <= j, and those mirrored within a row block: the least
+    slack is the same, and so is the first most violated pair, since the
+    mirror (j, i) of a most violated pair with i > j is one that comes
+    first in row-major order.  A d that validation let through off
+    symmetric, within its tolerance, is scanned in full.
 
     With a split, only the triples that mix the points below it with those
     at or above it are scanned.  That is for an exactly symmetric d whose
@@ -29,19 +61,52 @@ def _triangle_violation(d: np.ndarray, tol: float, split=None):
     the rows below it, so the scan reports the full scan's triple.
     """
     n = d.shape[0]
+    if split is None:
+        parts, symmetric = [(0, n, n, 0)], bool((d == d.T).all())
+    else:
+        parts, symmetric = [(0, split, n, split), (split, n, split, 0)], True
     worst = math.inf
-    for k in range(n):
-        if split is None:
-            rows, c0 = n, 0
-        else:
-            rows, c0 = (n, split) if k < split else (split, 0)
-        slack = d[:rows, k][:, None] + d[k, c0:][None, :] - d[:rows, c0:]
-        least = slack.min()
-        if least < -tol:
-            i, j = np.unravel_index(int(slack.argmin()), slack.shape)
-            return (int(i), int(k), int(j) + c0), float(least)
-        worst = min(worst, float(least))
+    for k_from, k_to, rows, c0 in parts:
+        for k0 in range(k_from, k_to, _SCAN_KS):
+            ks = range(k0, min(k_to, k0 + _SCAN_KS))
+            least = np.full(len(ks), math.inf)
+            for k, _, _, slack in _slack_blocks(d, ks, rows, c0, symmetric):
+                least[k - k0] = min(least[k - k0], slack.min())
+            bad = np.flatnonzero(least < -tol)
+            if bad.size:
+                k, found = k0 + int(bad[0]), None
+                for _, r0, c, slack in _slack_blocks(d, (k,), rows, c0, symmetric):
+                    at = int(slack.argmin())
+                    if found is None or slack.flat[at] < found[0]:
+                        i, j = divmod(at, slack.shape[1])
+                        found = (slack.flat[at], r0 + i, c + j)
+                return (found[1], k, found[2]), float(least[bad[0]])
+            worst = min(worst, float(least.min()))
     return None, worst
+
+
+def _check_pointwise_axioms(d: np.ndarray) -> None:
+    """InputError on the first failure, in this order, of finite entries,
+    symmetry and a zero diagonal (both to TAU_METRIC), and positive
+    distances off the diagonal.  One O(n^2) scratch array serves every
+    check."""
+    n = len(d)
+    if not np.isfinite(d).all():
+        raise InputError("distances must be finite")
+    scratch = np.subtract(d, d.T)
+    bad = np.abs(scratch, out=scratch) > TAU_METRIC
+    if bad.any():
+        i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+        raise InputError("distance matrix is not symmetric at (%d, %d)" % (i, j))
+    if np.abs(np.diag(d)).max() > TAU_METRIC:
+        i = int(np.abs(np.diag(d)).argmax())
+        raise InputError("nonzero self-distance at point %d" % i)
+    off = scratch  # d + I: the diagonal, within TAU_METRIC of 0, is raised clear of the test
+    np.copyto(off, d)
+    off[np.diag_indices(n)] += 1.0
+    if off.min() <= TAU_METRIC:
+        i, j = np.unravel_index(int(off.argmin()), off.shape)
+        raise InputError("distance between distinct points %d and %d is not positive" % (i, j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,19 +151,7 @@ class FiniteMetricSpace:
             raise InputError("point labels must be distinct")
         if d.ndim != 2 or d.shape != (n, n):
             raise InputError("distance matrix must be %dx%d, got %r" % (n, n, d.shape))
-        if not np.isfinite(d).all():
-            raise InputError("distances must be finite")
-        bad = np.abs(d - d.T) > TAU_METRIC
-        if bad.any():
-            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            raise InputError("distance matrix is not symmetric at (%d, %d)" % (i, j))
-        if np.abs(np.diag(d)).max() > TAU_METRIC:
-            i = int(np.abs(np.diag(d)).argmax())
-            raise InputError("nonzero self-distance at point %d" % i)
-        off = d + np.eye(n)
-        if off.min() <= TAU_METRIC:
-            i, j = np.unravel_index(int(off.argmin()), off.shape)
-            raise InputError("distance between distinct points %d and %d is not positive" % (i, j))
+        _check_pointwise_axioms(d)
         trip, worst = (_triangle_violation(d, TAU_METRIC) if worst_slack is None
                        else (None, worst_slack))
         if trip is not None:
@@ -106,7 +159,8 @@ class FiniteMetricSpace:
             raise InputError(
                 "triangle inequality fails: d(%d,%d) > d(%d,%d) + d(%d,%d)" % (i, j, i, k, k, j))
         scanned = d
-        d = 0.5 * (d + d.T)
+        d = d + d.T
+        d *= 0.5
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         object.__setattr__(self, "labels", labels)

@@ -132,6 +132,26 @@ def brute_triangle_violation(d, tol):
     return None
 
 
+def full_triangle_scan(d, tol, split=None):
+    """(triple, worst) as metric._triangle_violation reports them, by one
+    full n x n slack matrix per k over every scanned pair (i, j), without
+    the row blocks or the symmetry."""
+    n = d.shape[0]
+    worst = math.inf
+    for k in range(n):
+        if split is None:
+            rows, c0 = n, 0
+        else:
+            rows, c0 = (n, split) if k < split else (split, 0)
+        slack = d[:rows, k][:, None] + d[k, c0:][None, :] - d[:rows, c0:]
+        least = slack.min()
+        if least < -tol:
+            i, j = np.unravel_index(int(slack.argmin()), slack.shape)
+            return (int(i), int(k), int(j) + c0), float(least)
+        worst = min(worst, float(least))
+    return None, worst
+
+
 def gh_by_correspondences(dx, dy):
     """Exact distance by enumerating every surjective correspondence.
 
@@ -389,6 +409,55 @@ def brute_lip_part(fn, norm_kind):
             diff = fn.values[i] - fn.values[j]
             best = max(best, norm(diff) / fn.space.dist[i, j])
     return best
+
+
+def entrywise_real_max(stacks):
+    """Real max norm of each element of per-block (k, m, m) stacks, entry by
+    entry: the largest of |Re z| and |Im z| over every entry z of its
+    blocks, NaN if any of them is NaN."""
+    out = []
+    for k in range(len(stacks[0])):
+        parts = [abs(t) for s in stacks for z in s[k].ravel() for t in (z.real, z.imag)]
+        out.append(math.nan if any(math.isnan(t) for t in parts) else max(parts))
+    return np.array(out, dtype=float)
+
+
+def entrywise_real_max_to_scalars(stacks, pooled):
+    """Distance under the real max norm from each element (or, pooled, from
+    all of them) to one real scalar, entry by entry: the larger of half the
+    spread of the real diagonal and the largest |Re| and |Im| of every other
+    entry, the imaginary diagonal included."""
+    def rest_and_diagonal(k):
+        rest, diag = [0.0], []
+        for s in stacks:
+            for p in range(s.shape[1]):
+                for q in range(s.shape[2]):
+                    z = s[k, p, q]
+                    rest.append(abs(z.imag))
+                    if p == q:
+                        diag.append(z.real)
+                    else:
+                        rest.append(abs(z.real))
+        return max(rest), diag
+
+    parts = [rest_and_diagonal(k) for k in range(len(stacks[0]))]
+    if pooled:
+        diag = [x for _, d in parts for x in d]
+        parts = [(max(r for r, _ in parts), diag)]
+    return np.array([max(r, 0.5 * (max(d) - min(d))) for r, d in parts])
+
+
+def loop_difference_defect(fn):
+    """Largest Hermitian defect of a difference of two values, one
+    difference of AlgElements per unordered pair and block."""
+    from qmetric import algebra as alg
+
+    worst = 0.0
+    for i in range(fn.space.size):
+        for j in range(i + 1, fn.space.size):
+            for blk in (fn.values[i] - fn.values[j]).blocks:
+                worst = max(worst, float(alg._hermitian_defect(blk[None])[0]))
+    return worst
 
 
 def loop_transport(bridge, a_fn):

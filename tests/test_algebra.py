@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import dist_to_scalars, random_element, random_sa_element
-from oracles import hermitian_eigenvalues, jacobi_op_norm, scan_scalar_distance
+from oracles import (
+    entrywise_real_max,
+    entrywise_real_max_to_scalars,
+    hermitian_eigenvalues,
+    jacobi_op_norm,
+    scan_scalar_distance,
+)
+from qmetric import algebra as alg_mod
 from qmetric.algebra import (
     Algebra,
     AlgElement,
@@ -17,7 +24,9 @@ from qmetric.algebra import (
     min_enclosing_radius,
     op_norm,
     real_max_norm,
+    TAU_SA,
     scalar_distance,
+    stack_norms,
     tracial_state,
     vector_state,
 )
@@ -217,6 +226,82 @@ def test_norm_sandwiches(rng):
         assert rmn <= maxn + 1e-12
         assert maxn <= ROOT2 * rmn + 1e-12
         assert opn <= ROOT2 * m_a * rmn + 1e-12
+
+
+def _complex_stacks(rng, sizes, k):
+    """Per-block (k, m, m) stacks with entries across twelve orders of
+    magnitude, some of them -0.0."""
+    stacks = []
+    for m in sizes:
+        z = (rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))) \
+            * 10.0 ** rng.uniform(-6, 6, size=(k, 1, 1))
+        z[rng.random(size=z.shape) < 0.1] = complex(-0.0, -0.0)
+        stacks.append(z)
+    return stacks
+
+
+def test_float_view_holds_re_and_im_side_by_side(rng):
+    s = _complex_stacks(rng, (3,), 4)[0]
+    view = alg_mod._float_view(s)
+    assert view.shape == (4, 18) and np.shares_memory(view, s)
+    for k, p, q in ((0, 0, 0), (1, 2, 1), (3, 1, 2)):
+        assert view[k, 2 * (3 * p + q)] == s[k, p, q].real
+        assert view[k, 2 * (3 * p + q) + 1] == s[k, p, q].imag
+    assert (view[:, alg_mod._real_diagonal(3)] == np.diagonal(s, axis1=1, axis2=2).real).all()
+    assert alg_mod._float_view(np.zeros((0, 3, 3), dtype=complex)).shape == (0, 18)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (2, 3), (4, 1, 3)])
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_real_max_norms_equal_the_entrywise_oracle(rng, sizes, k):
+    """The abs-max of the float views is max(|Re|, |Im|) over the entries,
+    bit for bit, for empty, transposed (not contiguous), strided and real
+    stacks."""
+    stacks = _complex_stacks(rng, sizes, k)
+    for form in (stacks, [s.swapaxes(1, 2) for s in stacks],
+                 [np.concatenate([s, s])[::2] for s in stacks],
+                 [s.real for s in stacks]):
+        got = stack_norms(form, "real_max")
+        want = entrywise_real_max([np.asarray(s, dtype=complex) for s in form])
+        assert got.shape == (k,) and got.tobytes() == want.tobytes()
+
+
+def test_real_max_norms_of_non_finite_entries(rng):
+    """An element with a NaN entry, in its Re or Im, has a NaN norm and one
+    with an infinite entry an infinite norm; the others keep theirs."""
+    for bad, part in ((np.nan, "real"), (np.nan, "imag"), (np.inf, "real"), (-np.inf, "imag")):
+        stacks = _complex_stacks(rng, (2, 3), 4)
+        getattr(stacks[1], part)[2, 2, 0] = bad
+        got = stack_norms(stacks, "real_max")
+        want = entrywise_real_max(stacks)
+        assert np.isnan(got[2]) == np.isnan(bad) and (np.isinf(got[2]) == np.isinf(bad))
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def _nearly_hermitian_stacks(rng, sizes, k):
+    """Self-adjoint stacks plus a defect of up to TAU_SA / 4 in each part of
+    the lower triangle and the imaginary diagonal, at or above the scale of
+    the self-adjoint part, so that each kind of slot is at times the
+    largest."""
+    stacks = []
+    for m in sizes:
+        z = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
+        s = 10.0 ** rng.uniform(-12, -9) * (z + z.conj().swapaxes(1, 2))
+        e = rng.uniform(-0.25, 0.25, size=(2, k, m, m)) * TAU_SA
+        s += np.tril(e[0] + 1j * e[1], -1) + 1j * e[1] * np.eye(m)
+        stacks.append(s)
+    return stacks
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (2, 3)])
+def test_real_max_distance_to_scalars_reads_every_slot_but_the_real_diagonal(rng, sizes):
+    for k in (1, 2, 6):
+        stacks = _nearly_hermitian_stacks(rng, sizes, k)
+        for pooled in (True, False):
+            got = alg_mod._scalar_distances(stacks, "real_max", TAU_SA, pooled)
+            want = entrywise_real_max_to_scalars(stacks, pooled)
+            assert got.tobytes() == want.tobytes()
+        assert scalar_distance(stacks, "real_max") == entrywise_real_max_to_scalars(stacks, True)[0]
 
 
 def test_min_enclosing_radius_known_cases():

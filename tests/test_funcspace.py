@@ -4,15 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import dist_to_scalars, in_conv_unit_ball, random_element, random_sa_function
-from oracles import brute_lip_part, brute_lipschitz, jacobi_spectral_spread
+from helpers import (
+    dist_to_scalars,
+    in_conv_unit_ball,
+    random_element,
+    random_sa_element,
+    random_sa_function,
+)
+from oracles import (
+    brute_lip_part,
+    brute_lipschitz,
+    entrywise_real_max_to_scalars,
+    jacobi_spectral_spread,
+    loop_difference_defect,
+)
 from qmetric import algebra as alg
-from qmetric.algebra import NORM_KINDS, AlgElement, Algebra, _hermitian_defect, op_norm
+from qmetric import funcspace as fs
+from qmetric.algebra import NORM_KINDS, TAU_SA, AlgElement, Algebra, _hermitian_defect, op_norm
 from qmetric.errors import InputError
 from qmetric.funcspace import (
     Q_KINDS,
     MatrixFunction,
     _lip_parts,
+    _lipnorms,
     SeminormSpec,
     classical_embed,
     conv_spec,
@@ -139,6 +153,65 @@ def test_batched_lip_parts_equal_the_pairwise_loop(rng):
                     assert got.shape == (size,)
                     assert [float(v) for v in got] == [brute_lip_part(fn, norm_kind)
                                                        for fn in fns]
+
+
+def _nearly_hermitian_function(space, algebra, rng):
+    """A function made from values: self-adjoint ones at 1e-12 to 1e-9 plus
+    a defect of up to TAU_SA / 4 in each part of their lower triangles and
+    imaginary diagonals, so that the values and their differences pass
+    TAU_SA and the real max norm must read those slots."""
+    values = []
+    scale = 10.0 ** rng.uniform(-12, -9)
+    for _ in range(space.size):
+        blocks = []
+        for b in random_sa_element(algebra, rng, scale).blocks:
+            m = len(b)
+            e = rng.uniform(-0.25, 0.25, size=(2, m, m)) * TAU_SA
+            blocks.append(b + np.tril(e[0] + 1j * e[1], -1) + 1j * e[1] * np.eye(m))
+        values.append(AlgElement(algebra, tuple(blocks)))
+    return MatrixFunction(space, algebra, tuple(values))
+
+
+def test_real_max_parts_of_nearly_hermitian_functions(rng):
+    """With defects up to TAU_SA the lower triangle and the imaginary
+    diagonal count: each function of a batch that mixes them with exactly
+    Hermitian ones gets the pairwise loop's Lipschitz part and the entrywise
+    q parts, bit for bit, and its difference defect is the pairwise one,
+    whether the row pass or a first read of hermitian_defects finds it."""
+    makers = (_nearly_hermitian_function, random_sa_function, _channel_function)
+    for space in (PATH3, random_planar_space(9, rng)):
+        fns = [makers[p % 3](space, M23, rng) for p in range(7)]
+        got = _lip_parts(fns, "real_max")
+        assert [float(v) for v in got] == [brute_lip_part(fn, "real_max") for fn in fns]
+        for fn in fns[::3]:
+            fresh = MatrixFunction(space, M23, fn.values)
+            assert fresh.hermitian_defects == fn.hermitian_defects
+            assert fn.hermitian_defects[1] == loop_difference_defect(fn) > 0.0
+            for q_kind, pooled in (("conv", True), ("quotient_C", True), ("quotient_CX", False)):
+                want = entrywise_real_max_to_scalars(fn.stacks, pooled).max()
+                assert q_term(fn, SeminormSpec("real_max", q_kind)) == want
+
+
+def test_one_row_pass_gives_the_norms_and_the_difference_defects(monkeypatch, rng):
+    """A real_max seminorm of functions made from values that are not
+    exactly Hermitian forms their differences once: the Lipschitz part and
+    the difference defects come from one row pass, after which the defects
+    are recorded."""
+    passes = []
+    real = fs._real_max_lips
+    monkeypatch.setattr(fs, "_real_max_lips", lambda *args: passes.append(args) or real(*args))
+    a, b = (random_sa_function(CIRCLE6, M23, rng) for _ in range(2))
+    products = [jordan_product(a, b), lie_product(a, b),
+                _nearly_hermitian_function(CIRCLE6, M23, rng)]
+    assert all(fn.hermitian_defects[0] > 0.0 for fn in products)
+    products = [MatrixFunction(CIRCLE6, M23, fn.values) for fn in products]
+    passes.clear()
+    for fn in products:
+        lipnorm(fn, conv_spec())
+    _lipnorms(products, conv_spec())
+    assert len(passes) == len(products) + 1
+    assert [fn.hermitian_defects[1] for fn in products] == [
+        loop_difference_defect(fn) for fn in products]
 
 
 def test_batch_with_a_non_self_adjoint_difference_is_rejected(rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_triangle_violation, gh_by_correspondences
+from oracles import brute_triangle_violation, full_triangle_scan, gh_by_correspondences
 from qmetric import metric
 from qmetric.errors import InputError
 from qmetric.generate import circle_net, random_planar_space
@@ -180,6 +180,49 @@ def test_joined_space_reports_the_full_scan_triple(rng):
             JoinedSpace(x, y, cross)
         assert str(err.value) == msg
     assert 50 < failures < 350
+
+
+def _scan_case(rng):
+    """A distance matrix for the triangle scan: planar, or l1 on the integer
+    grid (where slacks tie), with a few pairs stretched so that some
+    triples fail; every third one is off symmetric by less than
+    TAU_METRIC."""
+    n = int(rng.integers(1, 14))
+    if rng.integers(2):
+        pts = rng.uniform(0.0, 3.0, size=(n, 2))
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    else:
+        pts = rng.choice(49, size=n, replace=False)
+        pts = np.stack([pts // 7, pts % 7], axis=1).astype(float)
+        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+    for _ in range(rng.integers(0, 3)):
+        i, j = rng.integers(n, size=2)
+        d[i, j] = d[j, i] = 2.0 * d[i, j]
+    if rng.integers(3) == 0:
+        d = d + np.triu(rng.uniform(0.0, 0.5 * TAU_METRIC, size=(n, n)), 1)
+    return d
+
+
+@pytest.mark.parametrize("rows,ks", [(64, 256), (3, 4), (1, 1)])
+def test_blocked_triangle_scan_equals_the_full_scan(monkeypatch, rng, rows, ks):
+    """Row blocks, passes over k and the symmetric half change neither the
+    triple nor the least slack, with or without a split; ties included."""
+    monkeypatch.setattr(metric, "_SCAN_ROWS", rows)
+    monkeypatch.setattr(metric, "_SCAN_KS", ks)
+    symmetric_failures = failures = 0
+    for _ in range(300):
+        d = _scan_case(rng)
+        splits = [None]
+        if (d == d.T).all() and len(d) > 1:
+            splits.append(int(rng.integers(1, len(d))))
+        for split in splits:
+            got = metric._triangle_violation(d, TAU_METRIC, split)
+            want = full_triangle_scan(d, TAU_METRIC, split)
+            assert got == want
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+            failures += got[0] is not None
+            symmetric_failures += got[0] is not None and (d == d.T).all()
+    assert symmetric_failures > 50 and failures > symmetric_failures
 
 
 def test_subspace_is_built_without_a_triangle_scan(monkeypatch):
