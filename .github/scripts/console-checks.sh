@@ -16,6 +16,8 @@
 # own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A
 # 1024-point circle is built twice, by gen and by approx, each time with
 # the blocked triangle scan; the timeouts catch a scan that is slow again.
+# embed-check on a 48-point M2+M3 circle solves its 1128 pairs a row at a
+# time; its timeout catches a return to one flow call per pair.
 set -eu
 cd "$(mktemp -d)"
 exits_2() { code=0; "$@" || code=$?; if [ "$code" -ne 2 ]; then echo "exit $code, not 2: $*"; exit 1; fi; }
@@ -45,3 +47,6 @@ qmetric norms e.json --algebra a.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json
 timeout 60 qmetric approx --space s1024.json --algebra m2.json --rows 3 --out t1024.json
+timeout 60 qmetric gen circle --n 48 --out s48.json
+timeout 60 qmetric embed-check --space s48.json --algebra a.json --out e48.json
+python -c 'import json; r = json.load(open("e48.json"))["report"]; assert len(r["pairs"]) == 1128, len(r["pairs"]); assert r["violated"] is False, r["violated"]'

@@ -92,11 +92,14 @@ class MatrixFunction:
         Hermitian, as then is every difference.  Otherwise it is read from
         the differences of the real_max row pass (_real_max_lips), which
         _lip_parts runs once for their norms and their defects together,
-        recording both defects here."""
+        recording both defects here.  A pass run here keeps its real_max
+        Lipschitz part as _real_max_lip, for _lip_parts to reuse."""
         values = self._value_defect
         if values == 0.0:
             return values, 0.0
-        return values, float(_real_max_lips((self,), [True])[1][0])
+        lip, defect = _real_max_lips((self,), [True])
+        self._hold(_real_max_lip=lip[0])
+        return values, float(defect[0])
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
         return self.hermitian_defects[0] <= tol
@@ -262,16 +265,22 @@ def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
     each function's values are checked up front.  The differences of a
     function made from values that are not exactly Hermitian are checked,
     once per function, from the same row pass that takes their norms,
-    before this returns."""
+    before this returns.  A function whose hermitian_defects ran that pass
+    reuses the part it kept and skips this one."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
     if norm_kind == "real_max":
         if not all(fn._value_defect <= tol for fn in fns):
             raise InputError(_NOT_SELF_ADJOINT)
-        probe = [fn._value_defect != 0.0 and "hermitian_defects" not in vars(fn) for fn in fns]
-        best, defects = _real_max_lips(fns, probe)
-        for fn, defect in zip(compress(fns, probe), defects):
-            fn._hold(hermitian_defects=(fn._value_defect, float(defect)))
+        best = np.array([vars(fn).get("_real_max_lip", 0.0) for fn in fns])
+        todo = [i for i, fn in enumerate(fns) if "_real_max_lip" not in vars(fn)]
+        if todo:
+            fresh = [fns[i] for i in todo]
+            probe = [fn._value_defect != 0.0 and "hermitian_defects" not in vars(fn)
+                     for fn in fresh]
+            best[todo], defects = _real_max_lips(fresh, probe)
+            for fn, defect in zip(compress(fresh, probe), defects):
+                fn._hold(hermitian_defects=(fn._value_defect, float(defect)))
         _require_self_adjoint(fns, tol, differences=True)
         return best
     stacks = [np.stack(blocks) for blocks in zip(*(fn.stacks for fn in fns))]

@@ -444,14 +444,20 @@ def _certify_witnesses(space, algebra, spec, solved) -> list:
     return certified
 
 
+def _solve_pairs(space, algebra, pairs, spec) -> list:
+    """The (mu, nu, support, support channels, optimum) of each checked
+    pair, bit for bit mk_distance's: restricted one by one, then solved in
+    one flow call per support size (_support_optima)."""
+    sups = [_restrict(space, algebra, mu, nu, spec) for mu, nu in pairs]
+    return [(mu, nu, sup, z, value) for (mu, nu), sup, (value, z)
+            in zip(pairs, sups, _support_optima(sups))]
+
+
 def _exact_distances(space, algebra, pairs, spec) -> list:
     """mk_distance of each checked (mu, nu) pair under a real_max spec, bit
-    for bit: restricted one by one, solved in one flow call per support
-    size (_support_optima), certified in one batch.  Returns one (MkResult,
-    certified lipnorm of its witness) per pair."""
-    sups = [_restrict(space, algebra, mu, nu, spec) for mu, nu in pairs]
-    solved = [(mu, nu, sup, z, value) for (mu, nu), sup, (value, z)
-              in zip(pairs, sups, _support_optima(sups))]
+    for bit: solved by _solve_pairs, certified in one batch.  Returns one
+    (MkResult, certified lipnorm of its witness) per pair."""
+    solved = _solve_pairs(space, algebra, pairs, spec)
     return _certify_witnesses(space, algebra, spec, solved) if solved else []
 
 
@@ -554,18 +560,31 @@ def embed_check(space: FiniteMetricSpace, algebra: Algebra, v,
     The tracial embedding of a point reads only real diagonal entries, so
     it contracts every entrywise spec (upper constant 1); the lower
     constant comes from the distance-function witness d(y, .) scaled into
-    the ball."""
+    the ball.
+
+    Each value is mk_distance's, bit for bit.  The pairs are solved one row
+    at a time, point x against every y > x: under the conv, conv_K and
+    quotient_C kinds every support of a row has two points, so the row is
+    one min_cost_flows call (_solve_pairs); the state kind runs each
+    pair's multiplier search.  Each witness is then extended and certified
+    on its own.  Memory is O(n) two-point supports and their flows, plus
+    one witness of n sum m^2 floats.  A state spec's reference state is
+    checked once, up front, also on a one-point space."""
     if not spec.lp_exact():
         raise UnsupportedSpec("embedding checks need an exact seminorm spec")
+    if spec.q_kind == "state":
+        _check_states(space, algebra, spec.state)
     diam = diameter(space)
     lower_c = 1.0 if diam <= 0 else _LOWER_CONSTANT[spec.q_kind](diam, spec)
     phi = tracial_state(algebra, v)
+    # valid by construction: one state of the algebra, at points of the space
     points = [delta_embed(phi, x) for x in range(space.size)]
     rows = []
     max_upper = max_lower = max_defect = 0.0
-    for x in range(space.size):
-        for y in range(x + 1, space.size):
-            val = mk_distance(space, algebra, points[x], points[y], spec).value
+    for x in range(space.size - 1):
+        row = [(points[x], points[y]) for y in range(x + 1, space.size)]
+        for y, item in enumerate(_solve_pairs(space, algebra, row, spec), x + 1):
+            val = _certify_witnesses(space, algebra, spec, [item])[0][0].value
             d = float(space.dist[x, y])
             max_upper = max(max_upper, val - d)
             max_lower = max(max_lower, lower_c * d - val)

@@ -797,3 +797,34 @@ def one_at_a_time_table(x, algebra, schedule, epsilon, samples, seed):
                      "certificates": bound["certificates"]})
         witnesses += row_witnesses
     return rows, witnesses
+
+
+def per_pair_embed_check(space, algebra, v, spec):
+    """embed_check's report, one fresh mk_distance per pair of points."""
+    from qmetric.algebra import tracial_state
+    from qmetric.lpcore import TAU_LP
+    from qmetric.metric import diameter
+    from qmetric.mk import _LOWER_CONSTANT, mk_distance
+    from qmetric.states import delta_embed
+
+    diam = diameter(space)
+    lower_c = 1.0 if diam <= 0 else _LOWER_CONSTANT[spec.q_kind](diam, spec)
+    phi = tracial_state(algebra, v)
+    points = [delta_embed(phi, x) for x in range(space.size)]
+    rows = []
+    max_upper = max_lower = max_defect = 0.0
+    for x in range(space.size):
+        for y in range(x + 1, space.size):
+            val = mk_distance(space, algebra, points[x], points[y], spec).value
+            d = float(space.dist[x, y])
+            max_upper = max(max_upper, val - d)
+            max_lower = max(max_lower, lower_c * d - val)
+            max_defect = max(max_defect, abs(val - d) / d)
+            rows.append({"x": str(space.labels[x]), "y": str(space.labels[y]),
+                         "dist": d, "mk": val})
+    return {"spec": spec.describe(),
+            "upper_constant": 1.0, "lower_constant": lower_c,
+            "max_upper_excess": max_upper, "max_lower_shortfall": max_lower,
+            "max_relative_defect": max_defect,
+            "violated": max_upper > TAU_LP or max_lower > TAU_LP,
+            "pairs": rows}

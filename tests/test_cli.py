@@ -429,6 +429,20 @@ def test_ref_state_label_mismatch_is_exit_two(files, capsys, tmp_path):
     assert "not a label" in err
 
 
+def test_embed_check_reference_state_of_wrong_blocks_is_exit_two(files, capsys, tmp_path):
+    """Checked up front: a one-point space has no pair to reach it."""
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(_path(1).to_json_dict()))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(
+        tracial_functional(Algebra((2, 3)), (0.5, 0.5), 0).to_json_dict(("p0",))))
+    rc, out, err = _run(capsys, ["embed-check", "--space", str(point),
+                                 "--algebra", str(files["algebra"]),
+                                 "--spec-q", "state", "--ref-state", str(ref)])
+    assert (rc, out) == (2, "")
+    assert "state block sizes" in err
+
+
 def test_norms_of_a_non_finite_element_is_exit_two(files, capsys):
     bad = files["dir"] / "nan.json"
     # one 2x2 block, rows of [re, im] pairs, with a NaN in the corner

@@ -406,6 +406,31 @@ def test_quasi_leibniz_report_fields(rng):
     assert rep.slack == pytest.approx(rep.rhs - rep.lhs)
 
 
+def test_quasi_leibniz_forms_each_difference_once(monkeypatch, rng):
+    """Inputs made from values that are not exactly Hermitian take one row
+    pass each, in the self-adjointness check, whose Lipschitz parts their
+    seminorms reuse; each product takes one.  The report is unchanged."""
+    space = circle_net(8)
+    skew = AlgElement(M23, (np.array([[0.0, 1e-13], [0.0, 0.0]]), np.zeros((3, 3))))
+    pair = []
+    for _ in range(2):
+        vals = list(random_sa_function(space, M23, rng).values)
+        vals[3] = vals[3] + skew
+        pair.append(vals)
+    passes = []
+    real = fs._real_max_lips
+    monkeypatch.setattr(fs, "_real_max_lips", lambda *args: passes.append(args) or real(*args))
+    a, b = (MatrixFunction(space, M23, vals) for vals in pair)
+    rep = quasi_leibniz_check(a, b, conv_spec())
+    assert len(passes) == 4
+    fresh = [MatrixFunction(space, M23, vals) for vals in pair]
+    la, lb = (lipnorm(fn, conv_spec()) for fn in fresh)
+    assert [la, lb] == [max(brute_lip_part(fn, "real_max"), q_term(fn, conv_spec()))
+                        for fn in fresh]
+    na, nb = (sup_norm(fn) for fn in fresh)
+    assert rep.rhs == rep.c_const * (na * lb + nb * la) + rep.d_const * la * lb
+
+
 def test_sup_norm_matches_operator_norm(rng):
     fn = _sa_fn(rng)
     assert sup_norm(fn, "operator") == pytest.approx(

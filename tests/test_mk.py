@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import loop_pairing_vector, polygon_lp_value, support_lp_value
+from oracles import (loop_pairing_vector, per_pair_embed_check, polygon_lp_value,
+                     support_lp_value)
 from qmetric import lpcore, mk
 from qmetric.algebra import Algebra, AlgElement, AlgState, tracial_state, vector_state
 from qmetric.errors import BoundViolation, InputError, UnsupportedSpec
@@ -219,6 +220,65 @@ def test_embedding_matches_metric_up_to_constants():
 def test_embedding_check_needs_exact_spec():
     with pytest.raises(UnsupportedSpec):
         embed_check(_path(2), M2, (1.0,), SeminormSpec("operator", "conv"))
+
+
+def _embed_spec(q_kind, rng, space, algebra):
+    if q_kind.startswith("conv_K"):
+        return SeminormSpec("real_max", "conv_K", K=float(q_kind.split("=")[1]))
+    if q_kind == "state":
+        own = sorted(rng.choice(space.size, size=min(space.size, 3), replace=False))
+        return SeminormSpec("real_max", "state",
+                            state=_spread_state(space, algebra, rng, own))
+    return SeminormSpec("real_max", q_kind)
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K=0.5", "conv_K=3", "quotient_C", "state"])
+@pytest.mark.parametrize("algebra, v", [(M2, (1.0,)), (M23, (0.3, 0.7))], ids=["M2", "M23"])
+def test_embedding_rows_match_the_per_pair_oracle(q_kind, algebra, v, rng):
+    """Solving a row of pairs at a time and certifying each witness alone
+    gives mk_distance's report, one pair at a time, bit for bit."""
+    spaces = [circle_net(n) for n in (1, 2, 3, 5, 8, 12)]
+    spaces += [random_planar_space(n, rng) for n in (1, 4, 7, 10)]
+    for space in spaces:
+        spec = _embed_spec(q_kind, rng, space, algebra)
+        got = embed_check(space, algebra, v, spec)
+        assert json.dumps(got) == json.dumps(per_pair_embed_check(space, algebra, v, spec))
+        assert len(got["pairs"]) == space.size * (space.size - 1) // 2
+
+
+@pytest.mark.parametrize("q_kind", ["conv", "conv_K=0.5", "quotient_C"])
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_embedding_solves_one_row_per_flow_call(monkeypatch, q_kind, n, rng):
+    """n - 1 min_cost_flows calls, one per row of pairs, each with at most
+    (n - 1) sum m^2 supply rows; every witness is certified on its own."""
+    calls, batches = [], []
+    flows, certify = mk.min_cost_flows, mk._certify_witnesses
+    monkeypatch.setattr(mk, "min_cost_flows",
+                        lambda cost, supply: calls.append(supply.shape) or flows(cost, supply))
+    monkeypatch.setattr(mk, "_certify_witnesses",
+                        lambda *args: batches.append(len(args[3])) or certify(*args))
+    space = random_planar_space(n, rng)
+    embed_check(space, M23, (0.3, 0.7), _embed_spec(q_kind, rng, space, M23))
+    assert len(calls) == n - 1
+    assert all(rows <= (n - 1) * sum(m * m for m in M23.block_sizes) for rows, _ in calls)
+    assert batches == [1] * (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("reference", ["outside", "blocks"])
+def test_embedding_checks_the_reference_state_on_one_point(monkeypatch, rng, reference):
+    """A one-point space has no pairs, yet a bad reference state is an
+    InputError, raised before any flow call."""
+    monkeypatch.setattr(mk, "min_cost_flows", lambda *args: pytest.fail("flow call"))
+    point = _path(1)
+    if reference == "outside":
+        state = delta_embed(random_alg_state(M2, rng), 5)
+    else:
+        state = delta_embed(random_alg_state(M23, rng), 0)
+    spec = SeminormSpec("real_max", "state", state=state)
+    with pytest.raises(InputError):
+        embed_check(point, M2, (1.0,), spec)
+    with pytest.raises(InputError):
+        embed_check(_path(3), M2, (1.0,), spec)
 
 
 def test_solver_tableau_dump(tmp_path):
