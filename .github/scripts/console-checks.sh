@@ -9,8 +9,12 @@
 # whose cross offset is below the metric tolerance, an infinite net scale
 # and more --rows than halvings that stay positive. The exit code is
 # captured, since bash's set -e ignores a !-negated command. lipnorm on a
-# function made from values runs its self-adjointness decision, and norms
-# runs the element-level check of the real max norm. approx on a 160-point
+# function made from values runs its self-adjointness decision under the
+# real max norm, and the complex view of the Lipschitz row pass under the
+# operator and max norms; a conv_K K of inf must exit 2. norms runs the
+# element-level check of the real max norm. mk under the max norm with
+# --refine solves the 16-gon LPs, whose lower end must pass the plain
+# sandwich's and stay at most the upper end. approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
 # own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A
@@ -43,6 +47,12 @@ exits_2 qmetric bridge --space-x s.json --space-y s.json --cross bad.json --alge
 grep -F "joined metric fails the triangle inequality on (X0, X1, Y0)" bad.log
 python -c 'import json, qmetric as q; s = q.circle_net(6); a = q.Algebra((2, 3)); json.dump(q.classical_embed(s, range(6), a).to_json_dict(), open("f.json", "w")); json.dump((q.matrix_unit(a, 1, 1, 2) + q.matrix_unit(a, 1, 2, 1)).to_json_dict(), open("e.json", "w"))'
 qmetric lipnorm f.json --spec-norm realmax --spec-q conv
+qmetric lipnorm f.json --spec-norm op --spec-q c
+qmetric lipnorm f.json --spec-norm max --spec-q c
+exits_2 qmetric lipnorm f.json --spec-q convk --K inf
+python -c 'import json, qmetric as q; s = q.circle_net(6); a = q.Algebra((2, 3)); json.dump(q.tracial_functional(a, (0.5, 0.5), 0).to_json_dict(s.labels), open("mu.json", "w")); json.dump(q.FunctionalState(((1.0, 3, q.vector_state(a, 1, [1, 1j, 1])),)).to_json_dict(s.labels), open("nu.json", "w"))'
+qmetric mk mu.json nu.json --space s.json --algebra a.json --spec-norm max --refine --out mk.json
+python -c 'import json; r = json.load(open("mk.json"))["report"]["result"]; assert r["kind"] == "interval" and r["upper"] / 2 ** 0.5 < r["lower"] <= r["upper"], r'
 qmetric norms e.json --algebra a.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json

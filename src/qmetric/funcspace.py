@@ -90,19 +90,17 @@ class MatrixFunction:
         """Largest Hermitian defect of a value and of a difference of two
         values.  The second is 0 at no cost when the values are exactly
         Hermitian, as then is every difference.  Otherwise it is read from
-        the differences of the real_max row pass (_real_max_lips), which
-        _lip_parts runs once for their norms and their defects together,
-        recording both defects here.  A pass run here keeps its real_max
-        Lipschitz part as _real_max_lip, for _lip_parts to reuse."""
+        the differences of the Lipschitz row pass (_row_pass), the one place
+        that decides it: a real_max Lipschitz part records it here from the
+        pass that takes its norms, and a read before that runs the pass and
+        keeps only the defect."""
         values = self._value_defect
         if values == 0.0:
             return values, 0.0
-        lip, defect = _real_max_lips((self,), [True])
-        self._hold(_real_max_lip=lip[0])
-        return values, float(defect[0])
+        return values, float(_row_pass((self,), "real_max", [True])[1][0])
 
     def is_self_adjoint(self, tol: float = TAU_SA) -> bool:
-        return self.hermitian_defects[0] <= tol
+        return self._value_defect <= tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -201,8 +199,8 @@ class SeminormSpec:
         if self.q_kind not in Q_KINDS:
             raise InputError("unknown q kind %r" % (self.q_kind,))
         if self.q_kind == "conv_K":
-            if self.K is None or not float(self.K) > 0:
-                raise InputError("conv_K needs a positive K")
+            if self.K is None or not 0 < float(self.K) < math.inf:
+                raise InputError("conv_K needs a positive finite K")
             object.__setattr__(self, "K", float(self.K))
         elif self.K is not None:
             raise InputError("K only applies to the conv_K q kind")
@@ -234,10 +232,9 @@ def conv_spec() -> SeminormSpec:
 _NOT_SELF_ADJOINT = "the real max norm applies to self-adjoint functions only"
 
 
-def _require_self_adjoint(fns, tol: float, differences: bool = False) -> None:
-    """InputError unless each function's values (and, with differences, the
-    differences of its values) are self-adjoint within tol."""
-    if not all(d <= tol for fn in fns for d in fn.hermitian_defects[:1 + differences]):
+def _require_self_adjoint(fns, tol: float) -> None:
+    """InputError unless each function's values are self-adjoint within tol."""
+    if not all(fn._value_defect <= tol for fn in fns):
         raise InputError(_NOT_SELF_ADJOINT)
 
 
@@ -257,53 +254,39 @@ def lip_part(fn: MatrixFunction, norm_kind: str, tol: float = TAU_SA) -> float:
 
 
 def _lip_parts(fns, norm_kind: str, tol: float = TAU_SA) -> np.ndarray:
-    """lip_part of each of P functions on one space, bit for bit.
+    """lip_part of each of P functions on one space, bit for bit, from one
+    row pass (_row_pass) in O(P n) memory, for every norm kind.
 
-    Runs lip_part's row loop once over all P functions, in O(P n) memory:
-    "operator" and "max" on per-block stacks of shape (P, n, m, m),
-    "real_max" on their float views (_real_max_lips).  Under "real_max"
-    each function's values are checked up front.  The differences of a
-    function made from values that are not exactly Hermitian are checked,
-    once per function, from the same row pass that takes their norms,
-    before this returns.  A function whose hermitian_defects ran that pass
-    reuses the part it kept and skips this one."""
+    Under "real_max" each function's values are checked up front.  The
+    differences of a function made from values that are not exactly
+    Hermitian are checked, once per function, from the same row pass that
+    takes their norms, before this returns."""
     if norm_kind not in alg.NORM_KINDS:
         raise InputError("unknown norm kind %r" % (norm_kind,))
-    if norm_kind == "real_max":
-        if not all(fn._value_defect <= tol for fn in fns):
-            raise InputError(_NOT_SELF_ADJOINT)
-        best = np.array([vars(fn).get("_real_max_lip", 0.0) for fn in fns])
-        todo = [i for i, fn in enumerate(fns) if "_real_max_lip" not in vars(fn)]
-        if todo:
-            fresh = [fns[i] for i in todo]
-            probe = [fn._value_defect != 0.0 and "hermitian_defects" not in vars(fn)
-                     for fn in fresh]
-            best[todo], defects = _real_max_lips(fresh, probe)
-            for fn, defect in zip(compress(fresh, probe), defects):
-                fn._hold(hermitian_defects=(fn._value_defect, float(defect)))
-        _require_self_adjoint(fns, tol, differences=True)
-        return best
-    stacks = [np.stack(blocks) for blocks in zip(*(fn.stacks for fn in fns))]
-    dist = fns[0].space.dist
-    best = np.zeros(len(fns))
-    for i in range(len(dist) - 1):
-        diffs = [(s[:, i, None] - s[:, i + 1:]).reshape(-1, *s.shape[2:]) for s in stacks]
-        norms = stack_norms(diffs, norm_kind)
-        # fmax skips a NaN row maximum, as the one-function max(best, nan) did
-        best = np.fmax(best, (norms.reshape(len(fns), -1) / dist[i, i + 1:]).max(axis=1))
+    if norm_kind != "real_max":
+        return _row_pass(fns, norm_kind)[0]
+    _require_self_adjoint(fns, tol)
+    probe = [fn._value_defect != 0.0 and "hermitian_defects" not in vars(fn) for fn in fns]
+    best, defects = _row_pass(fns, norm_kind, probe)
+    for fn, defect in zip(compress(fns, probe), defects):
+        fn._hold(hermitian_defects=(fn._value_defect, float(defect)))
+    if not all(fn.hermitian_defects[1] <= tol for fn in fns):
+        raise InputError(_NOT_SELF_ADJOINT)
     return best
 
 
-def _real_max_lips(fns, probe) -> tuple[np.ndarray, np.ndarray]:
-    """The real_max Lipschitz part of each of P functions on one space, and
-    the largest Hermitian defect of a difference of two values (NaN on a
-    non-finite entry) of each function where probe is true, in order.
+def _row_pass(fns, norm_kind: str, probe=()) -> tuple[np.ndarray, np.ndarray]:
+    """The Lipschitz part under norm_kind of each of P functions on one
+    space, and the largest Hermitian defect of a difference of two values
+    (NaN on a non-finite entry) of each function where probe is true, in
+    order.
 
     Each block is read through one float view of shape (P, n, 2 m^2)
     (algebra._float_view).  A row of pairs, point i against every j > i,
-    is one subtract, abs and max per block on the views, which is the
-    complex row's real_max norm bit for bit; the probed defects read the
-    same differences before the abs."""
+    is one subtract per block on the views, which is the complex
+    difference bit for bit.  "real_max" takes its abs and max in place.
+    "operator", "max" and the probed defects read the same difference as
+    complex (P, r, m, m) matrices, which only they build."""
     dist = fns[0].space.dist
     sizes = fns[0].algebra.block_sizes
     views = [alg._float_view(np.stack(blocks)) for blocks in zip(*(fn.stacks for fn in fns))]
@@ -311,12 +294,17 @@ def _real_max_lips(fns, probe) -> tuple[np.ndarray, np.ndarray]:
     best, worst = np.zeros(len(fns)), np.zeros(len(probed))
     for i in range(len(dist) - 1):
         diffs = [v[:, i, None] - v[:, i + 1:] for v in views]
+        if probed.size or norm_kind != "real_max":
+            mats = [d.view(complex).reshape(len(fns), -1, m, m) for m, d in zip(sizes, diffs)]
         if probed.size:
-            for m, d in zip(sizes, diffs):
-                rows = d if probed.size == len(fns) else d[probed]
-                rows = rows.view(complex).reshape(rows.shape[:2] + (m, m))
-                worst = np.maximum(worst, alg._hermitian_defect(rows).max(axis=1))
-        norms = np.max([np.abs(d, out=d).max(axis=2) for d in diffs], axis=0)
+            for z in mats:
+                worst = np.maximum(worst, alg._hermitian_defect(z[probed]).max(axis=1))
+        if norm_kind == "real_max":
+            norms = np.max([np.abs(d, out=d).max(axis=2) for d in diffs], axis=0)
+        else:
+            norms = stack_norms([z.reshape(-1, *z.shape[2:]) for z in mats],
+                                norm_kind).reshape(len(fns), -1)
+        # fmax skips a NaN row maximum, as the one-function max(best, nan) did
         best = np.fmax(best, (norms / dist[i, i + 1:]).max(axis=1))
     return best, worst
 
@@ -415,6 +403,9 @@ def quasi_leibniz_check(a: MatrixFunction, b: MatrixFunction, spec: SeminormSpec
         c_default, d_default = default_leibniz_constants(spec, a.algebra)
         c_const = c_default if c_const is None else float(c_const)
         d_const = d_default if d_const is None else float(d_const)
+    # every comparison with NaN is false, so a NaN slack would pass
+    if not all(0 <= x < math.inf for x in (c_const, d_const, slack_tol)):
+        raise InputError("the product check needs finite nonnegative constants and slack")
     la, lb = lipnorm(a, spec, tol), lipnorm(b, spec, tol)
     na, nb = sup_norm(a, "operator"), sup_norm(b, "operator")
     lhs = max(lipnorm(jordan_product(a, b), spec, tol),

@@ -179,7 +179,7 @@ class FiniteMetricSpace:
             raise InputError("unknown point label %r" % (label,)) from None
 
     def subspace(self, indices) -> "FiniteMetricSpace":
-        idx = list(indices)
+        idx = _point_indices(self, indices)
         if not idx:
             raise InputError("a subspace needs at least one point")
         labels = tuple(self.labels[i] for i in idx)
@@ -213,10 +213,18 @@ def _block_hausdorff(block: np.ndarray) -> float:
     return max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
 
 
+def _point_indices(space: FiniteMetricSpace, indices) -> list:
+    """The indices as a list; InputError unless each is an integer in 0..n-1."""
+    idx = list(indices)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+               and 0 <= i < space.size for i in idx):
+        raise InputError("point indices must be integers in 0..%d" % (space.size - 1))
+    return idx
+
+
 def hausdorff(space: FiniteMetricSpace, sub_a, sub_b) -> float:
     """Two-sided Hausdorff distance between two nonempty point subsets."""
-    a = list(sub_a)
-    b = list(sub_b)
+    a, b = _point_indices(space, sub_a), _point_indices(space, sub_b)
     if not a or not b:
         raise InputError("Hausdorff distance needs nonempty subsets")
     return _block_hausdorff(space.dist[np.ix_(a, b)])

@@ -396,6 +396,14 @@ def test_convk_without_K_is_exit_two(files, capsys):
     assert "--K is required" in err
 
 
+@pytest.mark.parametrize("k", ["inf", "nan", "0", "-1"])
+def test_convk_with_a_K_that_is_not_positive_and_finite_is_exit_two(files, capsys, k):
+    rc, _, err = _run(capsys, ["lipnorm", str(files["function"]),
+                               "--spec-q", "convk", "--K", k])
+    assert rc == 2
+    assert "positive finite K" in err
+
+
 def test_pointwise_quotient_distance_is_exit_two(files, capsys):
     rc, _, err = _run(capsys, ["mk", str(files["mu"]), str(files["nu"]),
                                "--space", str(files["space"]),

@@ -85,6 +85,12 @@ def test_function_json_round_trip(rng):
         assert all(np.array_equal(p, q) for p, q in zip(x.blocks, y.blocks))
 
 
+@pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
+def test_conv_K_needs_a_positive_finite_K(k):
+    with pytest.raises(InputError, match="positive finite K"):
+        SeminormSpec("real_max", "conv_K", K=k)
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         SeminormSpec("operator", "conv_K")  # K missing
@@ -137,15 +143,18 @@ def _channel_function(space, algebra, rng):
 
 
 def test_batched_lip_parts_equal_the_pairwise_loop(rng):
-    """Each function of a batch, made from values or from channels, gets its
-    own pairwise loop's Lipschitz part, bit for bit."""
+    """Each function of a batch, made from values, from channels or from
+    values that are not exactly Hermitian, gets its own pairwise loop's
+    Lipschitz part under every norm kind, bit for bit."""
     spaces = [FiniteMetricSpace(("o",), np.zeros((1, 1))),
               FiniteMetricSpace(("a", "b"), np.array([[0.0, 0.7], [0.7, 0.0]])),
               random_planar_space(7, rng)]
-    makers = {"values": random_sa_function, "channels": _channel_function}
+    makers = {"values": random_sa_function, "channels": _channel_function,
+              "nearly": _nearly_hermitian_function}
     for space in spaces:
         for size in range(1, 6):
-            for kinds in (["values"], ["channels"], ["values", "channels"]):
+            for kinds in (["values"], ["channels"], ["nearly"], ["values", "channels"],
+                          ["values", "channels", "nearly"]):
                 fns = [makers[kinds[(p + size) % len(kinds)]](space, M23, rng)
                        for p in range(size)]
                 for norm_kind in NORM_KINDS:
@@ -198,8 +207,8 @@ def test_one_row_pass_gives_the_norms_and_the_difference_defects(monkeypatch, rn
     the difference defects come from one row pass, after which the defects
     are recorded."""
     passes = []
-    real = fs._real_max_lips
-    monkeypatch.setattr(fs, "_real_max_lips", lambda *args: passes.append(args) or real(*args))
+    real = fs._row_pass
+    monkeypatch.setattr(fs, "_row_pass", lambda *args: passes.append(args) or real(*args))
     a, b = (random_sa_function(CIRCLE6, M23, rng) for _ in range(2))
     products = [jordan_product(a, b), lie_product(a, b),
                 _nearly_hermitian_function(CIRCLE6, M23, rng)]
@@ -397,6 +406,16 @@ def test_quasi_leibniz_holds_on_random_pairs(rng):
             assert rep.lhs <= rep.rhs + 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("name", ["c_const", "d_const", "slack_tol"])
+def test_quasi_leibniz_rejects_non_finite_or_negative_constants(rng, name, bad):
+    """A NaN or infinite constant or slack would make the slack NaN or
+    infinite, which no comparison reads as violated."""
+    a, b = _sa_fn(rng), _sa_fn(rng)
+    with pytest.raises(InputError, match="finite nonnegative"):
+        quasi_leibniz_check(a, b, conv_spec(), **{name: bad})
+
+
 def test_quasi_leibniz_report_fields(rng):
     a = _sa_fn(rng)
     b = _sa_fn(rng)
@@ -408,8 +427,9 @@ def test_quasi_leibniz_report_fields(rng):
 
 def test_quasi_leibniz_forms_each_difference_once(monkeypatch, rng):
     """Inputs made from values that are not exactly Hermitian take one row
-    pass each, in the self-adjointness check, whose Lipschitz parts their
-    seminorms reuse; each product takes one.  The report is unchanged."""
+    pass each, in their seminorms' Lipschitz parts, as the self-adjointness
+    check reads their value defects alone; each product takes one.  The
+    report is unchanged."""
     space = circle_net(8)
     skew = AlgElement(M23, (np.array([[0.0, 1e-13], [0.0, 0.0]]), np.zeros((3, 3))))
     pair = []
@@ -418,8 +438,8 @@ def test_quasi_leibniz_forms_each_difference_once(monkeypatch, rng):
         vals[3] = vals[3] + skew
         pair.append(vals)
     passes = []
-    real = fs._real_max_lips
-    monkeypatch.setattr(fs, "_real_max_lips", lambda *args: passes.append(args) or real(*args))
+    real = fs._row_pass
+    monkeypatch.setattr(fs, "_row_pass", lambda *args: passes.append(args) or real(*args))
     a, b = (MatrixFunction(space, M23, vals) for vals in pair)
     rep = quasi_leibniz_check(a, b, conv_spec())
     assert len(passes) == 4
@@ -491,6 +511,8 @@ REAL_MAX_ENTRY_POINTS = {
         build_bridge(fn.space, fn.space, fn.space.dist, 1e-3, fn.algebra), fn),
     "quasi_leibniz_check": lambda fn: quasi_leibniz_check(fn, fn, conv_spec()),
 }
+# the entry points that take no Lipschitz part read the value defect alone
+VALUE_ONLY_ENTRY_POINTS = {"sup_norm", *("q_term/" + q for q in Q_KINDS)}
 
 
 def _defect_calls(monkeypatch, run) -> int:
@@ -529,8 +551,9 @@ def test_self_adjointness_is_decided_once_per_function(monkeypatch, rng, entry):
     products = _product_defect_calls(monkeypatch, chans, entry)
     assert _defect_calls(monkeypatch, lambda: run(chans)) == products
 
-    # made from values, off Hermitian by less than the slack: both defects
-    # are computed on the first read and never again
+    # made from values, off Hermitian by less than the slack: the value
+    # defect is computed on the first read, the difference defect on the
+    # first Lipschitz part, and neither again
     skew = AlgElement(M2, (np.array([[0.0, 1e-12], [0.0, 0.0]]),))
     vals = [v.scaled(1e-3) for v in random_sa_function(CIRCLE6, M2, rng).values]
     vals[0] = vals[0] + skew
@@ -538,10 +561,11 @@ def test_self_adjointness_is_decided_once_per_function(monkeypatch, rng, entry):
     assert own == 1 + (CIRCLE6.size - 1)  # the values, then one per row of differences
     fn = MatrixFunction(CIRCLE6, M2, vals)
     products = _product_defect_calls(monkeypatch, fn, entry)
-    assert _defect_calls(monkeypatch, lambda: run(fn)) == own + products
+    first = 1 if entry in VALUE_ONLY_ENTRY_POINTS else own
+    assert _defect_calls(monkeypatch, lambda: run(fn)) == first + products
     every = REAL_MAX_ENTRY_POINTS.values()
     assert _defect_calls(monkeypatch, lambda: [other(fn) for other in every]) == (
-        _product_defect_calls(monkeypatch, fn, "quasi_leibniz_check"))
+        own - first + _product_defect_calls(monkeypatch, fn, "quasi_leibniz_check"))
 
 
 def _count_elements(monkeypatch):

@@ -61,6 +61,19 @@ def test_scale_and_subspace():
         scale(PATH4, 0.0)
 
 
+@pytest.mark.parametrize("bad", [-1, 5, 7, 1.0, "0", True, None])
+def test_point_indices_must_be_integers_in_range(bad):
+    """An index that is not an integer in 0..n-1 is an InputError, so -1
+    does not wrap to the last point and 7 does not fail inside numpy."""
+    space = circle_net(5)
+    with pytest.raises(InputError, match="point indices"):
+        space.subspace([bad, 0])
+    for a, b in (([bad], [0]), ([0], [bad])):
+        with pytest.raises(InputError, match="point indices"):
+            hausdorff(space, a, b)
+    assert space.subspace([np.int64(4), 0]).labels == ("c4", "c0")
+
+
 def test_hausdorff_on_path_subsets():
     # {a,d} misses b and c, each at distance 1 from an end
     assert hausdorff(PATH4, (0, 3), (0, 1, 2, 3)) == 1.0
