@@ -7,8 +7,10 @@
 # input must exit exactly 2: a negative --samples or --seed, a NaN --eps, a
 # NaN block weight, a negative planar --box, --samples above 10000, an --eps
 # whose cross offset is below the metric tolerance, an infinite net scale
-# and more --rows than halvings that stay positive. The exit code is
-# captured, since bash's set -e ignores a !-negated command. lipnorm on a
+# and more --rows than halvings that stay positive. Malformed JSON must
+# exit 2 too, not 1 with a traceback: a NaN block size and a ragged
+# distance matrix. The exit code is captured, since bash's set -e ignores
+# a !-negated command. lipnorm on a
 # function made from values runs its self-adjointness decision under the
 # real max norm, and the complex view of the Lipschitz row pass under the
 # operator and max norms; a conv_K K of inf must exit 2. norms runs the
@@ -21,13 +23,16 @@
 # 1024-point circle is built twice, by gen and by approx, each time with
 # the blocked triangle scan; the timeouts catch a scan that is slow again.
 # embed-check on a 48-point M2+M3 circle solves its 1128 pairs a row at a
-# time; its timeout catches a return to one flow call per pair.
+# time; its timeout catches a return to one flow call per pair. The 6-point
+# embed-check also runs with --format csv, which flattens its list of pairs.
 set -eu
 cd "$(mktemp -d)"
 exits_2() { code=0; "$@" || code=$?; if [ "$code" -ne 2 ]; then echo "exit $code, not 2: $*"; exit 1; fi; }
 qmetric gen circle --n 6 --out s.json
 echo '{"blocks": [2, 3]}' > a.json
 qmetric embed-check --space s.json --algebra a.json
+qmetric embed-check --space s.json --algebra a.json --format csv --out e.csv
+grep -Fx "report.pairs.14.y,c5" e.csv
 qmetric approx --space s.json --algebra a.json --rows 2
 python -c 'import json; json.dump(json.load(open("s.json"))["dist"], open("c.json", "w"))'
 qmetric bridge --space-x s.json --space-y s.json --cross c.json --algebra a.json --samples 2
@@ -40,6 +45,10 @@ exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --samples 10001
 exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --eps 1e-8
 exits_2 qmetric approx --space s.json --algebra a.json --schedule inf,0.5
 exits_2 qmetric approx --space s.json --algebra a.json --rows 1030
+echo '{"blocks": [NaN]}' > nan.json
+exits_2 qmetric embed-check --space s.json --algebra nan.json
+echo '{"labels": ["a", "b"], "dist": [[0, 1], [1]]}' > ragged.json
+exits_2 qmetric embed-check --space ragged.json --algebra a.json
 qmetric gen circle --n 160 --out s160.json
 qmetric approx --space s160.json --algebra a.json --rows 6 --out t160.json
 python -c 'import json; d = json.load(open("s.json"))["dist"]; d[0][0] = 10.0; json.dump(d, open("bad.json", "w"))'

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 
 TAU_SA = 1e-9     # self-adjointness slack
 TAU_STATE = 1e-8  # state validity slack
@@ -43,14 +43,9 @@ class Algebra:
     block_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if any(m != int(m) for m in self.block_sizes):
-            raise InputError("block sizes must be integers, got %r"
-                             % (self.block_sizes,))
-        sizes = tuple(int(m) for m in self.block_sizes)
+        sizes = tuple(_integer(m, "block size", 1) for m in self.block_sizes)
         if not sizes:
             raise InputError("an algebra needs at least one block")
-        if min(sizes) < 1:
-            raise InputError("block sizes must be positive, got %r" % (sizes,))
         object.__setattr__(self, "block_sizes", sizes)
 
     @property
@@ -77,7 +72,7 @@ class Algebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Algebra":
-        if not isinstance(data, dict) or "blocks" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("blocks"), list):
             raise InputError("algebra JSON must be an object with a 'blocks' list")
         return cls(tuple(data["blocks"]))
 
@@ -171,11 +166,9 @@ def matrix_unit(algebra: Algebra, k: int, p: int, q: int) -> AlgElement:
     Blocks are indexed from 0 and entries from 1, so p and q run from 1 to
     the size of block k.
     """
-    if not 0 <= k < algebra.n_blocks:
-        raise InputError("block index %d out of range" % k)
+    k = _integer(k, "block index", 0, algebra.n_blocks)
     m = algebra.block_sizes[k]
-    if not (1 <= p <= m and 1 <= q <= m):
-        raise InputError("entry (%d,%d) out of range for a %dx%d block" % (p, q, m, m))
+    p, q = _integer(p, "row p", 1, m + 1), _integer(q, "column q", 1, m + 1)
     blocks = [np.zeros((s, s), dtype=complex) for s in algebra.block_sizes]
     blocks[k][p - 1, q - 1] = 1.0
     return AlgElement(algebra, tuple(blocks))
@@ -358,7 +351,12 @@ class AlgState:
     densities: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        w = tuple(float(t) for t in self.weights)
+        try:
+            w = tuple(float(t) for t in self.weights)
+        except (TypeError, ValueError):
+            raise InputError("block weights must be numbers, got %r" % (self.weights,)) from None
+        if not w:
+            raise InputError("a state needs at least one block")
         if len(w) != len(self.densities):
             raise InputError("need one density per block weight")
         # every comparison with NaN is false, so NaN would pass the checks below
@@ -397,8 +395,9 @@ class AlgState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlgState":
-        if not isinstance(data, dict) or "weights" not in data or "densities" not in data:
-            raise InputError("state JSON must carry 'weights' and 'densities'")
+        if not (isinstance(data, dict) and isinstance(data.get("weights"), list)
+                and isinstance(data.get("densities"), list)):
+            raise InputError("state JSON must carry 'weights' and 'densities' lists")
         return cls(tuple(data["weights"]), tuple(_matrix_from_json(m) for m in data["densities"]))
 
 
@@ -413,8 +412,7 @@ def tracial_state(algebra: Algebra, v) -> AlgState:
 
 def vector_state(algebra: Algebra, k: int, vec) -> AlgState:
     """The pure state living on block k given by a unit vector."""
-    if not 0 <= k < algebra.n_blocks:
-        raise InputError("block index %d out of range" % k)
+    k = _integer(k, "block index", 0, algebra.n_blocks)
     v = np.asarray(vec, dtype=complex).ravel()
     m = algebra.block_sizes[k]
     if v.size != m:

@@ -32,7 +32,7 @@ from .algebra import (
     real_max_norm,
     tracial_state,
 )
-from .errors import BoundViolation, InputError, UnsupportedSpec
+from .errors import BoundViolation, InputError, UnsupportedSpec, _integer
 from .funcspace import MatrixFunction, SeminormSpec, lip_part, lipnorm, q_term, sup_norm
 from .generate import circle_net, interval_net, random_planar_space, scaled_to_diameter
 from .metric import GH_EXACT_CAP, FiniteMetricSpace, diameter, gh_exact, gh_upper
@@ -94,7 +94,10 @@ def _load_cross(path: str, x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.nda
             raise InputError("%s: cross-distance JSON object needs a "
                              "\"cross\" key" % path)
         data = data["cross"]
-    cross = np.asarray(data, dtype=float)
+    try:
+        cross = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError("%s: cross matrix must be rows of numbers: %s" % (path, exc)) from None
     if cross.shape != (x.size, y.size):
         raise InputError("%s: cross matrix is %s, expected %d x %d"
                          % (path, cross.shape, x.size, y.size))
@@ -237,9 +240,7 @@ def cmd_approx(args) -> dict:
             raise InputError("--schedule must be comma-separated numbers: %r"
                              % args.schedule)
     else:
-        rows = 6 if args.rows is None else args.rows
-        if rows < 1:
-            raise InputError("--rows must be at least 1")
+        rows = _integer(6 if args.rows is None else args.rows, "--rows", 1)
         start = diameter(space) / 2.0
         if start <= 0.0:
             raise InputError("space has zero diameter; give --schedule")
@@ -257,8 +258,7 @@ def cmd_approx(args) -> dict:
 
 
 def cmd_gen(args) -> dict:
-    if args.seed < 0:
-        raise InputError("--seed must be a nonnegative integer, got %d" % args.seed)
+    _integer(args.seed, "--seed")
     if args.kind == "circle":
         space = circle_net(args.n, metric=args.metric, radius=args.radius)
     elif args.kind == "interval":

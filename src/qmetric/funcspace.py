@@ -116,6 +116,8 @@ class MatrixFunction:
         for key in ("space", "algebra", "values"):
             if key not in data:
                 raise InputError("matrix function JSON is missing %r" % key)
+        if not isinstance(data["values"], list):
+            raise InputError("matrix function JSON needs a 'values' list")
         space = FiniteMetricSpace.from_json_dict(data["space"])
         algebra = Algebra.from_json_dict(data["algebra"])
         values = tuple(AlgElement.from_json_dict(algebra, v) for v in data["values"])

@@ -9,15 +9,14 @@ import math
 import numpy as np
 
 from .algebra import Algebra, AlgState
-from .errors import InputError
+from .errors import InputError, _integer
 from .metric import FiniteMetricSpace, diameter, scale
 from .states import FunctionalState, delta_embed
 
 
 def circle_net(n: int, metric: str = "chord", radius: float = 1.0) -> FiniteMetricSpace:
     """n equally spaced points on a circle, chord or arc distances."""
-    if n < 1:
-        raise InputError("a circle net needs at least one point")
+    n = _integer(n, "n", 1)
     if metric not in ("chord", "arc"):
         raise InputError("circle metric must be 'chord' or 'arc'")
     if radius <= 0:
@@ -35,8 +34,7 @@ def circle_net(n: int, metric: str = "chord", radius: float = 1.0) -> FiniteMetr
 
 def interval_net(n: int, length: float = 1.0) -> FiniteMetricSpace:
     """n equally spaced points on a segment of the given length."""
-    if n < 1:
-        raise InputError("an interval net needs at least one point")
+    n = _integer(n, "n", 1)
     if length <= 0:
         raise InputError("the length must be positive")
     xs = np.linspace(0.0, length, n) if n > 1 else np.zeros(1)
@@ -52,8 +50,7 @@ def random_planar_space(n: int, rng: np.random.Generator,
     Resamples until all pairwise distances clear a small floor, so the
     result always validates as a metric space.
     """
-    if n < 1:
-        raise InputError("need at least one point")
+    n = _integer(n, "n", 1)
     if not (math.isfinite(box) and box > 0):
         raise InputError("the box must be positive and finite, got %r" % (box,))
     floor = 1e-3 * box

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, InputError
+from .errors import BoundViolation, InputError, _integer
 
 TAU_LP = 1e-7
 
@@ -147,9 +147,8 @@ def solve(lp: LinearProgram, start) -> LpSolution:
     """Maximize lp from the basis of rows start (one per variable), whose
     weights must be >= 0; the optimum is certified from both sides."""
     a, c = lp.rows, lp.objective
-    basis = np.array(start, dtype=int)  # a copy: the pivots overwrite it
-    if (basis.shape != c.shape or np.unique(basis).size != basis.size
-            or basis.min() < 0 or basis.max() >= a.shape[0]):
+    basis = np.array([_integer(i, "start row", 0, a.shape[0]) for i in start], dtype=int)
+    if basis.shape != c.shape or np.unique(basis).size != basis.size:
         raise InputError("the start needs one distinct row index per variable")
     if np.linalg.matrix_rank(a[basis]) < c.size:
         raise InputError("the start rows are linearly dependent")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TAU_SA
-from .errors import InputError
+from .errors import InputError, _integer
 from .metric import FiniteMetricSpace
 
 # elements in one tile of the extension kernels' temporaries (128 KB)
@@ -40,13 +40,11 @@ class ExtensionProblem:
     lip_bound: float
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.subset)
+        idx = tuple(_integer(i, "subset index", 0, self.space.size) for i in self.subset)
         if not idx:
             raise InputError("the subset must be nonempty")
         if len(set(idx)) != len(idx):
             raise InputError("subset indices must be distinct")
-        if min(idx) < 0 or max(idx) >= self.space.size:
-            raise InputError("subset index out of range")
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or len(v) != len(idx):
             raise InputError("need one value per subset point")

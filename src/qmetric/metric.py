@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 
 TAU_METRIC = 1e-9
 
@@ -145,8 +145,13 @@ class FiniteMetricSpace:
         """Check every axiom, the triangle inequality only when no
         worst_slack is given, and store the space."""
         labels = tuple(str(x) for x in labels)
-        d = np.array(dist, dtype=float)
+        try:
+            d = np.array(dist, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError("distance matrix must be rows of numbers: %s" % exc) from None
         n = len(labels)
+        if n == 0:
+            raise InputError("a metric space needs at least one point")
         if len(set(labels)) != n:
             raise InputError("point labels must be distinct")
         if d.ndim != 2 or d.shape != (n, n):
@@ -193,9 +198,10 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteMetricSpace":
-        if not isinstance(data, dict) or "labels" not in data or "dist" not in data:
-            raise InputError("metric space JSON must carry 'labels' and 'dist'")
-        return cls(tuple(data["labels"]), np.array(data["dist"], dtype=float))
+        if not (isinstance(data, dict) and isinstance(data.get("labels"), list)
+                and "dist" in data):
+            raise InputError("metric space JSON must carry a 'labels' list and 'dist'")
+        return cls(tuple(data["labels"]), data["dist"])
 
 
 def diameter(space: FiniteMetricSpace) -> float:
@@ -214,12 +220,8 @@ def _block_hausdorff(block: np.ndarray) -> float:
 
 
 def _point_indices(space: FiniteMetricSpace, indices) -> list:
-    """The indices as a list; InputError unless each is an integer in 0..n-1."""
-    idx = list(indices)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-               and 0 <= i < space.size for i in idx):
-        raise InputError("point indices must be integers in 0..%d" % (space.size - 1))
-    return idx
+    """The indices as a list of ints, each checked to be a point of space."""
+    return [_integer(i, "point index", 0, space.size) for i in indices]
 
 
 def hausdorff(space: FiniteMetricSpace, sub_a, sub_b) -> float:
@@ -238,8 +240,7 @@ def epsilon_net(space: FiniteMetricSpace, eps: float, start: int = 0) -> list[in
     """
     if not eps > 0:
         raise InputError("eps must be positive")
-    if not 0 <= start < space.size:
-        raise InputError("start index out of range")
+    start = _integer(start, "start", 0, space.size)
     chosen = [start]
     to_net = space.dist[start].copy()
     while True:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .errors import BoundViolation, InputError
+from .errors import BoundViolation, InputError, _integer
 # lipnorm is unused here, but bench/test_bench.py checks that the tracer
 # wraps this module's alias of it
 from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # noqa: F401
@@ -211,13 +211,10 @@ def _require_ok(certificate: dict) -> None:
 
 def _require_run(samples, seed) -> None:
     """InputError unless samples and seed are nonnegative integers and
-    samples is at most _MAX_SAMPLES (numpy integers too; a bool is not
-    one)."""
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            raise InputError("%s must be a nonnegative integer, got %r" % (name, value))
-    if samples > _MAX_SAMPLES:
+    samples is at most _MAX_SAMPLES."""
+    if _integer(samples, "samples") > _MAX_SAMPLES:
         raise InputError("samples must be at most %d, got %d" % (_MAX_SAMPLES, samples))
+    _integer(seed, "seed")
 
 
 @dataclass(frozen=True, eq=False)

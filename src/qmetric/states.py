@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgState, check_state_shapes, tracial_state, TAU_STATE
-from .errors import InputError
+from .errors import InputError, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,8 +28,11 @@ class FunctionalState:
         cleaned = []
         total = 0.0
         for w, x, phi in self.terms:
-            w = float(w)
-            x = int(x)
+            try:
+                w = float(w)
+            except (TypeError, ValueError):
+                raise InputError("term weight %r is not a number" % (w,)) from None
+            x = _integer(x, "term point")
             # every comparison with NaN is false, so NaN would pass the checks below
             if not math.isfinite(w):
                 raise InputError("term weights must be finite")
@@ -37,8 +40,6 @@ class FunctionalState:
                 raise InputError("term weights must lie in [0, 1]")
             if w < 0.0:  # within the slack below 0: no mass, as support() reads it
                 w = 0.0
-            if x < 0:
-                raise InputError("point indices must be nonnegative")
             if not isinstance(phi, AlgState):
                 raise InputError("each term needs an AlgState")
             total += w
@@ -60,8 +61,8 @@ class FunctionalState:
 
     @classmethod
     def from_json_dict(cls, data: dict, labels) -> "FunctionalState":
-        if not isinstance(data, dict) or "terms" not in data:
-            raise InputError("functional state JSON must carry 'terms'")
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise InputError("functional state JSON must carry a 'terms' list")
         index = {str(lab): i for i, lab in enumerate(labels)}
         terms = []
         for term in data["terms"]:
@@ -71,13 +72,13 @@ class FunctionalState:
                 raise InputError("each term needs 'w', 'x', and 'phi'") from exc
             if str(x) not in index:
                 raise InputError("term point %r is not a label of the space" % (x,))
-            terms.append((float(w), index[str(x)], AlgState.from_json_dict(phi)))
+            terms.append((w, index[str(x)], AlgState.from_json_dict(phi)))
         return cls(tuple(terms))
 
 
 def delta_embed(phi: AlgState, x: int) -> FunctionalState:
     """The state reading phi at the single point x."""
-    return FunctionalState(((1.0, int(x), phi),))
+    return FunctionalState(((1.0, x, phi),))
 
 
 def tracial_functional(algebra: Algebra, v, x: int) -> FunctionalState:

@@ -608,3 +608,105 @@ def test_mk_takes_a_weight_just_below_zero(files, capsys):
     rc, clean, _ = _run(capsys, ["mk", str(files["mu"]), str(files["nu"])] + rest)
     assert rc == 0
     assert _report(out)["result"] == _report(clean)["result"]
+
+
+_PHI = AlgState((1.0,), (np.eye(2) / 2,)).to_json_dict()
+
+
+@pytest.mark.parametrize("which, payload, message", [
+    ("space", {"labels": ["a", "b"], "dist": [[0, 1], [1]]},
+     "distance matrix must be rows of numbers"),
+    ("space", {"labels": ["a", "b"], "dist": [[0, "x"], [1, 0]]},
+     "distance matrix must be rows of numbers"),
+    ("space", {"labels": 5, "dist": [[0]]}, "a 'labels' list"),
+    ("algebra", {"blocks": 2}, "a 'blocks' list"),
+    ("algebra", {"blocks": [float("nan")]}, "block size must be an integer >= 1, got nan"),
+    ("algebra", {"blocks": [2.0]}, "block size must be an integer >= 1, got 2.0"),
+    ("mu", {"terms": 5}, "a 'terms' list"),
+    ("mu", {"terms": [{"w": "a", "x": "p0", "phi": _PHI}]}, "term weight 'a' is not a number"),
+    ("mu", {"terms": [{"w": 1.0, "x": "p0", "phi": {"weights": 5, "densities": []}}]},
+     "'weights' and 'densities' lists"),
+    ("mu", {"terms": [{"w": 1.0, "x": "p0",
+                       "phi": {"weights": ["a"], "densities": _PHI["densities"]}}]},
+     "block weights must be numbers"),
+    ("cross", [[1.0] * 4] * 6 + [[1.0]], "cross matrix must be rows of numbers"),
+    ("function", {"space": _path(2).to_json_dict(), "algebra": M2.to_json_dict(), "values": 5},
+     "a 'values' list"),
+], ids=["ragged-dist", "text-dist", "labels-5", "blocks-2", "blocks-nan", "blocks-2.0",
+        "terms-5", "w-a", "phi-weights-5", "phi-weights-a", "ragged-cross", "values-5"])
+def test_malformed_json_is_exit_two(files, capsys, which, payload, message):
+    """Each used to escape as a bare ValueError or TypeError, exit 1."""
+    bad = files["dir"] / "bad.json"
+    bad.write_text(json.dumps(payload))
+    space, algebra = str(files["space"]), str(files["algebra"])
+    seven = files["dir"] / "seven.json"
+    seven.write_text(json.dumps(_path(7).to_json_dict()))
+    argv = {
+        "space": ["embed-check", "--space", str(bad), "--algebra", algebra],
+        "algebra": ["embed-check", "--space", space, "--algebra", str(bad)],
+        "mu": ["mk", str(bad), str(files["nu"]), "--space", space, "--algebra", algebra],
+        "cross": ["gh", str(seven), space, "--cross", str(bad)],
+        "function": ["lipnorm", str(bad)],
+    }[which]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+def test_norms_of_a_self_adjoint_element_check_the_real_max_sandwich(files, capsys):
+    sa = files["dir"] / "sa.json"
+    sa.write_text(json.dumps((matrix_unit(M2, 0, 1, 2) + matrix_unit(M2, 0, 2, 1)).to_json_dict()))
+    rc, out, _ = _run(capsys, ["norms", str(sa), "--algebra", str(files["algebra"])])
+    assert rc == 0
+    report = _report(out)
+    assert report["self_adjoint"] is True
+    assert report["real_max"] == pytest.approx(1.0, abs=1e-12)
+    assert set(report["sandwich"]) == {
+        "max_le_operator", "operator_le_maxblock_times_max", "real_max_le_max",
+        "max_le_root2_real_max", "operator_le_root2_maxblock_real_max"}
+    assert all(report["sandwich"].values())
+    assert report["violated"] is False
+
+
+def test_csv_flattens_a_list_in_the_report(files, capsys):
+    rc, out, _ = _run(capsys, ["embed-check", "--space", str(files["space"]),
+                               "--algebra", str(files["algebra"]), "--format", "csv"])
+    assert rc == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    # the six pairs of the 4-point path, the last one (p2, p3)
+    assert (rows["report.pairs.5.x"], rows["report.pairs.5.y"]) == ("p2", "p3")
+    assert rows["report.pairs.5.mk"] == "1"
+    assert "report.pairs.6.x" not in rows
+    assert rows["report.violated"] == "false"
+
+
+def test_gen_interval_rescaled_to_a_diameter(capsys):
+    rc, out, _ = _run(capsys, ["gen", "interval", "--n", "3", "--length", "2",
+                               "--diameter", "5"])
+    assert rc == 0
+    data = json.loads(out)
+    assert data["labels"] == ["t0", "t1", "t2"]
+    assert data["dist"][0] == [0.0, 2.5, 5.0]
+
+
+def test_cross_given_as_an_object_and_its_errors(files, capsys, tmp_path):
+    big = tmp_path / "big.json"
+    d = np.abs(np.subtract.outer(np.arange(6), np.arange(6))).astype(float)
+    big.write_text(json.dumps(_path(6).to_json_dict()))
+    argv = ["gh", str(big), str(files["space"]), "--cross", str(tmp_path / "cross.json")]
+    (tmp_path / "cross.json").write_text(json.dumps(d[:, :4].tolist()))
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    value = _report(out)["value"]
+    (tmp_path / "cross.json").write_text(json.dumps({"cross": d[:, :4].tolist()}))
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert _report(out)["value"] == value
+    (tmp_path / "cross.json").write_text(json.dumps({"matrix": d[:, :4].tolist()}))
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert "cross-distance JSON object needs a \"cross\" key" in err
+    (tmp_path / "cross.json").write_text(json.dumps({"cross": d[:, :3].tolist()}))
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert "cross matrix is (6, 3), expected 6 x 4" in err

@@ -45,6 +45,16 @@ def test_space_validation(dist, why):
         FiniteMetricSpace(labels, dist)
 
 
+def test_a_space_needs_a_point_and_a_matrix_of_numbers():
+    """An empty space and a ragged or non-numeric matrix are InputErrors,
+    not numpy's ValueErrors."""
+    with pytest.raises(InputError, match="a metric space needs at least one point"):
+        FiniteMetricSpace((), np.zeros((0, 0)))
+    for dist in ([[0.0, 1.0], [1.0]], [[0.0, "x"], [1.0, 0.0]]):
+        with pytest.raises(InputError, match="distance matrix must be rows of numbers"):
+            FiniteMetricSpace(("a", "b"), dist)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(InputError):
         FiniteMetricSpace(("x", "x"), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -66,10 +76,10 @@ def test_point_indices_must_be_integers_in_range(bad):
     """An index that is not an integer in 0..n-1 is an InputError, so -1
     does not wrap to the last point and 7 does not fail inside numpy."""
     space = circle_net(5)
-    with pytest.raises(InputError, match="point indices"):
+    with pytest.raises(InputError, match=r"point index must be an integer in 0\.\.4"):
         space.subspace([bad, 0])
     for a, b in (([bad], [0]), ([0], [bad])):
-        with pytest.raises(InputError, match="point indices"):
+        with pytest.raises(InputError, match=r"point index must be an integer in 0\.\.4"):
             hausdorff(space, a, b)
     assert space.subspace([np.int64(4), 0]).labels == ("c4", "c0")
 
