@@ -16,7 +16,11 @@
 # operator and max norms; a conv_K K of inf must exit 2. norms runs the
 # element-level check of the real max norm. mk under the max norm with
 # --refine solves the 16-gon LPs, whose lower end must pass the plain
-# sandwich's and stay at most the upper end. approx on a 160-point
+# sandwich's and stay at most the upper end. mk under --spec-q state with
+# a --ref-state and --dump-lp writes the multiplier line and one section
+# per channel. Numbers in JSON must be numbers: a state whose "w" is the
+# string "1" and a space whose dist holds the string "1" must exit 2.
+# approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
 # own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A
@@ -62,6 +66,14 @@ exits_2 qmetric lipnorm f.json --spec-q convk --K inf
 python -c 'import json, qmetric as q; s = q.circle_net(6); a = q.Algebra((2, 3)); json.dump(q.tracial_functional(a, (0.5, 0.5), 0).to_json_dict(s.labels), open("mu.json", "w")); json.dump(q.FunctionalState(((1.0, 3, q.vector_state(a, 1, [1, 1j, 1])),)).to_json_dict(s.labels), open("nu.json", "w"))'
 qmetric mk mu.json nu.json --space s.json --algebra a.json --spec-norm max --refine --out mk.json
 python -c 'import json; r = json.load(open("mk.json"))["report"]["result"]; assert r["kind"] == "interval" and r["upper"] / 2 ** 0.5 < r["lower"] <= r["upper"], r'
+python -c 'import json, qmetric as q; s = q.circle_net(6); a = q.Algebra((2, 3)); json.dump(q.tracial_functional(a, (0.3, 0.7), 2).to_json_dict(s.labels), open("r.json", "w"))'
+qmetric mk mu.json nu.json --space s.json --algebra a.json --spec-q state --ref-state r.json --dump-lp d.csv
+grep -q "^# multiplier " d.csv
+grep -q "^# channel " d.csv
+python -c 'import json; d = json.load(open("mu.json")); d["terms"][0]["w"] = "1"; json.dump(d, open("wtext.json", "w"))'
+exits_2 qmetric mk wtext.json nu.json --space s.json --algebra a.json
+python -c 'import json; d = json.load(open("s.json")); d["dist"][0][1] = "1"; json.dump(d, open("dtext.json", "w"))'
+exits_2 qmetric embed-check --space dtext.json --algebra a.json
 qmetric norms e.json --algebra a.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _integer
+from .errors import InputError, _array, _integer, _real
 
 TAU_SA = 1e-9     # self-adjointness slack
 TAU_STATE = 1e-8  # state validity slack
@@ -105,7 +105,7 @@ class AlgElement:
                 "element has %d blocks, algebra has %d" % (len(self.blocks), len(sizes)))
         mats = []
         for m, blk in zip(sizes, self.blocks):
-            arr = np.array(blk, dtype=complex)
+            arr = _array(blk, "block", complex)
             if arr.shape != (m, m):
                 raise InputError("block must be %dx%d, got %r" % (m, m, arr.shape))
             mats.append(_frozen(arr))
@@ -351,24 +351,20 @@ class AlgState:
     densities: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        try:
-            w = tuple(float(t) for t in self.weights)
-        except (TypeError, ValueError):
-            raise InputError("block weights must be numbers, got %r" % (self.weights,)) from None
+        if not np.iterable(self.weights):
+            raise InputError("block weights must be a sequence, got %r" % (self.weights,))
+        w = tuple(_real(t, "block weights") for t in self.weights)
         if not w:
             raise InputError("a state needs at least one block")
         if len(w) != len(self.densities):
             raise InputError("need one density per block weight")
-        # every comparison with NaN is false, so NaN would pass the checks below
-        if not all(math.isfinite(t) for t in w):
-            raise InputError("block weights must be finite")
         if min(w) < -TAU_STATE:
             raise InputError("block weights must be nonnegative")
         if abs(sum(w) - 1.0) > TAU_STATE:
             raise InputError("block weights must sum to 1, got %.12g" % sum(w))
         mats = []
         for rho in self.densities:
-            arr = np.array(rho, dtype=complex)
+            arr = _array(rho, "densities", complex)
             if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                 raise InputError("densities must be square matrices")
             if not np.isfinite(arr).all():
@@ -403,17 +399,14 @@ class AlgState:
 
 def tracial_state(algebra: Algebra, v) -> AlgState:
     """The block-weighted normalised trace with weight vector v."""
-    w = tuple(float(t) for t in v)
-    if len(w) != algebra.n_blocks:
-        raise InputError("weight vector length must match the block count")
     densities = tuple(np.eye(m, dtype=complex) / m for m in algebra.block_sizes)
-    return AlgState(w, densities)
+    return AlgState(v, densities)
 
 
 def vector_state(algebra: Algebra, k: int, vec) -> AlgState:
     """The pure state living on block k given by a unit vector."""
     k = _integer(k, "block index", 0, algebra.n_blocks)
-    v = np.asarray(vec, dtype=complex).ravel()
+    v = _array(vec, "vector", complex).ravel()
     m = algebra.block_sizes[k]
     if v.size != m:
         raise InputError("vector length %d does not match block size %d" % (v.size, m))

@@ -32,7 +32,7 @@ from .algebra import (
     real_max_norm,
     tracial_state,
 )
-from .errors import BoundViolation, InputError, UnsupportedSpec, _integer
+from .errors import BoundViolation, InputError, UnsupportedSpec, _integer, _real
 from .funcspace import MatrixFunction, SeminormSpec, lip_part, lipnorm, q_term, sup_norm
 from .generate import circle_net, interval_net, random_planar_space, scaled_to_diameter
 from .metric import GH_EXACT_CAP, FiniteMetricSpace, diameter, gh_exact, gh_upper
@@ -63,9 +63,7 @@ def _cli_tol(default: float = TAU_SA) -> float:
         val = float(raw)
     except ValueError:
         raise InputError("QMETRIC_TOL is not a number: %r" % raw)
-    if not math.isfinite(val) or val <= 0.0:
-        raise InputError("QMETRIC_TOL must be a positive finite number")
-    return val
+    return _real(val, "QMETRIC_TOL", positive=True)
 
 
 def _load_json(path: str):
@@ -87,21 +85,15 @@ def _load_algebra(path: str) -> Algebra:
     return Algebra.from_json_dict(_load_json(path))
 
 
-def _load_cross(path: str, x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.ndarray:
+def _load_cross(path: str):
+    """A file's cross matrix, bare or under a "cross" key; unchecked."""
     data = _load_json(path)
     if isinstance(data, dict):
         if "cross" not in data:
             raise InputError("%s: cross-distance JSON object needs a "
                              "\"cross\" key" % path)
         data = data["cross"]
-    try:
-        cross = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError("%s: cross matrix must be rows of numbers: %s" % (path, exc)) from None
-    if cross.shape != (x.size, y.size):
-        raise InputError("%s: cross matrix is %s, expected %d x %d"
-                         % (path, cross.shape, x.size, y.size))
-    return cross
+    return data
 
 
 def _spec_from_args(args, labels) -> SeminormSpec:
@@ -112,7 +104,7 @@ def _spec_from_args(args, labels) -> SeminormSpec:
     if q_kind == "conv_K":
         if args.K is None:
             raise InputError("--K is required with --spec-q convk")
-        k = float(args.K)
+        k = args.K
     elif args.K is not None:
         raise InputError("--K only applies to --spec-q convk")
     if q_kind == "state":
@@ -213,7 +205,7 @@ def cmd_gh(args) -> dict:
     if args.cross is None:
         raise InputError("spaces exceed the exact-search cap of %d points; "
                          "provide --cross for an upper bound" % GH_EXACT_CAP)
-    cross = _load_cross(args.cross, a, b)
+    cross = _load_cross(args.cross)
     return {"kind": "upper_bound", "value": gh_upper(a, b, cross),
             "cap": GH_EXACT_CAP}
 
@@ -222,7 +214,7 @@ def cmd_bridge(args) -> dict:
     x = _load_space(args.space_x)
     y = _load_space(args.space_y)
     algebra = _load_algebra(args.algebra)
-    cross = _load_cross(args.cross, x, y)
+    cross = _load_cross(args.cross)
     bound = propinquity_upper_bound(x, y, cross, args.eps, algebra,
                                     samples=args.samples, seed=args.seed)
     return bound.to_json_dict()
@@ -288,9 +280,10 @@ def _pyify(obj):
 
 
 def _config_hash(args) -> str:
-    """Hash of every argument but the output ones, with each input file
-    counted by the SHA-256 of its bytes, not by its path."""
-    skip = {"out", "format", "func"}
+    """Hash of every argument but the output ones (--out, --format and
+    --dump-lp), with each input file counted by the SHA-256 of its bytes,
+    not by its path."""
+    skip = {"out", "format", "func", "dump_lp"}
     cfg = {key: val for key, val in vars(args).items() if key not in skip}
     for key in _INPUT_FILES & cfg.keys():
         if cfg[key] is not None:

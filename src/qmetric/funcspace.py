@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Algebra, AlgElement, TAU_SA, _frozen, stack_norms
-from .errors import InputError, UnsupportedSpec
+from .errors import InputError, UnsupportedSpec, _array, _real
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
 
@@ -44,8 +44,9 @@ class MatrixFunction:
         if len(values) != space.size:
             raise InputError("need one value per point, got %d for %d points"
                              % (len(values), space.size))
-        if any(v.algebra.block_sizes != algebra.block_sizes for v in values):
-            raise InputError("value block sizes do not match the algebra")
+        if not all(isinstance(v, AlgElement) and v.algebra.block_sizes == algebra.block_sizes
+                   for v in values):
+            raise InputError("each value must be an AlgElement of the algebra's block sizes")
         stacks = tuple(_frozen(np.stack([v.blocks[l] for v in values]))
                        for l in range(algebra.n_blocks))
         self._hold(space=space, algebra=algebra, channels=None, values=values,
@@ -201,9 +202,7 @@ class SeminormSpec:
         if self.q_kind not in Q_KINDS:
             raise InputError("unknown q kind %r" % (self.q_kind,))
         if self.q_kind == "conv_K":
-            if self.K is None or not 0 < float(self.K) < math.inf:
-                raise InputError("conv_K needs a positive finite K")
-            object.__setattr__(self, "K", float(self.K))
+            object.__setattr__(self, "K", _real(self.K, "K", positive=True))
         elif self.K is not None:
             raise InputError("K only applies to the conv_K q kind")
         if self.q_kind == "state":
@@ -344,10 +343,10 @@ def _lipnorms(fns, spec: SeminormSpec, tol: float = TAU_SA) -> list[float]:
 
 def classical_embed(space: FiniteMetricSpace, values, algebra: Algebra) -> MatrixFunction:
     """Embed a scalar function as scalar multiples of the identity."""
-    vals = list(values)
-    if len(vals) != space.size:
+    vals = _array(values, "scalar values", complex)
+    if vals.shape != (space.size,):
         raise InputError("need one scalar per point")
-    return MatrixFunction(space, algebra, tuple(algebra.scalar(complex(v)) for v in vals))
+    return MatrixFunction(space, algebra, tuple(algebra.scalar(v) for v in vals))
 
 
 def jordan_product(a: MatrixFunction, b: MatrixFunction) -> MatrixFunction:
@@ -401,13 +400,10 @@ def quasi_leibniz_check(a: MatrixFunction, b: MatrixFunction, spec: SeminormSpec
     """
     if not (a.is_self_adjoint(tol) and b.is_self_adjoint(tol)):
         raise InputError("the product check applies to self-adjoint pairs")
-    if c_const is None or d_const is None:
-        c_default, d_default = default_leibniz_constants(spec, a.algebra)
-        c_const = c_default if c_const is None else float(c_const)
-        d_const = d_default if d_const is None else float(d_const)
-    # every comparison with NaN is false, so a NaN slack would pass
-    if not all(0 <= x < math.inf for x in (c_const, d_const, slack_tol)):
-        raise InputError("the product check needs finite nonnegative constants and slack")
+    c_default, d_default = default_leibniz_constants(spec, a.algebra)
+    c_const = c_default if c_const is None else _real(c_const, "c_const", nonnegative=True)
+    d_const = d_default if d_const is None else _real(d_const, "d_const", nonnegative=True)
+    slack_tol = _real(slack_tol, "slack_tol", nonnegative=True)
     la, lb = lipnorm(a, spec, tol), lipnorm(b, spec, tol)
     na, nb = sup_norm(a, "operator"), sup_norm(b, "operator")
     lhs = max(lipnorm(jordan_product(a, b), spec, tol),

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .algebra import Algebra, AlgState
-from .errors import InputError, _integer
+from .errors import InputError, _integer, _real
 from .metric import FiniteMetricSpace, diameter, scale
 from .states import FunctionalState, delta_embed
 
@@ -19,8 +19,7 @@ def circle_net(n: int, metric: str = "chord", radius: float = 1.0) -> FiniteMetr
     n = _integer(n, "n", 1)
     if metric not in ("chord", "arc"):
         raise InputError("circle metric must be 'chord' or 'arc'")
-    if radius <= 0:
-        raise InputError("the radius must be positive")
+    radius = _real(radius, "the radius", positive=True)
     angles = 2.0 * math.pi * np.arange(n) / n
     gap = np.abs(angles[:, None] - angles[None, :])
     gap = np.minimum(gap, 2.0 * math.pi - gap)
@@ -35,8 +34,7 @@ def circle_net(n: int, metric: str = "chord", radius: float = 1.0) -> FiniteMetr
 def interval_net(n: int, length: float = 1.0) -> FiniteMetricSpace:
     """n equally spaced points on a segment of the given length."""
     n = _integer(n, "n", 1)
-    if length <= 0:
-        raise InputError("the length must be positive")
+    length = _real(length, "the length", positive=True)
     xs = np.linspace(0.0, length, n) if n > 1 else np.zeros(1)
     dist = np.abs(xs[:, None] - xs[None, :])
     labels = tuple("t%d" % i for i in range(n))
@@ -51,8 +49,7 @@ def random_planar_space(n: int, rng: np.random.Generator,
     result always validates as a metric space.
     """
     n = _integer(n, "n", 1)
-    if not (math.isfinite(box) and box > 0):
-        raise InputError("the box must be positive and finite, got %r" % (box,))
+    box = _real(box, "the box", positive=True)
     floor = 1e-3 * box
     for _ in range(100):
         pts = rng.uniform(0.0, box, size=(n, 2))
@@ -66,6 +63,7 @@ def random_planar_space(n: int, rng: np.random.Generator,
 
 def scaled_to_diameter(space: FiniteMetricSpace, target: float) -> FiniteMetricSpace:
     """Rescale so the largest distance equals target."""
+    target = _real(target, "the target diameter", positive=True)
     diam = diameter(space)
     if diam <= 0:
         raise InputError("cannot rescale a single-point space")
@@ -80,7 +78,7 @@ def random_alg_state(algebra: Algebra, rng: np.random.Generator) -> AlgState:
         g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         rho = g @ g.conj().T
         densities.append(rho / np.trace(rho).real)
-    return AlgState(tuple(float(w) for w in weights), tuple(densities))
+    return AlgState(weights, tuple(densities))
 
 
 def random_product_state(space: FiniteMetricSpace, algebra: Algebra,

@@ -11,13 +11,12 @@ max are exact, so the tiling does not change a bit of the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import TAU_SA
-from .errors import InputError, _integer
+from .errors import InputError, _array, _integer, _real
 from .metric import FiniteMetricSpace
 
 # elements in one tile of the extension kernels' temporaries (128 KB)
@@ -45,19 +44,14 @@ class ExtensionProblem:
             raise InputError("the subset must be nonempty")
         if len(set(idx)) != len(idx):
             raise InputError("subset indices must be distinct")
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 1 or len(v) != len(idx):
+        v = _array(self.values, "values")
+        if v.shape != (len(idx),):
             raise InputError("need one value per subset point")
         # every comparison with NaN is false, so NaN data would pass the
         # Lipschitz check below and extend to NaN
         if not np.isfinite(v).all():
             raise InputError("values must be finite")
-        k = np.array(self.lip_bound, dtype=float)
-        if k.size != 1:
-            raise InputError("need one Lipschitz bound")
-        k = k.item()
-        if not (math.isfinite(k) and k >= 0):
-            raise InputError("the Lipschitz bound must be finite and nonnegative")
+        k = _real(self.lip_bound, "the Lipschitz bound", nonnegative=True)
         gap = np.abs(v[:, None] - v[None, :])
         allowed = k * self.space.dist[np.ix_(idx, idx)] + TAU_SA
         bad = np.argwhere(np.triu(gap > allowed, 1))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _integer
+from .errors import InputError, _array, _integer, _real
 
 TAU_METRIC = 1e-9
 
@@ -18,17 +18,17 @@ _SCAN_ROWS = 64   # rows of one slack block, which holds 64 n floats
 _SCAN_KS = 256    # middle points k per pass over the row blocks
 
 
-def _slack_blocks(d: np.ndarray, ks, rows: int, c0: int, symmetric: bool):
+def _slack_blocks(d: np.ndarray, ks, rows: int, c0: int):
     """(k, r0, c, slack) for each block of at most _SCAN_ROWS rows below
-    rows, and within it each k of ks: slack[i - r0, j - c] is fl(fl(d[i,k]
-    + d[k,j]) - d[i,j]) for the columns j >= c.  The columns start at c0,
-    or for a symmetric d at the block's first row if that is later: every
-    pair i <= j is still covered, and each other pair (i, j) is the mirror
-    of a covered pair (j, i) with the same slack.  Each row block's slack
-    is one buffer, reused for every k."""
+    rows of a symmetric d, and within it each k of ks: slack[i - r0, j - c]
+    is fl(fl(d[i,k] + d[k,j]) - d[i,j]) for the columns j >= c.  The
+    columns start at c0, or at the block's first row if that is later:
+    every pair i <= j is still covered, and each other pair (i, j) is the
+    mirror of a covered pair (j, i) with the same slack.  Each row block's
+    slack is one buffer, reused for every k."""
     for r0 in range(0, rows, _SCAN_ROWS):
         r1 = min(rows, r0 + _SCAN_ROWS)
-        c = max(c0, r0) if symmetric else c0
+        c = max(c0, r0)
         block = d[r0:r1, c:]
         buf = np.empty(block.shape)
         for k in ks:
@@ -39,43 +39,40 @@ def _slack_blocks(d: np.ndarray, ks, rows: int, c0: int, symmetric: bool):
 def _triangle_violation(d: np.ndarray, tol: float, split=None):
     """(triple, worst): the first triple (i, k, j) with d[i,j] > d[i,k] +
     d[k,j] + tol, or None, and the least slack fl(fl(d[i,k] + d[k,j]) -
-    d[i,j]) that the scan computed.  The triple is the smallest such k, then
-    its most violated (i, j), the first in row-major order on ties; with no
-    triple, worst is over every scanned triple, else over those of its k.
+    d[i,j]) that the scan computed, for an exactly symmetric d.  The triple
+    is the smallest such k, then its most violated (i, j), the first in
+    row-major order on ties; with no triple, worst is over every scanned
+    triple, else over those of its k.
 
     The scan takes the k in passes of _SCAN_KS and the rows in blocks of
-    _SCAN_ROWS (_slack_blocks), so it holds O(n) floats at a time.  For an
-    exactly symmetric d the slack of (i, k, j) is bit for bit that of
-    (j, k, i), since fl(a + b) = fl(b + a).  So on such a d the scan reads
-    only the pairs i <= j, and those mirrored within a row block: the least
-    slack is the same, and so is the first most violated pair, since the
+    _SCAN_ROWS (_slack_blocks), so it holds O(n) floats at a time.  As d is
+    exactly symmetric, the slack of (i, k, j) is bit for bit that of (j, k,
+    i), since fl(a + b) = fl(b + a).  So the scan reads only the pairs i <=
+    j, and those mirrored within a row block: the least slack is the same
+    as a full scan's, and so is the first most violated pair, since the
     mirror (j, i) of a most violated pair with i > j is one that comes
-    first in row-major order.  A d that validation let through off
-    symmetric, within its tolerance, is scanned in full.
+    first in row-major order.
 
     With a split, only the triples that mix the points below it with those
-    at or above it are scanned.  That is for an exactly symmetric d whose
-    two diagonal blocks are metrics at tol already, so that no other triple
-    violates.  By symmetry, the first most violated pair of a k below the
-    split lies in the columns at or above it, and that of any other k in
-    the rows below it, so the scan reports the full scan's triple.
+    at or above it are scanned.  That is for a d whose two diagonal blocks
+    are metrics at tol already, so that no other triple violates.  By
+    symmetry, the first most violated pair of a k below the split lies in
+    the columns at or above it, and that of any other k in the rows below
+    it, so the scan reports the full scan's triple.
     """
     n = d.shape[0]
-    if split is None:
-        parts, symmetric = [(0, n, n, 0)], bool((d == d.T).all())
-    else:
-        parts, symmetric = [(0, split, n, split), (split, n, split, 0)], True
+    parts = [(0, n, n, 0)] if split is None else [(0, split, n, split), (split, n, split, 0)]
     worst = math.inf
     for k_from, k_to, rows, c0 in parts:
         for k0 in range(k_from, k_to, _SCAN_KS):
             ks = range(k0, min(k_to, k0 + _SCAN_KS))
             least = np.full(len(ks), math.inf)
-            for k, _, _, slack in _slack_blocks(d, ks, rows, c0, symmetric):
+            for k, _, _, slack in _slack_blocks(d, ks, rows, c0):
                 least[k - k0] = min(least[k - k0], slack.min())
             bad = np.flatnonzero(least < -tol)
             if bad.size:
                 k, found = k0 + int(bad[0]), None
-                for _, r0, c, slack in _slack_blocks(d, (k,), rows, c0, symmetric):
+                for _, r0, c, slack in _slack_blocks(d, (k,), rows, c0):
                     at = int(slack.argmin())
                     if found is None or slack.flat[at] < found[0]:
                         i, j = divmod(at, slack.shape[1])
@@ -113,16 +110,17 @@ def _check_pointwise_axioms(d: np.ndarray) -> None:
 class FiniteMetricSpace:
     """Labelled points with a validated symmetric distance matrix.
 
-    Construction is validation: symmetry, a zero diagonal, strictly positive
-    off-diagonal distances, and the triangle inequality are all checked and
-    the first violated axiom is reported with its indices.
+    Construction is validation: finite entries, symmetry and a zero
+    diagonal (both to TAU_METRIC) and strictly positive off-diagonal
+    distances are checked on the given matrix, which is then symmetrized
+    and stored; the triangle inequality is checked on the stored matrix.
+    The first violated axiom is reported with its indices.
 
     The triangle scan's least slack is kept as _worst_slack: a lower bound
     on fl(fl(d[i,k] + d[k,j]) - d[i,j]) over every triple (i, k, j) of the
-    stored dist, at least -TAU_METRIC.  It is exact when the scanned matrix
-    is the stored one bit for bit, and -inf (no bound) when symmetrizing
-    changed it.  A subspace keeps its parent's value, since its triples are
-    some of the parent's; a space built without a scan records -inf.
+    stored dist, at least -TAU_METRIC, and exact for a scanned space.  A
+    subspace keeps its parent's value, since its triples are some of the
+    parent's; a space built without a scan records -inf (no bound).
     JoinedSpace._net_join reads it.
     """
 
@@ -142,13 +140,14 @@ class FiniteMetricSpace:
         return space
 
     def _validate(self, labels, dist, worst_slack=None) -> None:
-        """Check every axiom, the triangle inequality only when no
-        worst_slack is given, and store the space."""
-        labels = tuple(str(x) for x in labels)
+        """Check the pointwise axioms, symmetrize, check the triangle
+        inequality of the stored matrix only when no worst_slack is given,
+        and store the space."""
         try:
-            d = np.array(dist, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputError("distance matrix must be rows of numbers: %s" % exc) from None
+            labels = tuple(str(x) for x in labels)
+        except TypeError:
+            raise InputError("point labels must be a sequence, got %r" % (labels,)) from None
+        d = _array(dist, "distance matrix")
         n = len(labels)
         if n == 0:
             raise InputError("a metric space needs at least one point")
@@ -157,21 +156,19 @@ class FiniteMetricSpace:
         if d.ndim != 2 or d.shape != (n, n):
             raise InputError("distance matrix must be %dx%d, got %r" % (n, n, d.shape))
         _check_pointwise_axioms(d)
-        trip, worst = (_triangle_violation(d, TAU_METRIC) if worst_slack is None
-                       else (None, worst_slack))
-        if trip is not None:
-            i, k, j = trip
-            raise InputError(
-                "triangle inequality fails: d(%d,%d) > d(%d,%d) + d(%d,%d)" % (i, j, i, k, k, j))
-        scanned = d
+        d *= 0.5  # before the sum, so it cannot overflow; exact above TAU_METRIC
         d = d + d.T
-        d *= 0.5
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
+        if worst_slack is None:
+            trip, worst_slack = _triangle_violation(d, TAU_METRIC)
+            if trip is not None:
+                i, k, j = trip
+                raise InputError("triangle inequality fails: d(%d,%d) > d(%d,%d) + d(%d,%d)"
+                                 % (i, j, i, k, k, j))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "_worst_slack",
-                           worst if np.array_equal(scanned, d) else -math.inf)
+        object.__setattr__(self, "_worst_slack", worst_slack)
 
     @property
     def size(self) -> int:
@@ -209,9 +206,8 @@ def diameter(space: FiniteMetricSpace) -> float:
 
 
 def scale(space: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
-    if not c > 0:
-        raise InputError("scale factor must be positive")
-    return FiniteMetricSpace(space.labels, space.dist * float(c))
+    c = _real(c, "scale factor", positive=True)
+    return FiniteMetricSpace(space.labels, space.dist * c)
 
 
 def _block_hausdorff(block: np.ndarray) -> float:
@@ -238,8 +234,7 @@ def epsilon_net(space: FiniteMetricSpace, eps: float, start: int = 0) -> list[in
     Deterministic: the seed point is fixed (index 0 by default) and ties in
     the farthest-point step resolve to the lowest index.
     """
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    eps = _real(eps, "eps", positive=True)
     start = _integer(start, "start", 0, space.size)
     chosen = [start]
     to_net = space.dist[start].copy()
@@ -260,17 +255,19 @@ def _distortion_of_maps(dx: np.ndarray, dy: np.ndarray, f, g) -> float:
     return float(max(within_f, within_g, cross))
 
 
-def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int = GH_EXACT_CAP) -> float:
+def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     """Exact Gromov-Hausdorff distance between two small spaces.
 
     A minimal-distortion correspondence can always be thinned to the union
     of the graphs of two maps f: X -> Y and g: Y -> X, so the search runs
     over such pairs with branch-and-bound pruning on the running distortion.
+    The search is exponential in the point count, so each side may have at
+    most GH_EXACT_CAP points.
     """
     nx, ny = x.size, y.size
-    if nx > cap or ny > cap:
-        raise InputError(
-            "gh_exact is capped at %d points per side; use gh_upper with an embedding" % cap)
+    if nx > GH_EXACT_CAP or ny > GH_EXACT_CAP:
+        raise InputError("gh_exact is capped at %d points per side; use gh_upper with "
+                         "an embedding" % GH_EXACT_CAP)
     dx, dy = x.dist, y.dist
 
     seed_f = [min(i, ny - 1) for i in range(nx)]
@@ -378,16 +375,9 @@ class JoinedSpace:
         return joined
 
     def _check(self, scan: bool) -> None:
-        """Check the cross matrix, then the mixed triples if scan, and store
-        the cross matrix read-only."""
-        c = np.array(self.cross, dtype=float)
-        if c.shape != (self.x.size, self.y.size):
-            raise InputError("cross matrix must be %dx%d, got %r"
-                             % (self.x.size, self.y.size, c.shape))
-        if not np.isfinite(c).all():
-            raise InputError("cross distances must be finite")
-        if c.min() < -TAU_METRIC:
-            raise InputError("cross distances must be nonnegative")
+        """Check the cross matrix (_cross_matrix), then the mixed triples if
+        scan, and store the cross matrix read-only."""
+        c = _cross_matrix(self.cross, self.x, self.y)
         if scan:
             full = np.block([[self.x.dist, c], [c.T, self.y.dist]])
             trip, _ = _triangle_violation(full, TAU_METRIC, self.x.size)
@@ -423,7 +413,17 @@ class JoinedSpace:
         return _block_hausdorff(self.cross)
 
 
+def _cross_matrix(cross, x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.ndarray:
+    """cross as a new float array; InputError unless it is an x.size by
+    y.size matrix of finite nonnegative distances."""
+    c = _array(cross, "cross matrix")
+    if c.shape != (x.size, y.size):
+        raise InputError("cross matrix must be %dx%d, got %r" % (x.size, y.size, c.shape))
+    if not (np.isfinite(c).all() and c.min() >= 0.0):
+        raise InputError("cross distances must be finite and nonnegative")
+    return c
+
+
 def gh_upper(x: FiniteMetricSpace, y: FiniteMetricSpace, cross) -> float:
     """Upper bound for the Gromov-Hausdorff distance from one joined space."""
-    joined = JoinedSpace(x, y, np.array(cross, dtype=float))
-    return joined.hausdorff_between()
+    return JoinedSpace(x, y, cross).hausdorff_between()

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Algebra
-from .errors import BoundViolation, InputError, _integer
+from .errors import BoundViolation, InputError, _integer, _real
 # lipnorm is unused here, but bench/test_bench.py checks that the tracer
 # wraps this module's alias of it
 from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # noqa: F401
@@ -23,7 +23,8 @@ from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # 
 from .generate import random_product_state
 from .lpcore import TAU_LP
 from .mcshane import _realized_extension
-from .metric import TAU_METRIC, FiniteMetricSpace, JoinedSpace, _block_hausdorff, epsilon_net
+from .metric import (TAU_METRIC, FiniteMetricSpace, JoinedSpace, _block_hausdorff, _cross_matrix,
+                     epsilon_net)
 from .mk import _exact_distances
 
 _ROOT2 = math.sqrt(2.0)
@@ -75,15 +76,8 @@ def build_bridge(x: FiniteMetricSpace, y: FiniteMetricSpace, cross,
     cross y.dist[net]: such a join is a metric by the lemma of
     JoinedSpace._net_join, which scans only when rounding might break it
     or when the inputs are not as stated."""
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise InputError("epsilon must be positive and finite")
-    cross = np.asarray(cross, dtype=float)
-    if cross.shape != (x.size, y.size):
-        raise InputError("cross matrix must be %dx%d, got %r"
-                         % (x.size, y.size, cross.shape))
-    if not np.isfinite(cross).all() or (cross < 0).any():
-        raise InputError("cross distances must be finite and nonnegative")
+    epsilon = _real(epsilon, "epsilon", positive=True)
+    cross = _cross_matrix(cross, x, y)
 
     offset = epsilon / (8.0 * _ROOT2 * algebra.max_block)
     lifted = cross + offset
@@ -247,7 +241,7 @@ def propinquity_upper_bound(x: FiniteMetricSpace, y: FiniteMetricSpace,
     """
     _require_run(samples, seed)
     (delta_xy, bound, certificates), = _bound_rows(
-        y, [(None, x, np.asarray(cross, dtype=float), seed)], epsilon, algebra, samples)
+        y, [(None, x, _cross_matrix(cross, x, y), seed)], epsilon, algebra, samples)
     return PropinquityBound(delta_xy, epsilon, bound, tuple(certificates))
 
 
@@ -263,11 +257,9 @@ def approx_table(x: FiniteMetricSpace, algebra: Algebra, eps_schedule,
     it (build_bridge's net).  Row i is
     propinquity_upper_bound of its net with seed + i; samples is at most
     10000."""
-    schedule = [float(e) for e in eps_schedule]
+    schedule = [_real(e, "net scales", positive=True) for e in eps_schedule]
     if not schedule:
         raise InputError("the net schedule must be nonempty")
-    if not all(math.isfinite(e) and e > 0 for e in schedule):
-        raise InputError("net scales must be positive and finite")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("the net schedule must be strictly decreasing")
     # row i draws from seed + i, which would turn a bool seed into an int

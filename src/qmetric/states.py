@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Algebra, AlgState, check_state_shapes, tracial_state, TAU_STATE
-from .errors import InputError, _integer
+from .errors import InputError, _integer, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,14 +27,8 @@ class FunctionalState:
         cleaned = []
         total = 0.0
         for w, x, phi in self.terms:
-            try:
-                w = float(w)
-            except (TypeError, ValueError):
-                raise InputError("term weight %r is not a number" % (w,)) from None
+            w = _real(w, "term weights")
             x = _integer(x, "term point")
-            # every comparison with NaN is false, so NaN would pass the checks below
-            if not math.isfinite(w):
-                raise InputError("term weights must be finite")
             if w < -TAU_STATE or w > 1.0 + TAU_STATE:
                 raise InputError("term weights must lie in [0, 1]")
             if w < 0.0:  # within the slack below 0: no mass, as support() reads it
@@ -90,8 +83,9 @@ def mix(weighted_states) -> FunctionalState:
     """Convex combination of functional states; weights must sum to 1."""
     terms = []
     for weight, state in weighted_states:
+        weight = _real(weight, "mixture weights")
         for w, x, phi in state.terms:
-            terms.append((float(weight) * w, x, phi))
+            terms.append((weight * w, x, phi))
     return FunctionalState(tuple(terms))
 
 

@@ -163,6 +163,21 @@ def test_config_hash_reads_input_contents_not_paths(capsys, tmp_path):
     assert hash_of(bridge[0]) == hash_of(bridge[1]) != hash_of(bridge[2])
 
 
+def test_dump_lp_is_an_output_argument(files, capsys, tmp_path):
+    """The same mk run dumped to two paths gets the hash of the run with no
+    dump, as --out does; the dumps themselves are equal."""
+    argv = ["mk", str(files["mu"]), str(files["nu"]), "--space", str(files["space"]),
+            "--algebra", str(files["algebra"])]
+    hashes = []
+    for extra in ([], ["--dump-lp", str(tmp_path / "a.csv")],
+                  ["--dump-lp", str(tmp_path / "b.csv")]):
+        rc, out, _ = _run(capsys, argv + extra)
+        assert rc == 0
+        hashes.append(json.loads(out)["config_hash"])
+    assert hashes[0] == hashes[1] == hashes[2]
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+
 def test_bridge_scans_a_caller_cross(capsys, tmp_path):
     """A caller's cross matrix is scanned: the space's own distances with
     d(X0, Y0) raised to 10 break the triangle through X1."""
@@ -401,7 +416,7 @@ def test_convk_with_a_K_that_is_not_positive_and_finite_is_exit_two(files, capsy
     rc, _, err = _run(capsys, ["lipnorm", str(files["function"]),
                                "--spec-q", "convk", "--K", k])
     assert rc == 2
-    assert "positive finite K" in err
+    assert "K must be positive and finite" in err
 
 
 def test_pointwise_quotient_distance_is_exit_two(files, capsys):
@@ -615,21 +630,23 @@ _PHI = AlgState((1.0,), (np.eye(2) / 2,)).to_json_dict()
 
 @pytest.mark.parametrize("which, payload, message", [
     ("space", {"labels": ["a", "b"], "dist": [[0, 1], [1]]},
-     "distance matrix must be rows of numbers"),
+     "distance matrix must be a rectangular array of real numbers"),
     ("space", {"labels": ["a", "b"], "dist": [[0, "x"], [1, 0]]},
-     "distance matrix must be rows of numbers"),
+     "distance matrix must be a rectangular array of real numbers"),
     ("space", {"labels": 5, "dist": [[0]]}, "a 'labels' list"),
     ("algebra", {"blocks": 2}, "a 'blocks' list"),
     ("algebra", {"blocks": [float("nan")]}, "block size must be an integer >= 1, got nan"),
     ("algebra", {"blocks": [2.0]}, "block size must be an integer >= 1, got 2.0"),
     ("mu", {"terms": 5}, "a 'terms' list"),
-    ("mu", {"terms": [{"w": "a", "x": "p0", "phi": _PHI}]}, "term weight 'a' is not a number"),
+    ("mu", {"terms": [{"w": "a", "x": "p0", "phi": _PHI}]},
+     "term weights must be finite, got 'a'"),
     ("mu", {"terms": [{"w": 1.0, "x": "p0", "phi": {"weights": 5, "densities": []}}]},
      "'weights' and 'densities' lists"),
     ("mu", {"terms": [{"w": 1.0, "x": "p0",
                        "phi": {"weights": ["a"], "densities": _PHI["densities"]}}]},
-     "block weights must be numbers"),
-    ("cross", [[1.0] * 4] * 6 + [[1.0]], "cross matrix must be rows of numbers"),
+     "block weights must be finite, got 'a'"),
+    ("cross", [[1.0] * 4] * 6 + [[1.0]],
+     "cross matrix must be a rectangular array of real numbers"),
     ("function", {"space": _path(2).to_json_dict(), "algebra": M2.to_json_dict(), "values": 5},
      "a 'values' list"),
 ], ids=["ragged-dist", "text-dist", "labels-5", "blocks-2", "blocks-nan", "blocks-2.0",
@@ -709,4 +726,4 @@ def test_cross_given_as_an_object_and_its_errors(files, capsys, tmp_path):
     (tmp_path / "cross.json").write_text(json.dumps({"cross": d[:, :3].tolist()}))
     rc, out, err = _run(capsys, argv)
     assert (rc, out) == (2, "")
-    assert "cross matrix is (6, 3), expected 6 x 4" in err
+    assert "cross matrix must be 6x4, got (6, 3)" in err

@@ -87,7 +87,7 @@ def test_function_json_round_trip(rng):
 
 @pytest.mark.parametrize("k", [np.inf, np.nan, 0.0, -1.0])
 def test_conv_K_needs_a_positive_finite_K(k):
-    with pytest.raises(InputError, match="positive finite K"):
+    with pytest.raises(InputError, match="K must be positive and finite"):
         SeminormSpec("real_max", "conv_K", K=k)
 
 
@@ -412,7 +412,7 @@ def test_quasi_leibniz_rejects_non_finite_or_negative_constants(rng, name, bad):
     """A NaN or infinite constant or slack would make the slack NaN or
     infinite, which no comparison reads as violated."""
     a, b = _sa_fn(rng), _sa_fn(rng)
-    with pytest.raises(InputError, match="finite nonnegative"):
+    with pytest.raises(InputError, match=name + " must be finite and nonnegative"):
         quasi_leibniz_check(a, b, conv_spec(), **{name: bad})
 
 

@@ -110,7 +110,7 @@ def test_subset_bounds_checked():
         ExtensionProblem(_path(3), (0,), (0.0, 1.0), 1.0)
     with pytest.raises(InputError, match="one value per subset point"):
         ExtensionProblem(_path(3), (0, 2), np.zeros((2, 3)), 1.0)
-    with pytest.raises(InputError, match="one Lipschitz bound"):
+    with pytest.raises(InputError, match="the Lipschitz bound must be finite and nonnegative"):
         ExtensionProblem(_path(3), (0, 2), (0.0, 1.0), (1.0, 1.0))
 
 

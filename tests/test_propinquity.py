@@ -546,6 +546,30 @@ def test_approx_nets_join_without_a_scan(monkeypatch):
     assert len(scans) == 5
 
 
+def test_a_space_read_off_symmetric_joins_its_nets_without_a_scan(monkeypatch):
+    """A chord circle whose every entry above the diagonal is raised by
+    less than 1e-13 is stored symmetrized and scanned there, so its nets
+    join it by the lemma, and its table is that of the stored matrix."""
+    n = 32
+    angles = 2.0 * math.pi * np.arange(n) / n
+    pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dist += np.triu(np.random.default_rng(3).uniform(0.0, 1e-13, size=(n, n)), 1)
+    space = FiniteMetricSpace(tuple("c%d" % i for i in range(n)), dist)
+    assert not np.array_equal(space.dist, dist)
+    schedule = [float(space.dist.max()) / 2.0 ** (i + 1) for i in range(4)]
+    scans = []
+    real = metric._triangle_violation
+    monkeypatch.setattr(metric, "_triangle_violation",
+                        lambda *args: scans.append(args) or real(*args))
+    table = approx_table(space, M2, schedule, EPS, samples=2, seed=1)
+    assert scans == []
+    monkeypatch.undo()
+    stored = FiniteMetricSpace(space.labels, space.dist)
+    again = approx_table(stored, M2, schedule, EPS, samples=2, seed=1)
+    assert json.dumps(again) == json.dumps(table)
+
+
 def test_mirrored_join_builds_the_backward_bridge():
     """The backward bridge of a bound, built from the forward bridge's
     join, equals a bridge built from scratch, field for field."""
