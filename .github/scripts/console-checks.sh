@@ -19,7 +19,10 @@
 # sandwich's and stay at most the upper end. mk under --spec-q state with
 # a --ref-state and --dump-lp writes the multiplier line and one section
 # per channel. Numbers in JSON must be numbers: a state whose "w" is the
-# string "1" and a space whose dist holds the string "1" must exit 2.
+# string "1" and a space whose dist holds the string "1" must exit 2, and
+# true and false are never numbers in any array, so mk on a state whose
+# density matrix is [[[true, false]]] and embed-check on a space whose dist
+# holds true among numbers must exit 2 too.
 # approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
@@ -74,6 +77,11 @@ python -c 'import json; d = json.load(open("mu.json")); d["terms"][0]["w"] = "1"
 exits_2 qmetric mk wtext.json nu.json --space s.json --algebra a.json
 python -c 'import json; d = json.load(open("s.json")); d["dist"][0][1] = "1"; json.dump(d, open("dtext.json", "w"))'
 exits_2 qmetric embed-check --space dtext.json --algebra a.json
+echo '{"blocks": [1]}' > m1.json
+echo '{"terms": [{"w": 1, "x": "c0", "phi": {"weights": [1], "densities": [[[[true, false]]]]}}]}' > tbool.json
+exits_2 qmetric mk tbool.json tbool.json --space s.json --algebra m1.json
+python -c 'import json; d = json.load(open("s.json")); d["dist"][0][1] = True; json.dump(d, open("dbool.json", "w"))'
+exits_2 qmetric embed-check --space dbool.json --algebra a.json
 qmetric norms e.json --algebra a.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json

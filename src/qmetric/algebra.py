@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _array, _integer, _real
+from .errors import InputError, _array, _fields, _integer, _real
 
 TAU_SA = 1e-9     # self-adjointness slack
 TAU_STATE = 1e-8  # state validity slack
@@ -72,9 +72,7 @@ class Algebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Algebra":
-        if not isinstance(data, dict) or not isinstance(data.get("blocks"), list):
-            raise InputError("algebra JSON must be an object with a 'blocks' list")
-        return cls(tuple(data["blocks"]))
+        return cls(*_fields(data, "algebra", blocks=list))
 
 
 def _matrix_to_json(mat: np.ndarray) -> list:
@@ -82,13 +80,12 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    try:
-        arr = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    except (TypeError, IndexError) as exc:
-        raise InputError("matrix JSON must be rows of [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InputError("matrix JSON must be square, got shape %r" % (arr.shape,))
-    return arr
+    """An array of [re, im] pairs viewed as complex, bit for bit the
+    complex(re, im) of each pair; its reader checks that it is square."""
+    arr = _array(rows, "matrix JSON")
+    if arr.shape[-1:] != (2,):
+        raise InputError("matrix JSON must hold [re, im] pairs, got shape %r" % (arr.shape,))
+    return arr.view(complex)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,10 +388,8 @@ class AlgState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AlgState":
-        if not (isinstance(data, dict) and isinstance(data.get("weights"), list)
-                and isinstance(data.get("densities"), list)):
-            raise InputError("state JSON must carry 'weights' and 'densities' lists")
-        return cls(tuple(data["weights"]), tuple(_matrix_from_json(m) for m in data["densities"]))
+        weights, densities = _fields(data, "state", weights=list, densities=list)
+        return cls(tuple(weights), tuple(_matrix_from_json(m) for m in densities))
 
 
 def tracial_state(algebra: Algebra, v) -> AlgState:
@@ -415,13 +410,9 @@ def vector_state(algebra: Algebra, k: int, vec) -> AlgState:
         raise InputError("vector state needs a nonzero vector")
     v = v / nrm
     weights = tuple(1.0 if i == k else 0.0 for i in range(algebra.n_blocks))
-    densities = []
-    for i, m_i in enumerate(algebra.block_sizes):
-        if i == k:
-            densities.append(np.outer(v, v.conj()))
-        else:
-            densities.append(np.eye(m_i, dtype=complex) / m_i)
-    return AlgState(weights, tuple(densities))
+    densities = tuple(np.outer(v, v.conj()) if i == k else np.eye(m_i, dtype=complex) / m_i
+                      for i, m_i in enumerate(algebra.block_sizes))
+    return AlgState(weights, densities)
 
 
 def check_state_shapes(phi: AlgState, algebra: Algebra) -> None:

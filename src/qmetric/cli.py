@@ -32,7 +32,7 @@ from .algebra import (
     real_max_norm,
     tracial_state,
 )
-from .errors import BoundViolation, InputError, UnsupportedSpec, _integer, _real
+from .errors import BoundViolation, InputError, UnsupportedSpec, _fields, _integer, _real
 from .funcspace import MatrixFunction, SeminormSpec, lip_part, lipnorm, q_term, sup_norm
 from .generate import circle_net, interval_net, random_planar_space, scaled_to_diameter
 from .metric import GH_EXACT_CAP, FiniteMetricSpace, diameter, gh_exact, gh_upper
@@ -88,12 +88,8 @@ def _load_algebra(path: str) -> Algebra:
 def _load_cross(path: str):
     """A file's cross matrix, bare or under a "cross" key; unchecked."""
     data = _load_json(path)
-    if isinstance(data, dict):
-        if "cross" not in data:
-            raise InputError("%s: cross-distance JSON object needs a "
-                             "\"cross\" key" % path)
-        data = data["cross"]
-    return data
+    return (data if isinstance(data, list)
+            else _fields(data, path + ": cross-distance", cross=object)[0])
 
 
 def _spec_from_args(args, labels) -> SeminormSpec:
@@ -205,8 +201,7 @@ def cmd_gh(args) -> dict:
     if args.cross is None:
         raise InputError("spaces exceed the exact-search cap of %d points; "
                          "provide --cross for an upper bound" % GH_EXACT_CAP)
-    cross = _load_cross(args.cross)
-    return {"kind": "upper_bound", "value": gh_upper(a, b, cross),
+    return {"kind": "upper_bound", "value": gh_upper(a, b, _load_cross(args.cross)),
             "cap": GH_EXACT_CAP}
 
 
@@ -214,8 +209,7 @@ def cmd_bridge(args) -> dict:
     x = _load_space(args.space_x)
     y = _load_space(args.space_y)
     algebra = _load_algebra(args.algebra)
-    cross = _load_cross(args.cross)
-    bound = propinquity_upper_bound(x, y, cross, args.eps, algebra,
+    bound = propinquity_upper_bound(x, y, _load_cross(args.cross), args.eps, algebra,
                                     samples=args.samples, seed=args.seed)
     return bound.to_json_dict()
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the three checks of a
-value read from outside: an integer, a real and a numeric array."""
+"""Exception types shared across the package, and the four checks of a
+value read from outside: an integer, a real, a numeric array and a JSON
+object."""
 
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -52,11 +54,25 @@ def _real(value, what: str, positive: bool = False, nonnegative: bool = False) -
     raise InputError("%s must be %s, got %r" % (what, rule, value))
 
 
+def _holds_bool(value) -> bool:
+    """Whether a bool, Python or numpy, or an array of bools sits anywhere
+    in value's nest of lists and tuples; read one level at a time."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
+                x.dtype == bool for x in level if type(x) is np.ndarray):
+            return True
+        if not any(issubclass(k, (list, tuple)) for k in kinds):
+            return False
+        level = list(chain.from_iterable(x for x in level if isinstance(x, (list, tuple))))
+
+
 def _array(value, what: str, dtype=float) -> np.ndarray:
     """value as a new array of dtype (float or complex); InputError unless
-    it is a rectangular array of numbers, real ones for float.  The dtype
-    numpy infers decides: an array of bools or strings is refused, a
-    numeric string included, while a bool among numbers is promoted."""
+    it is a rectangular array of numbers, real ones for float.  A bool or a
+    string, numeric or not, is never a number: the dtype refuses an array of
+    them, and a scan of the lists and tuples (_holds_bool) a bool among numbers."""
     noun = "real numbers" if dtype is float else "numbers"
     try:
         arr = np.asarray(value)
@@ -67,4 +83,19 @@ def _array(value, what: str, dtype=float) -> np.ndarray:
     if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise InputError("%s must be a rectangular array of %s, got %s entries"
                          % (what, noun, arr.dtype.type.__name__.rstrip("_")))
+    if isinstance(value, (list, tuple)) and _holds_bool(value):
+        raise InputError("%s must be a rectangular array of %s, got a bool among them"
+                         % (what, noun))
     return np.array(arr, dtype=dtype)
+
+
+def _fields(data, what: str, **kinds) -> tuple:
+    """The values of data's keys named in kinds, in order; InputError unless
+    data is a JSON object holding each key with a value of its kind (a type)."""
+    if not isinstance(data, dict):
+        raise InputError("%s JSON must be an object, got %s" % (what, type(data).__name__))
+    for key, kind in kinds.items():
+        if key not in data or not isinstance(data[key], kind):
+            raise InputError('%s JSON object needs a "%s" %s'
+                             % (what, key, "key" if kind is object else kind.__name__))
+    return tuple(data[key] for key in kinds)

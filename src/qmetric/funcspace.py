@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import Algebra, AlgElement, TAU_SA, _frozen, stack_norms
-from .errors import InputError, UnsupportedSpec, _array, _real
+from .errors import InputError, UnsupportedSpec, _array, _fields, _real
 from .metric import FiniteMetricSpace
 from .states import FunctionalState, evaluate
 
@@ -112,17 +112,10 @@ class MatrixFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MatrixFunction":
-        if not isinstance(data, dict):
-            raise InputError("matrix function JSON must be an object")
-        for key in ("space", "algebra", "values"):
-            if key not in data:
-                raise InputError("matrix function JSON is missing %r" % key)
-        if not isinstance(data["values"], list):
-            raise InputError("matrix function JSON needs a 'values' list")
-        space = FiniteMetricSpace.from_json_dict(data["space"])
-        algebra = Algebra.from_json_dict(data["algebra"])
-        values = tuple(AlgElement.from_json_dict(algebra, v) for v in data["values"])
-        return cls(space, algebra, values)
+        space, algebra, values = _fields(data, "matrix function", space=object,
+                                         algebra=object, values=list)
+        space, algebra = FiniteMetricSpace.from_json_dict(space), Algebra.from_json_dict(algebra)
+        return cls(space, algebra, (AlgElement.from_json_dict(algebra, v) for v in values))
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +159,7 @@ def to_channels(fn: MatrixFunction) -> np.ndarray:
 def from_channels(space: FiniteMetricSpace, algebra: Algebra, channels) -> MatrixFunction:
     """The self-adjoint function whose real channels are given (copied);
     inverts to_channels."""
-    chans = np.array(channels, dtype=float)
+    chans = _array(channels, "channel array")
     width = sum(m * m for m in algebra.block_sizes)
     if chans.shape != (space.size, width):
         raise InputError("channel array must be %dx%d, got %r"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TAU_SA
-from .errors import InputError, _array, _integer, _real
+from .errors import InputError, _array, _fields, _integer, _real
 from .metric import FiniteMetricSpace
 
 # elements in one tile of the extension kernels' temporaries (128 KB)
@@ -72,14 +72,10 @@ class ExtensionProblem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExtensionProblem":
-        if not isinstance(data, dict):
-            raise InputError("extension problem JSON must be an object")
-        for key in ("space", "subset", "values", "lip_bound"):
-            if key not in data:
-                raise InputError("extension problem JSON is missing %r" % key)
-        space = FiniteMetricSpace.from_json_dict(data["space"])
-        subset = tuple(space.index_of(str(lab)) for lab in data["subset"])
-        return cls(space, subset, tuple(data["values"]), data["lip_bound"])
+        space, subset, values, lip_bound = _fields(
+            data, "extension problem", space=object, subset=list, values=list, lip_bound=object)
+        space = FiniteMetricSpace.from_json_dict(space)
+        return cls(space, tuple(space.index_of(str(lab)) for lab in subset), values, lip_bound)
 
 
 def _tiles(t: int, k: int, c: int):

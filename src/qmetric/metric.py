@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _array, _integer, _real
+from .errors import InputError, _array, _fields, _integer, _real
 
 TAU_METRIC = 1e-9
 
@@ -195,10 +195,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteMetricSpace":
-        if not (isinstance(data, dict) and isinstance(data.get("labels"), list)
-                and "dist" in data):
-            raise InputError("metric space JSON must carry a 'labels' list and 'dist'")
-        return cls(tuple(data["labels"]), data["dist"])
+        return cls(*_fields(data, "metric space", labels=list, dist=object))
 
 
 def diameter(space: FiniteMetricSpace) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, AlgState, check_state_shapes, tracial_state, TAU_STATE
-from .errors import InputError, _integer, _real
+from .errors import InputError, _fields, _integer, _real
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +54,10 @@ class FunctionalState:
 
     @classmethod
     def from_json_dict(cls, data: dict, labels) -> "FunctionalState":
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-            raise InputError("functional state JSON must carry a 'terms' list")
         index = {str(lab): i for i, lab in enumerate(labels)}
         terms = []
-        for term in data["terms"]:
-            try:
-                w, x, phi = term["w"], term["x"], term["phi"]
-            except (TypeError, KeyError) as exc:
-                raise InputError("each term needs 'w', 'x', and 'phi'") from exc
+        for term in _fields(data, "functional state", terms=list)[0]:
+            w, x, phi = _fields(term, "state term", w=object, x=object, phi=object)
             if str(x) not in index:
                 raise InputError("term point %r is not a label of the space" % (x,))
             terms.append((w, index[str(x)], AlgState.from_json_dict(phi)))

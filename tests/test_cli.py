@@ -633,26 +633,37 @@ _PHI = AlgState((1.0,), (np.eye(2) / 2,)).to_json_dict()
      "distance matrix must be a rectangular array of real numbers"),
     ("space", {"labels": ["a", "b"], "dist": [[0, "x"], [1, 0]]},
      "distance matrix must be a rectangular array of real numbers"),
-    ("space", {"labels": 5, "dist": [[0]]}, "a 'labels' list"),
-    ("algebra", {"blocks": 2}, "a 'blocks' list"),
+    ("space", {"labels": 5, "dist": [[0]]}, 'metric space JSON object needs a "labels" list'),
+    ("algebra", {"blocks": 2}, 'algebra JSON object needs a "blocks" list'),
     ("algebra", {"blocks": [float("nan")]}, "block size must be an integer >= 1, got nan"),
     ("algebra", {"blocks": [2.0]}, "block size must be an integer >= 1, got 2.0"),
-    ("mu", {"terms": 5}, "a 'terms' list"),
+    ("mu", {"terms": 5}, 'functional state JSON object needs a "terms" list'),
     ("mu", {"terms": [{"w": "a", "x": "p0", "phi": _PHI}]},
      "term weights must be finite, got 'a'"),
     ("mu", {"terms": [{"w": 1.0, "x": "p0", "phi": {"weights": 5, "densities": []}}]},
-     "'weights' and 'densities' lists"),
+     'state JSON object needs a "weights" list'),
     ("mu", {"terms": [{"w": 1.0, "x": "p0",
                        "phi": {"weights": ["a"], "densities": _PHI["densities"]}}]},
      "block weights must be finite, got 'a'"),
     ("cross", [[1.0] * 4] * 6 + [[1.0]],
      "cross matrix must be a rectangular array of real numbers"),
     ("function", {"space": _path(2).to_json_dict(), "algebra": M2.to_json_dict(), "values": 5},
-     "a 'values' list"),
+     'matrix function JSON object needs a "values" list'),
+    ("space", {"labels": ["a", "b"], "dist": [[0, True], [True, 0]]},
+     "distance matrix must be a rectangular array of real numbers, got a bool among them"),
+    ("mu", {"terms": [{"w": 1.0, "x": "p0",
+                       "phi": {"weights": [1.0], "densities": [[[[True, False]]]]}}]},
+     "matrix JSON must be a rectangular array of real numbers, got bool entries"),
+    ("mu", {"terms": [{"w": 1.0, "x": "p0"}]}, 'state term JSON object needs a "phi" key'),
+    ("element", [[[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+     "matrix JSON must be a rectangular array of real numbers, got a bool among them"),
 ], ids=["ragged-dist", "text-dist", "labels-5", "blocks-2", "blocks-nan", "blocks-2.0",
-        "terms-5", "w-a", "phi-weights-5", "phi-weights-a", "ragged-cross", "values-5"])
+        "terms-5", "w-a", "phi-weights-5", "phi-weights-a", "ragged-cross", "values-5",
+        "bool-dist", "bool-density", "term-without-phi", "bool-element"])
 def test_malformed_json_is_exit_two(files, capsys, which, payload, message):
-    """Each used to escape as a bare ValueError or TypeError, exit 1."""
+    """Each used to escape as a bare ValueError or TypeError, exit 1, but
+    the bools, which were read as 0 and 1, and the term without "phi",
+    which exited 2 under another message."""
     bad = files["dir"] / "bad.json"
     bad.write_text(json.dumps(payload))
     space, algebra = str(files["space"]), str(files["algebra"])
@@ -664,6 +675,7 @@ def test_malformed_json_is_exit_two(files, capsys, which, payload, message):
         "mu": ["mk", str(bad), str(files["nu"]), "--space", space, "--algebra", algebra],
         "cross": ["gh", str(seven), space, "--cross", str(bad)],
         "function": ["lipnorm", str(bad)],
+        "element": ["norms", str(bad), "--algebra", algebra],
     }[which]
     rc, out, err = _run(capsys, argv)
     assert (rc, out) == (2, "")

@@ -5,7 +5,9 @@ scale, bound, constant or weight, passes another (errors._real): a finite
 Python or numpy real, never a bool or a string, with a sign where the site
 needs one.  Every numeric array, a distance or cross matrix, a block, a
 density, a vector or a list of values, passes a third (errors._array): a
-rectangular array of numbers, never of strings."""
+rectangular array of numbers, never of strings, and never with a bool
+anywhere in its lists.  Every JSON object passes a fourth (errors._fields),
+which names the first key that is missing or not of its kind."""
 
 import math
 
@@ -17,7 +19,7 @@ from qmetric.algebra import (Algebra, AlgElement, AlgState, matrix_unit, tracial
                              vector_state)
 from qmetric.errors import InputError
 from qmetric.funcspace import (MatrixFunction, SeminormSpec, classical_embed, conv_spec,
-                               quasi_leibniz_check)
+                               from_channels, quasi_leibniz_check)
 from qmetric.generate import circle_net, interval_net, random_planar_space, scaled_to_diameter
 from qmetric.mcshane import ExtensionProblem
 from qmetric.metric import FiniteMetricSpace, JoinedSpace, epsilon_net, gh_upper, scale
@@ -104,7 +106,13 @@ BARE = {
     "classical_embed_text": lambda: classical_embed(circle_net(4), ["a", 1, 2, 3], M2),
     "MatrixFunction_not_elements": lambda: MatrixFunction(PATH2, M2, [1, 2]),
     "FiniteMetricSpace_labels_not_a_sequence": lambda: FiniteMetricSpace(5, [[0]]),
+    "ExtensionProblem_json_values_not_a_list": lambda: ExtensionProblem.from_json_dict(
+        {"space": PATH2.to_json_dict(), "subset": ["a"], "values": 5, "lip_bound": 1.0}),
 }
+
+M1 = Algebra((1,))
+# labels "ab", "a" and "b": the string subset "ab" reads as the points a and b
+AB = FiniteMetricSpace(("ab", "a", "b"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]]).to_json_dict()
 
 # each was accepted, as a number or a numeric array
 TIGHTENED = {
@@ -116,6 +124,23 @@ TIGHTENED = {
     "density_numeric_string": lambda: AlgState((1.0,), ([["1", 0], [0, 0]],)),
     "epsilon_net_inf": lambda: epsilon_net(PATH2, math.inf),
     "lip_bound_one_element_list": lambda: ExtensionProblem(PATH2, (0,), [0.0], [1.0]),
+    "AlgState_json_bool_density": lambda: AlgState.from_json_dict(
+        {"weights": [1.0], "densities": [[[[True, False]]]]}),
+    "AlgElement_json_bool_block": lambda: AlgElement.from_json_dict(M1, [[[[True, False]]]]),
+    "AlgElement_json_bool_among_numbers": lambda: AlgElement.from_json_dict(
+        M2, [[[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+    "AlgElement_json_entry_of_three_numbers": lambda: AlgElement.from_json_dict(
+        M1, [[[[1.0, 0.0, 5.0]]]]),
+    "distance_bool_among_numbers": lambda: FiniteMetricSpace(("a", "b"),
+                                                             [[0, True], [True, 0]]),
+    "distance_numpy_bool_among_numbers": lambda: FiniteMetricSpace(
+        ("a", "b"), ((0, np.True_), (np.True_, 0))),
+    "distance_bool_array_in_a_list": lambda: FiniteMetricSpace(
+        ("a", "b"), [np.array([False, True]), [1, 0]]),
+    "ExtensionProblem_bool_value": lambda: ExtensionProblem(PATH2, (0, 1), (0.0, True), 1.0),
+    "from_channels_numeric_strings": lambda: from_channels(PATH2, M1, [["1"], ["2"]]),
+    "ExtensionProblem_json_string_subset": lambda: ExtensionProblem.from_json_dict(
+        {"space": AB, "subset": "ab", "values": [0.0, 0.0], "lip_bound": 1.0}),
 }
 
 
@@ -138,6 +163,39 @@ def test_a_real_that_is_not_one_is_named_with_its_rule():
     with pytest.raises(InputError, match=r"densities must be a rectangular array of numbers, "
                                          r"got str entries"):
         TIGHTENED["density_numeric_string"]()
+
+
+def test_a_bool_among_numbers_and_a_json_key_are_named():
+    with pytest.raises(InputError, match=r"distance matrix must be a rectangular array of real "
+                                         r"numbers, got a bool among them"):
+        TIGHTENED["distance_bool_among_numbers"]()
+    with pytest.raises(InputError, match=r"matrix JSON must be a rectangular array of real "
+                                         r"numbers, got bool entries"):
+        TIGHTENED["AlgState_json_bool_density"]()
+    with pytest.raises(InputError, match=r"matrix JSON must hold \[re, im\] pairs, "
+                                         r"got shape \(1, 1, 3\)"):
+        TIGHTENED["AlgElement_json_entry_of_three_numbers"]()
+    with pytest.raises(InputError, match=r"channel array must be a rectangular array of real "
+                                         r"numbers, got str entries"):
+        TIGHTENED["from_channels_numeric_strings"]()
+    with pytest.raises(InputError, match=r'extension problem JSON object needs a "subset" list'):
+        TIGHTENED["ExtensionProblem_json_string_subset"]()
+    with pytest.raises(InputError, match=r'state term JSON object needs a "phi" key'):
+        FunctionalState.from_json_dict({"terms": [{"w": 1.0, "x": "a"}]}, PATH2.labels)
+    with pytest.raises(InputError, match=r"functional state JSON must be an object, got list"):
+        FunctionalState.from_json_dict([], PATH2.labels)
+
+
+def test_a_json_matrix_reads_each_pair_as_its_complex_bit_for_bit(rng):
+    """The [re, im] pairs of an element or a state are viewed as complex
+    numbers, exactly the complex(re, im) of each pair, ints and -0.0 included."""
+    pairs = rng.normal(size=(3, 3, 2)) * 10.0 ** rng.integers(-300, 300, size=(3, 3, 2))
+    rows = pairs.tolist()
+    rows[0][1] = [-0.0, 2 ** 60 + 1]
+    rows[2][2] = [5e-324, -7]
+    elem = AlgElement.from_json_dict(Algebra((3,)), [rows])
+    want = np.array([[complex(re, im) for re, im in row] for row in rows])
+    assert elem.blocks[0].tobytes() == want.tobytes()
 
 
 # site: a call on a real that is 1 in every numpy type
