@@ -22,7 +22,10 @@
 # string "1" and a space whose dist holds the string "1" must exit 2, and
 # true and false are never numbers in any array, so mk on a state whose
 # density matrix is [[[true, false]]] and embed-check on a space whose dist
-# holds true among numbers must exit 2 too.
+# holds true among numbers must exit 2 too. A point label is a JSON string,
+# matched exactly: embed-check on the circle labelled 0..5 as numbers, and
+# mk on a state whose term names the point 0 of the circle labelled "0".."5",
+# must exit 2.
 # approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
@@ -82,6 +85,10 @@ echo '{"terms": [{"w": 1, "x": "c0", "phi": {"weights": [1], "densities": [[[[tr
 exits_2 qmetric mk tbool.json tbool.json --space s.json --algebra m1.json
 python -c 'import json; d = json.load(open("s.json")); d["dist"][0][1] = True; json.dump(d, open("dbool.json", "w"))'
 exits_2 qmetric embed-check --space dbool.json --algebra a.json
+python -c 'import json; d = json.load(open("s.json")); d["labels"] = list(range(6)); json.dump(d, open("lnum.json", "w"))'
+exits_2 qmetric embed-check --space lnum.json --algebra a.json
+python -c 'import json; d = json.load(open("s.json")); d["labels"] = [str(i) for i in range(6)]; json.dump(d, open("lstr.json", "w")); m = json.load(open("mu.json")); m["terms"][0]["x"] = 0; json.dump(m, open("xnum.json", "w"))'
+exits_2 qmetric mk xnum.json xnum.json --space lstr.json --algebra a.json
 qmetric norms e.json --algebra a.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json

@@ -265,7 +265,7 @@ def min_enclosing_radius(points) -> tuple[float, complex]:
     distance to the set is smallest wins: O(k^3) candidates for k distinct
     points, each checked against all k.  q_term pools n * sum(m) entries.
     """
-    zs = np.unique(np.asarray(points, dtype=complex).ravel())
+    zs = np.unique(_array(points, "points", dtype=complex).ravel())
     if zs.size == 0:
         raise InputError("enclosing circle of an empty point set")
     if zs.size == 1:

@@ -259,20 +259,6 @@ def cmd_gen(args) -> dict:
 
 # ------------------------------------------------------------------ output
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {key: _pyify(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(val) for val in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, float):
-        return float(obj)
-    return obj
-
-
 def _config_hash(args) -> str:
     """Hash of every argument but the output ones (--out, --format and
     --dump-lp), with each input file counted by the SHA-256 of its bytes,
@@ -463,7 +449,7 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        payload = _pyify(args.func(args))
+        payload = args.func(args)
         envelope = {
             "version": __version__,
             "config_hash": _config_hash(args),

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolation, InputError, _integer
+from .errors import BoundViolation, InputError, _array, _integer
 
 TAU_LP = 1e-7
 
@@ -49,6 +49,18 @@ _PIVOT_EPS = 1e-9
 _DEGENERATE_RUN = 32
 
 
+def _frozen(value, what: str) -> np.ndarray:
+    """value as a read-only float array: itself if it is one that owns its
+    data, so that LPs can share their rows, else a frozen copy read through
+    errors._array, so that a caller's own array stays writeable."""
+    if (isinstance(value, np.ndarray) and value.dtype == float and value.base is None
+            and not value.flags.writeable):
+        return value
+    arr = _array(value, what)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
     """maximize objective . x  subject to  rows . x <= bounds (all >= 0), x free."""
@@ -58,9 +70,9 @@ class LinearProgram:
     bounds: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        a = np.asarray(self.rows, dtype=float)
-        b = np.asarray(self.bounds, dtype=float)
+        c = _frozen(self.objective, "objective")
+        a = _frozen(self.rows, "constraint rows")
+        b = _frozen(self.bounds, "bounds")
         if c.ndim != 1 or c.size == 0:
             raise InputError("objective must be a nonempty vector")
         if a.ndim != 2 or a.shape[1] != c.size:
@@ -71,8 +83,6 @@ class LinearProgram:
             raise InputError("linear program data must be finite")
         if (b < 0).any():
             raise InputError("bounds must be nonnegative, so that x = 0 is feasible")
-        for arr in (c, a, b):
-            arr.setflags(write=False)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "rows", a)
         object.__setattr__(self, "bounds", b)
@@ -235,7 +245,7 @@ def min_cost_flows(cost, supplies) -> list[FlowSolution]:
     each round makes progress.  Each row's result is bit for bit its solve
     alone.
     """
-    c, excess = np.asarray(cost, dtype=float), np.array(supplies, dtype=float)
+    c, excess = _array(cost, "arc costs"), _array(supplies, "supply rows")
     if excess.ndim != 2 or excess.shape[1] == 0 or c.shape[-2:] != (excess.shape[1],) * 2:
         raise InputError("need nonempty supply rows and a square cost matrix of their length")
     if c.ndim not in (2, 3) or c.ndim == 3 and len(c) != len(excess):

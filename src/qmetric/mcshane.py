@@ -75,7 +75,7 @@ class ExtensionProblem:
         space, subset, values, lip_bound = _fields(
             data, "extension problem", space=object, subset=list, values=list, lip_bound=object)
         space = FiniteMetricSpace.from_json_dict(space)
-        return cls(space, tuple(space.index_of(str(lab)) for lab in subset), values, lip_bound)
+        return cls(space, tuple(space.index_of(lab) for lab in subset), values, lip_bound)
 
 
 def _tiles(t: int, k: int, c: int):

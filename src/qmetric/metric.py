@@ -108,7 +108,7 @@ def _check_pointwise_axioms(d: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """Labelled points with a validated symmetric distance matrix.
+    """Points labelled by distinct strings, with a validated distance matrix.
 
     Construction is validation: finite entries, symmetry and a zero
     diagonal (both to TAU_METRIC) and strictly positive off-diagonal
@@ -144,9 +144,12 @@ class FiniteMetricSpace:
         inequality of the stored matrix only when no worst_slack is given,
         and store the space."""
         try:
-            labels = tuple(str(x) for x in labels)
+            labels = tuple(labels)
         except TypeError:
             raise InputError("point labels must be a sequence, got %r" % (labels,)) from None
+        for label in labels:
+            if not isinstance(label, str):
+                raise InputError("point labels must be strings, got %r" % (label,))
         d = _array(dist, "distance matrix")
         n = len(labels)
         if n == 0:
@@ -355,16 +358,16 @@ class JoinedSpace:
         itself, so when w - margin >= -TAU_METRIC no computed slack is below
         -TAU_METRIC and the scan is skipped.
 
+        net is read by _point_indices, so each entry must be a point of y.
         It runs as for any join when that test fails, or when x, net,
         cross or offset are not as stated (checked in O(|net| |y|)).
         """
         joined = object.__new__(cls)
         for name, val in (("x", x), ("y", y), ("cross", cross)):
             object.__setattr__(joined, name, val)
-        idx = np.asarray(net, dtype=int)
+        idx = _point_indices(y, net)
         margin = 16.0 * np.finfo(float).eps * (float(y.dist.max()) + offset + TAU_METRIC)
-        proved = (offset >= 0 and idx.shape == (x.size,)
-                  and bool(((idx >= 0) & (idx < y.size)).all())
+        proved = (offset >= 0 and len(idx) == x.size
                   and np.array_equal(x.dist, y.dist[np.ix_(idx, idx)])
                   and np.array_equal(cross, y.dist[idx] + offset)
                   and y._worst_slack - margin >= -TAU_METRIC)

@@ -85,8 +85,6 @@ def _pairing_vectors(algebra: Algebra, states, positions: dict) -> np.ndarray:
     terms = [(i, positions[x], w, phi) for i, state in enumerate(states)
              for w, x, phi in state.terms if w != 0.0]
     coefs = np.zeros((len(states), len(positions), sum(m * m for m in algebra.block_sizes)))
-    if not terms:
-        return coefs
     which, at, w, phis = zip(*terms)
     w = np.array(w)
     rows = np.empty((len(terms), coefs.shape[2]))
@@ -186,10 +184,11 @@ def _polygon(sup: _Support, algebra: Algebra):
     """The off-diagonal entries' LP rows on the support, their bounds for
     16-gons of inradius 1 (a 16-gon of inradius gamma scales them by
     gamma), and each entry's (Re, Im) channel pair.  The rows are the same
-    for every entry.  The variables are the entry's Re at each point, then
-    its Im.  The first 16 rows per point ("anchor" rows, point p's at
-    16 p + t) bound its modulus by beta, then 16 rows per point pair bound
-    the difference by d."""
+    for every entry, and read-only, so that its LinearPrograms share them.
+    The variables are the entry's Re at each point, then its Im.  The
+    first 16 rows per point ("anchor" rows, point p's at 16 p + t) bound
+    its modulus by beta, then 16 rows per point pair bound the difference
+    by d."""
     dist = sup.cost[:-1, :-1]
     n = dist.shape[0]
     p, q = np.triu_indices(n, 1)
@@ -204,6 +203,7 @@ def _polygon(sup: _Support, algebra: Algebra):
         pair[k, t, n + cols[:, None]] = sign * _GON_SIN
     bounds = np.concatenate([np.full(16 * n, sup.beta), np.repeat(dist[p, q], 16)])
     entries = np.concatenate([np.stack(s[1:3], axis=1) for s in channel_slots(algebra)])
+    rows.setflags(write=False)
     return rows, bounds, entries
 
 
@@ -396,7 +396,7 @@ def _dump_flows(path, labels, flows, multiplier=None) -> None:
     line gives the multiplier lam, and the supplies are gain - lam psi."""
     import csv  # only the dump needs it; kept off the import path
 
-    names = [str(lab) for lab in labels] + ["anchor"]
+    names = [*labels, "anchor"]
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         if multiplier is not None:
@@ -589,7 +589,7 @@ def embed_check(space: FiniteMetricSpace, algebra: Algebra, v,
             max_upper = max(max_upper, val - d)
             max_lower = max(max_lower, lower_c * d - val)
             max_defect = max(max_defect, abs(val - d) / d)
-            rows.append({"x": str(space.labels[x]), "y": str(space.labels[y]),
+            rows.append({"x": space.labels[x], "y": space.labels[y],
                          "dist": d, "mk": val})
     return {"spec": spec.describe(),
             "upper_constant": 1.0, "lower_constant": lower_c,

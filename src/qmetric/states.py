@@ -49,18 +49,18 @@ class FunctionalState:
         return max(x for _, x, _ in self.terms)
 
     def to_json_dict(self, labels) -> dict:
-        return {"terms": [{"w": w, "x": str(labels[x]), "phi": phi.to_json_dict()}
+        return {"terms": [{"w": w, "x": labels[x], "phi": phi.to_json_dict()}
                           for w, x, phi in self.terms]}
 
     @classmethod
     def from_json_dict(cls, data: dict, labels) -> "FunctionalState":
-        index = {str(lab): i for i, lab in enumerate(labels)}
+        index = {lab: i for i, lab in enumerate(labels)}
         terms = []
         for term in _fields(data, "functional state", terms=list)[0]:
-            w, x, phi = _fields(term, "state term", w=object, x=object, phi=object)
-            if str(x) not in index:
+            w, x, phi = _fields(term, "state term", w=object, x=str, phi=object)
+            if x not in index:
                 raise InputError("term point %r is not a label of the space" % (x,))
-            terms.append((w, index[str(x)], AlgState.from_json_dict(phi)))
+            terms.append((w, index[x], AlgState.from_json_dict(phi)))
         return cls(tuple(terms))
 
 

@@ -178,6 +178,60 @@ def test_dump_lp_is_an_output_argument(files, capsys, tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def test_dump_lp_of_equal_states_says_no_channel_carries_a_pairing(files, capsys, tmp_path):
+    rc, out, _ = _run(capsys, ["mk", str(files["mu"]), str(files["mu"]),
+                               "--space", str(files["space"]), "--algebra", str(files["algebra"]),
+                               "--dump-lp", str(tmp_path / "d.csv")])
+    assert rc == 0 and _report(out)["result"]["value"] == 0.0
+    assert (tmp_path / "d.csv").read_text() == "# no channel carries a pairing\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--K", "1"], "--K only applies to --spec-q convk"),
+    (["--ref-state", "mu"], "--ref-state only applies to --spec-q state"),
+    (["--spec-q", "state"], "--ref-state is required with --spec-q state"),
+    (["--weights", "a,b"], "--weights must be comma-separated numbers: 'a,b'"),
+], ids=["K-without-convk", "ref-state-without-state", "state-without-ref-state", "weights-a-b"])
+def test_embed_check_flags_out_of_place_are_exit_two(files, capsys, extra, message):
+    extra = [str(files[tok]) if tok in files else tok for tok in extra]
+    rc, out, err = _run(capsys, ["embed-check", "--space", str(files["space"]),
+                                 "--algebra", str(files["algebra"])] + extra)
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--schedule", "x"], "--schedule must be comma-separated numbers: 'x'"),
+    (["--schedule", "0.5", "--rows", "2"], "give either --schedule or --rows, not both"),
+    (["--space", "point", "--rows", "2"], "space has zero diameter; give --schedule"),
+], ids=["schedule-x", "schedule-and-rows", "rows-on-one-point"])
+def test_approx_schedules_out_of_place_are_exit_two(files, capsys, extra, message):
+    point = files["dir"] / "point.json"
+    point.write_text(json.dumps(_path(1).to_json_dict()))
+    extra = [str(point) if tok == "point" else tok for tok in extra]
+    rc, out, err = _run(capsys, ["approx", "--space", str(files["space"]),
+                                 "--algebra", str(files["algebra"])] + extra)
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+def test_a_term_names_its_point_by_the_label_string(capsys, tmp_path):
+    """A term's "x" must be the label itself: the number 1.5 used to read as
+    the point labelled "1.5"."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(FiniteMetricSpace(("a", "1.5", "c"), _path(3).dist).to_json_dict()))
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps(M2.to_json_dict()))
+    rest = ["--space", str(space), "--algebra", str(alg)]
+    phi = tracial_functional(M2, (1.0,), 0).terms[0][2].to_json_dict()
+    for x, rc_want in (("1.5", 0), (1.5, 2)):
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"terms": [{"w": 1.0, "x": x, "phi": phi}]}))
+        rc, out, err = _run(capsys, ["mk", str(mu), str(mu)] + rest)
+        assert rc == rc_want
+    assert out == "" and 'state term JSON object needs a "x" str' in err
+
+
 def test_bridge_scans_a_caller_cross(capsys, tmp_path):
     """A caller's cross matrix is scanned: the space's own distances with
     d(X0, Y0) raised to 10 break the triangle through X1."""
@@ -657,12 +711,15 @@ _PHI = AlgState((1.0,), (np.eye(2) / 2,)).to_json_dict()
     ("mu", {"terms": [{"w": 1.0, "x": "p0"}]}, 'state term JSON object needs a "phi" key'),
     ("element", [[[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
      "matrix JSON must be a rectangular array of real numbers, got a bool among them"),
+    ("space", {"labels": [True, None, 1.5], "dist": _path(3).dist.tolist()},
+     "point labels must be strings, got True"),
 ], ids=["ragged-dist", "text-dist", "labels-5", "blocks-2", "blocks-nan", "blocks-2.0",
         "terms-5", "w-a", "phi-weights-5", "phi-weights-a", "ragged-cross", "values-5",
-        "bool-dist", "bool-density", "term-without-phi", "bool-element"])
+        "bool-dist", "bool-density", "term-without-phi", "bool-element", "label-not-a-string"])
 def test_malformed_json_is_exit_two(files, capsys, which, payload, message):
     """Each used to escape as a bare ValueError or TypeError, exit 1, but
-    the bools, which were read as 0 and 1, and the term without "phi",
+    the bools, which were read as 0 and 1, the labels that are not
+    strings, which were read through str(), and the term without "phi",
     which exited 2 under another message."""
     bad = files["dir"] / "bad.json"
     bad.write_text(json.dumps(payload))

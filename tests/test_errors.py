@@ -7,7 +7,8 @@ needs one.  Every numeric array, a distance or cross matrix, a block, a
 density, a vector or a list of values, passes a third (errors._array): a
 rectangular array of numbers, never of strings, and never with a bool
 anywhere in its lists.  Every JSON object passes a fourth (errors._fields),
-which names the first key that is missing or not of its kind."""
+which names the first key that is missing or not of its kind.  A point
+label is a string, and a reader that names a point matches it exactly."""
 
 import math
 
@@ -15,14 +16,14 @@ import numpy as np
 import pytest
 
 from qmetric import cli, lpcore
-from qmetric.algebra import (Algebra, AlgElement, AlgState, matrix_unit, tracial_state,
-                             vector_state)
+from qmetric.algebra import (Algebra, AlgElement, AlgState, matrix_unit, min_enclosing_radius,
+                             tracial_state, vector_state)
 from qmetric.errors import InputError
 from qmetric.funcspace import (MatrixFunction, SeminormSpec, classical_embed, conv_spec,
                                from_channels, quasi_leibniz_check)
 from qmetric.generate import circle_net, interval_net, random_planar_space, scaled_to_diameter
 from qmetric.mcshane import ExtensionProblem
-from qmetric.metric import FiniteMetricSpace, JoinedSpace, epsilon_net, gh_upper, scale
+from qmetric.metric import FiniteMetricSpace, JoinedSpace, epsilon_net, gh_upper, hausdorff, scale
 from qmetric.propinquity import approx_table, build_bridge
 from qmetric.states import FunctionalState, delta_embed, mix
 
@@ -111,8 +112,11 @@ BARE = {
 }
 
 M1 = Algebra((1,))
+TRIANGLE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 # labels "ab", "a" and "b": the string subset "ab" reads as the points a and b
-AB = FiniteMetricSpace(("ab", "a", "b"), [[0, 1, 1], [1, 0, 1], [1, 1, 0]]).to_json_dict()
+AB = FiniteMetricSpace(("ab", "a", "b"), TRIANGLE).to_json_dict()
+# the label "1.5": a term "x" or a subset entry 1.5 used to read as its point
+A15 = FiniteMetricSpace(("a", "1.5", "c"), TRIANGLE).to_json_dict()
 
 # each was accepted, as a number or a numeric array
 TIGHTENED = {
@@ -141,6 +145,49 @@ TIGHTENED = {
     "from_channels_numeric_strings": lambda: from_channels(PATH2, M1, [["1"], ["2"]]),
     "ExtensionProblem_json_string_subset": lambda: ExtensionProblem.from_json_dict(
         {"space": AB, "subset": "ab", "values": [0.0, 0.0], "lip_bound": 1.0}),
+    "FiniteMetricSpace_json_labels_not_strings": lambda: FiniteMetricSpace.from_json_dict(
+        {"labels": [True, None, 1.5], "dist": TRIANGLE}),
+    "FiniteMetricSpace_int_labels": lambda: FiniteMetricSpace((0, 1, 2), TRIANGLE),
+    "term_point_a_number": lambda: FunctionalState.from_json_dict(
+        {"terms": [{"w": 1.0, "x": 1.5, "phi": PURE.to_json_dict()}]}, A15["labels"]),
+    "ExtensionProblem_json_number_subset": lambda: ExtensionProblem.from_json_dict(
+        {"space": A15, "subset": [1.5], "values": [0.0], "lip_bound": 1.0}),
+    "LinearProgram_numeric_strings": lambda: lpcore.LinearProgram(
+        ["1", "1"], [[1, 0], [0, 1], [1, 1]], [1, 1, "1.5"]),
+    "LinearProgram_bool_row": lambda: lpcore.LinearProgram(
+        [1, 1], [[1, 0], [0, True], [1, 1]], [1, 1, 1.5]),
+    "min_cost_flows_numeric_strings": lambda: lpcore.min_cost_flows(np.ones((2, 2)),
+                                                                    [["1", "-1"]]),
+    "min_cost_flows_bool_cost": lambda: lpcore.min_cost_flows(np.ones((2, 2), dtype=bool),
+                                                              [[1.0, -1.0]]),
+    "min_enclosing_radius_numeric_strings": lambda: min_enclosing_radius(["1", "3"]),
+    "build_bridge_float_net": lambda: build_bridge(
+        SPACE.subspace((0, 2, 4)), SPACE, SPACE.dist[[0, 2, 4]], 0.1, M2, net=[0.2, 2.7, 4.0]),
+}
+
+# each was refused already, by a check that no other test reaches
+REFUSED = {
+    "distance_nan": (lambda: FiniteMetricSpace(("a", "b"), [[0, math.nan], [math.nan, 0]]),
+                     r"distances must be finite"),
+    "distance_wrong_shape": (lambda: FiniteMetricSpace(("a", "b"), [0, 1]),
+                             r"distance matrix must be 2x2, got \(2,\)"),
+    "subspace_empty": (lambda: SPACE.subspace([]), r"a subspace needs at least one point"),
+    "hausdorff_empty": (lambda: hausdorff(SPACE, [], [0]),
+                        r"Hausdorff distance needs nonempty subsets"),
+    "LinearProgram_bound_count": (lambda: lpcore.LinearProgram([1, 1], [[1, 0], [0, 1]], [1]),
+                                  r"need one bound per constraint row"),
+    "LinearProgram_not_finite": (lambda: lpcore.LinearProgram(
+        [1, math.inf], [[1, 0], [0, 1]], [1, 1]), r"linear program data must be finite"),
+    "FunctionalState_no_terms": (lambda: FunctionalState(()),
+                                 r"a functional state needs at least one term"),
+    "FunctionalState_term_not_a_state": (lambda: FunctionalState(((1.0, 0, "phi"),)),
+                                         r"each term needs an AlgState"),
+    "ExtensionProblem_empty_subset": (lambda: ExtensionProblem(SPACE, (), (), 1.0),
+                                      r"the subset must be nonempty"),
+    "ExtensionProblem_repeated_subset": (lambda: ExtensionProblem(SPACE, (1, 1), (0, 0), 1.0),
+                                         r"subset indices must be distinct"),
+    "min_enclosing_radius_empty": (lambda: min_enclosing_radius([]),
+                                   r"enclosing circle of an empty point set"),
 }
 
 
@@ -148,6 +195,40 @@ TIGHTENED = {
 def test_bad_outside_input_is_an_input_error(case):
     with pytest.raises(InputError):
         BARE.get(case, TIGHTENED.get(case))()
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_each_refusal_names_its_rule(case):
+    call, message = REFUSED[case]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_a_label_is_a_string_matched_exactly():
+    with pytest.raises(InputError, match=r"point labels must be strings, got True"):
+        TIGHTENED["FiniteMetricSpace_json_labels_not_strings"]()
+    with pytest.raises(InputError, match=r"point labels must be strings, got 0"):
+        TIGHTENED["FiniteMetricSpace_int_labels"]()
+    with pytest.raises(InputError, match=r'state term JSON object needs a "x" str'):
+        TIGHTENED["term_point_a_number"]()
+    with pytest.raises(InputError, match=r"unknown point label 1\.5"):
+        TIGHTENED["ExtensionProblem_json_number_subset"]()
+    with pytest.raises(InputError, match=r"point index must be an integer in 0\.\.4, got 0\.2"):
+        TIGHTENED["build_bridge_float_net"]()
+    with pytest.raises(InputError, match=r"objective must be a rectangular array of real "
+                                         r"numbers, got str entries"):
+        TIGHTENED["LinearProgram_numeric_strings"]()
+    with pytest.raises(InputError, match=r"arc costs must be a rectangular array of real "
+                                         r"numbers, got bool entries"):
+        TIGHTENED["min_cost_flows_bool_cost"]()
+    with pytest.raises(InputError, match=r"points must be a rectangular array of numbers, "
+                                         r"got str entries"):
+        TIGHTENED["min_enclosing_radius_numeric_strings"]()
+    space = FiniteMetricSpace.from_json_dict(A15)
+    term = {"w": 1.0, "x": "1.5", "phi": PURE.to_json_dict()}
+    assert FunctionalState.from_json_dict({"terms": [term]}, space.labels).terms[0][1] == 1
+    assert ExtensionProblem.from_json_dict(
+        {"space": A15, "subset": ["1.5"], "values": [0.0], "lip_bound": 1.0}).subset == (1,)
 
 
 def test_a_real_that_is_not_one_is_named_with_its_rule():
@@ -253,6 +334,25 @@ def test_a_checked_array_is_a_copy_of_the_callers():
     block = np.eye(2, dtype=complex)
     elem = AlgElement(M2, (block,))
     assert block.flags.writeable and elem.blocks[0] is not block
+
+
+def test_a_linear_program_and_a_flow_leave_the_callers_arrays_alone():
+    """A LinearProgram freezes a copy of each writeable array, and of a
+    read-only view, and shares a read-only float array that owns its data,
+    as the LPs of a polygon share its rows."""
+    objective, rows, bounds = np.ones(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2)
+    lp = lpcore.LinearProgram(objective, rows, bounds)
+    for mine, stored in zip((objective, rows, bounds), (lp.objective, lp.rows, lp.bounds)):
+        assert mine.flags.writeable and not stored.flags.writeable
+        assert not np.shares_memory(mine, stored)
+    assert lpcore.LinearProgram(2 * objective, lp.rows, bounds).rows is lp.rows
+    view = objective.view()
+    view.setflags(write=False)
+    assert lpcore.LinearProgram(view, rows, bounds).objective is not view
+    cost, supplies = np.ones((2, 2)), np.array([[1.0, -1.0]])
+    lpcore.min_cost_flows(cost, supplies)
+    assert cost.flags.writeable and supplies.flags.writeable
+    assert supplies.tolist() == [[1.0, -1.0]]
 
 
 @pytest.mark.parametrize("raw, ok", [("1e-6", True), ("inf", False), ("-1", False),

@@ -385,7 +385,8 @@ def test_net_join_agrees_with_the_full_scan(monkeypatch, rng):
 def test_net_join_scans_unless_the_lemma_applies(monkeypatch):
     """The scan runs when the recorded slack lies within the rounding margin
     of -TAU_METRIC, when the margin itself exceeds TAU_METRIC (a space of
-    diameter 2e6), and when the net, cross or offset are not as stated."""
+    diameter 2e6), and when the net, cross or offset are not as stated.  A
+    net entry that is not a point of the space is an InputError."""
     line = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
     bumped = line.copy()
     bumped[0, 3] = bumped[3, 0] = 3.0 + (TAU_METRIC - 1e-14)
@@ -411,8 +412,10 @@ def test_net_join_scans_unless_the_lemma_applies(monkeypatch):
     assert join(plain, (0, 2), 0.01, plain.dist[[0, 2]] + 0.02) == [(6, 6)]
     assert join(plain, (0, 2), -0.0) == []
     scans.clear()
-    JoinedSpace._net_join(plain.subspace((0, 2)), plain, (0, 9), plain.dist[[0, 2]], 0.0)
+    JoinedSpace._net_join(plain.subspace((0, 2)), plain, (0, 2, 3), plain.dist[[0, 2]], 0.0)
     assert len(scans) == 1
+    with pytest.raises(InputError, match=r"point index must be an integer in 0\.\.3, got 9"):
+        JoinedSpace._net_join(plain.subspace((0, 2)), plain, (0, 9), plain.dist[[0, 2]], 0.0)
 
 
 def test_joined_space_full_matrix_and_hausdorff():

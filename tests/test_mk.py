@@ -700,10 +700,13 @@ def test_exact_witness_holds_only_its_channels(rng):
 
 
 def test_refine_sets_up_the_support_once(monkeypatch, rng):
+    """One support, one flow call, and one row array that every entry LP
+    of both polygons shares, not a copy each."""
     space = random_planar_space(5, rng)
     mu, nu = (_spread_state(space, M23, rng, range(5)) for _ in range(2))
     calls = {"restrict": 0, "flows": 0}
-    real_restrict, real_flows = mk._restrict, mk.min_cost_flows
+    real_restrict, real_flows, real_lp = mk._restrict, mk.min_cost_flows, mk.LinearProgram
+    lps = []
 
     def restrict(*args):
         calls["restrict"] += 1
@@ -715,13 +718,16 @@ def test_refine_sets_up_the_support_once(monkeypatch, rng):
 
     monkeypatch.setattr(mk, "_restrict", restrict)
     monkeypatch.setattr(mk, "min_cost_flows", flows)
+    monkeypatch.setattr(mk, "LinearProgram", lambda *args: lps.append(real_lp(*args)) or lps[-1])
     for q_kind in ("conv", "conv_K", "quotient_C"):
         rm_spec = _flow_spec(q_kind, rng, space, M23)
         spec = SeminormSpec("max", q_kind, K=rm_spec.K)
         calls.update(restrict=0, flows=0)
+        lps.clear()
         mk_distance(space, M23, mu, nu, spec, refine=True)
         # one batched call serves the real_max value and both polygons
         assert calls == {"restrict": 1, "flows": 1}
+        assert len(lps) == 8 and len({id(lp.rows) for lp in lps}) == 1
     spec = SeminormSpec("max", "state", state=_spread_state(space, M23, rng, [0, 2]))
     calls.update(restrict=0)
     mk_distance(space, M23, mu, nu, spec, refine=True)
