@@ -26,6 +26,9 @@
 # matched exactly: embed-check on the circle labelled 0..5 as numbers, and
 # mk on a state whose term names the point 0 of the circle labelled "0".."5",
 # must exit 2.
+# gh between 5-point circle and interval nets runs the exact search at its
+# cap and must report "kind": "exact"; gh on the 6-point circle, above the
+# cap, with no --cross must exit 2.
 # approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
@@ -90,6 +93,11 @@ exits_2 qmetric embed-check --space lnum.json --algebra a.json
 python -c 'import json; d = json.load(open("s.json")); d["labels"] = [str(i) for i in range(6)]; json.dump(d, open("lstr.json", "w")); m = json.load(open("mu.json")); m["terms"][0]["x"] = 0; json.dump(m, open("xnum.json", "w"))'
 exits_2 qmetric mk xnum.json xnum.json --space lstr.json --algebra a.json
 qmetric norms e.json --algebra a.json
+qmetric gen circle --n 5 --out c5.json
+qmetric gen interval --n 5 --out i5.json
+qmetric gh c5.json i5.json --out gh.json
+python -c 'import json; r = json.load(open("gh.json"))["report"]; assert r["kind"] == "exact", r'
+exits_2 qmetric gh s.json s.json
 echo '{"blocks": [2]}' > m2.json
 timeout 60 qmetric gen circle --n 1024 --out s1024.json
 timeout 60 qmetric approx --space s1024.json --algebra m2.json --rows 3 --out t1024.json

@@ -45,8 +45,9 @@ def random_planar_space(n: int, rng: np.random.Generator,
                         box: float = 1.0) -> FiniteMetricSpace:
     """n random points in a square with Euclidean distances.
 
-    Resamples until all pairwise distances clear a small floor, so the
-    result always validates as a metric space.
+    Resamples until all pairwise distances clear a floor of 1e-3 box, so
+    the result always validates as a metric space; InputError if 100 draws
+    fail, as they almost surely do from about 2500 points on.
     """
     n = _integer(n, "n", 1)
     box = _real(box, "the box", positive=True)
@@ -58,7 +59,8 @@ def random_planar_space(n: int, rng: np.random.Generator,
         if n == 1 or off.min() > floor:
             labels = tuple("p%d" % i for i in range(n))
             return FiniteMetricSpace(labels, dist)
-    raise ArithmeticError("could not place %d sufficiently separated points" % n)
+    raise InputError("could not place %d points more than %g (1e-3 of the box) apart in 100 "
+                     "draws" % (n, floor))
 
 
 def scaled_to_diameter(space: FiniteMetricSpace, target: float) -> FiniteMetricSpace:

@@ -18,24 +18,6 @@ _SCAN_ROWS = 64   # rows of one slack block, which holds 64 n floats
 _SCAN_KS = 256    # middle points k per pass over the row blocks
 
 
-def _slack_blocks(d: np.ndarray, ks, rows: int, c0: int):
-    """(k, r0, c, slack) for each block of at most _SCAN_ROWS rows below
-    rows of a symmetric d, and within it each k of ks: slack[i - r0, j - c]
-    is fl(fl(d[i,k] + d[k,j]) - d[i,j]) for the columns j >= c.  The
-    columns start at c0, or at the block's first row if that is later:
-    every pair i <= j is still covered, and each other pair (i, j) is the
-    mirror of a covered pair (j, i) with the same slack.  Each row block's
-    slack is one buffer, reused for every k."""
-    for r0 in range(0, rows, _SCAN_ROWS):
-        r1 = min(rows, r0 + _SCAN_ROWS)
-        c = max(c0, r0)
-        block = d[r0:r1, c:]
-        buf = np.empty(block.shape)
-        for k in ks:
-            np.add(d[r0:r1, k, None], d[k, c:], out=buf)
-            yield k, r0, c, np.subtract(buf, block, out=buf)
-
-
 def _triangle_violation(d: np.ndarray, tol: float, split=None):
     """(triple, worst): the first triple (i, k, j) with d[i,j] > d[i,k] +
     d[k,j] + tol, or None, and the least slack fl(fl(d[i,k] + d[k,j]) -
@@ -45,13 +27,16 @@ def _triangle_violation(d: np.ndarray, tol: float, split=None):
     triple, else over those of its k.
 
     The scan takes the k in passes of _SCAN_KS and the rows in blocks of
-    _SCAN_ROWS (_slack_blocks), so it holds O(n) floats at a time.  As d is
-    exactly symmetric, the slack of (i, k, j) is bit for bit that of (j, k,
-    i), since fl(a + b) = fl(b + a).  So the scan reads only the pairs i <=
-    j, and those mirrored within a row block: the least slack is the same
-    as a full scan's, and so is the first most violated pair, since the
-    mirror (j, i) of a most violated pair with i > j is one that comes
-    first in row-major order.
+    _SCAN_ROWS, so it holds O(n) floats at a time: one slack buffer per row
+    block, reused for every k.  For each k it keeps the least slack and the
+    (i, j) where it first saw it, row blocks in increasing order, so a
+    violation is reported from the pass that found it.  As d is exactly
+    symmetric, the slack of (i, k, j) is bit for bit that of (j, k, i),
+    since fl(a + b) = fl(b + a).  So the scan reads only the pairs i <= j,
+    and those mirrored within a row block: the least slack is the same as a
+    full scan's, and so is the first most violated pair, since the mirror
+    (j, i) of a most violated pair with i > j is one that comes first in
+    row-major order.
 
     With a split, only the triples that mix the points below it with those
     at or above it are scanned.  That is for a d whose two diagonal blocks
@@ -67,17 +52,25 @@ def _triangle_violation(d: np.ndarray, tol: float, split=None):
         for k0 in range(k_from, k_to, _SCAN_KS):
             ks = range(k0, min(k_to, k0 + _SCAN_KS))
             least = np.full(len(ks), math.inf)
-            for k, _, _, slack in _slack_blocks(d, ks, rows, c0):
-                least[k - k0] = min(least[k - k0], slack.min())
+            where = [None] * len(ks)
+            for r0 in range(0, rows, _SCAN_ROWS):
+                r1, c = min(rows, r0 + _SCAN_ROWS), max(c0, r0)
+                block = d[r0:r1, c:]
+                slack = np.empty(block.shape)
+                for t, k in enumerate(ks):
+                    np.add(d[r0:r1, k, None], d[k, c:], out=slack)
+                    np.subtract(slack, block, out=slack)
+                    at = int(slack.argmin())
+                    low = slack.flat[at]
+                    if low < least[t]:
+                        least[t] = low
+                        i, j = divmod(at, slack.shape[1])
+                        where[t] = (r0 + i, c + j)
             bad = np.flatnonzero(least < -tol)
             if bad.size:
-                k, found = k0 + int(bad[0]), None
-                for _, r0, c, slack in _slack_blocks(d, (k,), rows, c0):
-                    at = int(slack.argmin())
-                    if found is None or slack.flat[at] < found[0]:
-                        i, j = divmod(at, slack.shape[1])
-                        found = (slack.flat[at], r0 + i, c + j)
-                return (found[1], k, found[2]), float(least[bad[0]])
+                t = int(bad[0])
+                i, j = where[t]
+                return (i, k0 + t, j), float(least[t])
             worst = min(worst, float(least.min()))
     return None, worst
 
@@ -143,6 +136,9 @@ class FiniteMetricSpace:
         """Check the pointwise axioms, symmetrize, check the triangle
         inequality of the stored matrix only when no worst_slack is given,
         and store the space."""
+        if isinstance(labels, str):
+            raise InputError("point labels must be a sequence of strings, not the string %r"
+                             % labels)
         try:
             labels = tuple(labels)
         except TypeError:
@@ -261,8 +257,10 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     A minimal-distortion correspondence can always be thinned to the union
     of the graphs of two maps f: X -> Y and g: Y -> X, so the search runs
     over such pairs with branch-and-bound pruning on the running distortion.
-    The search is exponential in the point count, so each side may have at
-    most GH_EXACT_CAP points.
+    It chooses the nx + ny correspondence pairs in turn: pair t is (t, f(t))
+    for t < nx, else (g(j), j) with j = t - nx, and each candidate is
+    checked against the pairs chosen before it.  The search is exponential
+    in the point count, so each side may have at most GH_EXACT_CAP points.
     """
     nx, ny = x.size, y.size
     if nx > GH_EXACT_CAP or ny > GH_EXACT_CAP:
@@ -274,40 +272,23 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     seed_g = [min(j, nx - 1) for j in range(ny)]
     best = _distortion_of_maps(dx, dy, seed_f, seed_g)
 
-    f = np.zeros(nx, dtype=int)
-    g = np.zeros(ny, dtype=int)
+    # pair t is (px[t], py[t]); choose(t) sets py[t] = f(t) or px[t] = g(t - nx)
+    px = np.concatenate([np.arange(nx), np.zeros(ny, dtype=int)])
+    py = np.concatenate([np.zeros(nx, dtype=int), np.arange(ny)])
 
-    def assign_g(j: int, cur: float):
+    def choose(t: int, cur: float):
         nonlocal best
-        if j == ny:
+        if t == nx + ny:
             best = min(best, cur)
             return
-        for u in range(nx):
-            nxt = cur
-            # against every f-pair and every earlier g-pair
-            nxt = max(nxt, float(np.abs(dx[u, :] - dy[:, j][f]).max()))
-            if j > 0:
-                nxt = max(nxt, float(np.abs(dx[u, g[:j]] - dy[j, :j]).max()))
-            if nxt >= best:
-                continue
-            g[j] = u
-            assign_g(j + 1, nxt)
+        free = py if t < nx else px
+        for c in range(ny if t < nx else nx):
+            free[t] = c
+            nxt = max(cur, float(np.abs(dx[px[t], px[:t]] - dy[py[t], py[:t]]).max(initial=0.0)))
+            if nxt < best:
+                choose(t + 1, nxt)
 
-    def assign_f(i: int, cur: float):
-        nonlocal best
-        if i == nx:
-            assign_g(0, cur)
-            return
-        for v in range(ny):
-            nxt = cur
-            if i > 0:
-                nxt = max(nxt, float(np.abs(dx[i, :i] - dy[v, f[:i]]).max()))
-            if nxt >= best:
-                continue
-            f[i] = v
-            assign_f(i + 1, nxt)
-
-    assign_f(0, 0.0)
+    choose(0, 0.0)
     return 0.5 * best
 
 

@@ -1,6 +1,7 @@
 """Test-only builders: random algebras, elements, self-adjoint functions and
 pure states, all driven by a caller-supplied Generator, a function scaled
-into the conv unit ball, and one element's distance to the scalars."""
+into the conv unit ball, one element's distance to the scalars, and a
+generator whose uniform points all coincide."""
 
 from __future__ import annotations
 
@@ -15,6 +16,13 @@ from qmetric.states import FunctionalState, delta_embed
 def dist_to_scalars(a: AlgElement, norm_kind: str, tol: float = TAU_SA) -> float:
     """Distance from an element to the scalar multiples of the identity."""
     return scalar_distance(tuple(b[None] for b in a.blocks), norm_kind, tol)
+
+
+class CoincidentPoints:
+    """A stand-in Generator whose uniform draws are all the centre of the range."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5 * (low + high))
 
 
 def random_algebra(rng: np.random.Generator, max_blocks: int = 3,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import CoincidentPoints
 from qmetric import cli
 from qmetric.algebra import Algebra, AlgState, matrix_unit, vector_state
 from qmetric.errors import BoundViolation
@@ -350,6 +351,15 @@ def test_bad_seed_and_epsilon_are_exit_two(files, capsys, tmp_path):
     assert "--seed must be a nonnegative integer" in err
     rc, _, _ = _run(capsys, ["gen", "planar", "--n", "4", "--seed", "0"])
     assert rc == 0
+
+
+def test_planar_points_that_cannot_be_placed_are_exit_two(capsys, monkeypatch):
+    """gen planar used to exit 1, the code of a failed bound, with a
+    traceback when it could not place its points."""
+    monkeypatch.setattr(cli.np.random, "default_rng", lambda seed: CoincidentPoints())
+    rc, out, err = _run(capsys, ["gen", "planar", "--n", "4"])
+    assert (rc, out) == (2, "")
+    assert "could not place 4 points more than 0.001" in err
 
 
 def test_bad_box_samples_and_small_epsilon_are_exit_two(files, capsys, tmp_path):

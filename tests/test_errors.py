@@ -148,6 +148,7 @@ TIGHTENED = {
     "FiniteMetricSpace_json_labels_not_strings": lambda: FiniteMetricSpace.from_json_dict(
         {"labels": [True, None, 1.5], "dist": TRIANGLE}),
     "FiniteMetricSpace_int_labels": lambda: FiniteMetricSpace((0, 1, 2), TRIANGLE),
+    "FiniteMetricSpace_labels_one_string": lambda: FiniteMetricSpace("ab", [[0, 1], [1, 0]]),
     "term_point_a_number": lambda: FunctionalState.from_json_dict(
         {"terms": [{"w": 1.0, "x": 1.5, "phi": PURE.to_json_dict()}]}, A15["labels"]),
     "ExtensionProblem_json_number_subset": lambda: ExtensionProblem.from_json_dict(

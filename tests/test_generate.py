@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_algebra, random_pure_state, random_sa_element
+from helpers import CoincidentPoints, random_algebra, random_pure_state, random_sa_element
 from qmetric.algebra import Algebra
 from qmetric.errors import InputError
 from qmetric.generate import (circle_net, interval_net, random_alg_state,
@@ -69,6 +69,15 @@ def test_planar_box_must_be_positive_and_finite(box):
     OverflowError, and a zero box in a failed placement."""
     with pytest.raises(InputError, match="box must be positive and finite"):
         random_planar_space(3, np.random.default_rng(0), box=box)
+
+
+def test_planar_points_that_cannot_be_placed_are_an_input_error():
+    """100 draws that never clear the separation floor used to raise an
+    ArithmeticError, which the command line reported as a failed bound."""
+    with pytest.raises(InputError, match=r"could not place 3 points more than 0\.002 "
+                                         r"\(1e-3 of the box\) apart"):
+        random_planar_space(3, CoincidentPoints(), box=2.0)
+    assert random_planar_space(1, CoincidentPoints()).size == 1
 
 
 def test_random_algebra_respects_limits(rng):

@@ -151,6 +151,23 @@ def test_gh_symmetric_and_scale_bounded(rng):
     assert gh_exact(x, scale(x, c)) <= 0.5 * (c - 1.0) * diameter(x) + 1e-12
 
 
+def test_gh_at_the_cap_is_symmetric_zero_on_copies_and_within_the_diameter_bounds(rng):
+    """Five points a side, which the exhaustive oracle cannot reach."""
+    for _ in range(4):
+        x, y = random_planar_space(5, rng), random_planar_space(5, rng, box=rng.uniform(0.5, 2))
+        got = gh_exact(x, y)
+        assert np.float64(got).tobytes() == np.float64(gh_exact(y, x)).tobytes()
+        assert abs(diameter(x) - diameter(y)) / 2 <= got <= max(diameter(x), diameter(y)) / 2
+        perm = rng.permutation(5)
+        copy = FiniteMetricSpace(tuple("q%d" % i for i in range(5)), x.dist[np.ix_(perm, perm)])
+        assert gh_exact(x, copy) == 0.0
+
+
+def test_gh_of_four_against_five_points_matches_exhaustive_enumeration(rng):
+    x, y = random_planar_space(4, rng), random_planar_space(5, rng)
+    assert gh_exact(x, y) == pytest.approx(gh_by_correspondences(x.dist, y.dist), abs=1e-12)
+
+
 def test_gh_cap_enforced(rng):
     big = random_planar_space(6, rng)
     with pytest.raises(InputError):
