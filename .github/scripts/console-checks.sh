@@ -29,7 +29,11 @@
 # gh between 5-point circle and interval nets runs the exact search at its
 # cap and must report "kind": "exact"; gh on the 6-point circle, above the
 # cap, with no --cross must exit 2.
-# approx on a 160-point
+# approx certifies each forward image by McShane's bound, so on the 6-point
+# bridge and on 64-point circles of diameter 1e6 (whose net joins are
+# scanned, the lemma's margin being too wide there) and 1e-3 (least
+# distance about 5e-5) every certificate must be ok and every forward
+# lipnorm_matched at most 1 + 1e-7. approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
 # own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A
@@ -48,7 +52,19 @@ qmetric embed-check --space s.json --algebra a.json --format csv --out e.csv
 grep -Fx "report.pairs.14.y,c5" e.csv
 qmetric approx --space s.json --algebra a.json --rows 2
 python -c 'import json; json.dump(json.load(open("s.json"))["dist"], open("c.json", "w"))'
-qmetric bridge --space-x s.json --space-y s.json --cross c.json --algebra a.json --samples 2
+qmetric bridge --space-x s.json --space-y s.json --cross c.json --algebra a.json --samples 2 --out b.json
+qmetric gen circle --n 64 --diameter 1e6 --out s64w.json
+qmetric approx --space s64w.json --algebra a.json --rows 4 --out t64w.json
+qmetric gen circle --n 64 --diameter 1e-3 --out s64n.json
+qmetric approx --space s64n.json --algebra a.json --rows 4 --out t64n.json
+python - b.json t64w.json t64n.json <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    report = json.load(open(path))["report"]
+    certs = [c for row in report.get("rows", [report]) for c in row["certificates"]]
+    assert certs and all(c["ok"] for c in certs), path
+    assert all(c["lipnorm_matched"] <= 1 + 1e-7 for c in certs if c["direction"] == "forward"), path
+PY
 exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --samples -1
 exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --seed -1
 exits_2 qmetric approx --space s.json --algebra a.json --rows 2 --eps nan

@@ -47,20 +47,45 @@ def random_planar_space(n: int, rng: np.random.Generator,
 
     Resamples until all pairwise distances clear a floor of 1e-3 box, so
     the result always validates as a metric space; InputError if 100 draws
-    fail, as they almost surely do from about 2500 points on.
+    fail, as they almost surely do from about 2500 points on.  Each draw
+    is decided by _separated, and the n x n matrix is built only for the
+    one accepted.
     """
     n = _integer(n, "n", 1)
     box = _real(box, "the box", positive=True)
     floor = 1e-3 * box
     for _ in range(100):
         pts = rng.uniform(0.0, box, size=(n, 2))
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        off = dist[~np.eye(n, dtype=bool)]
-        if n == 1 or off.min() > floor:
+        if _separated(pts, floor):
+            dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             labels = tuple("p%d" % i for i in range(n))
             return FiniteMetricSpace(labels, dist)
     raise InputError("could not place %d points more than %g (1e-3 of the box) apart in 100 "
                      "draws" % (n, floor))
+
+
+def _separated(pts: np.ndarray, floor: float) -> bool:
+    """Whether every two of the points (n, 2) lie more than floor apart,
+    each distance computed as the matrix computes it, fl(sqrt(fl(dx^2) +
+    fl(dy^2))) with dx = fl(x_i - x_j).
+
+    Such a distance is at least |dx| (1 - 2u), u = eps / 2, since its
+    three roundings are monotone and dx^2 does not underflow once |dx| >
+    1e-150.  So only pairs with |dx| <= max(floor (1 + 1e-12), 1e-150) can
+    fail.  With the points sorted by x, the computed gap from a point to
+    the k-th next one grows with k, so each point is compared with the
+    next ones until its gap passes that limit."""
+    p = pts[np.argsort(pts[:, 0], kind="stable")]
+    limit = max(floor * (1.0 + 1e-12), 1e-150)
+    a = np.arange(len(p))
+    for k in range(1, len(p)):
+        a = a[a + k < len(p)]
+        a = a[p[a + k, 0] - p[a, 0] <= limit]
+        if not a.size:
+            break
+        if np.linalg.norm(p[a + k] - p[a], axis=1).min() <= floor:
+            return False
+    return True
 
 
 def scaled_to_diameter(space: FiniteMetricSpace, target: float) -> FiniteMetricSpace:

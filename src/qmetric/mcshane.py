@@ -111,11 +111,17 @@ def _clamped_inf_convolution(rows: np.ndarray, chans: np.ndarray, lip: np.ndarra
 
 def _realized_extension(rows: np.ndarray, dist: np.ndarray, chans: np.ndarray) -> np.ndarray:
     """The kernel with each column's realized Lipschitz constant on the
-    subset, whose own distances are dist (k, k): the largest |f(a) - f(b)|
-    / d(a, b) over a < b, 0 for one point, taken over the tiles of
-    (b, a, channels), trimmed to b > a.start and a < b.stop - 1.  A tile
-    of several a can still meet the diagonal; its pairs with a >= b are
-    divided by inf, which gives 0."""
+    subset, whose own distances are dist (k, k) (_realized_constants)."""
+    return _clamped_inf_convolution(rows, chans, _realized_constants(dist, chans))
+
+
+def _realized_constants(dist: np.ndarray, chans: np.ndarray) -> np.ndarray:
+    """Each column's realized Lipschitz constant on the subset, whose own
+    distances are dist (k, k): the largest |f(a) - f(b)| / d(a, b) over
+    a < b, 0 for one point, taken over the tiles of (b, a, channels),
+    trimmed to b > a.start and a < b.stop - 1.  A tile of several a can
+    still meet the diagonal; its pairs with a >= b are divided by inf,
+    which gives 0.  Returns (c,)."""
     k, c = chans.shape
     consts = np.zeros(c)
     for b, a, cs in _tiles(k, k, c):
@@ -130,7 +136,7 @@ def _realized_extension(rows: np.ndarray, dist: np.ndarray, chans: np.ndarray) -
         quot = np.abs(chans[a, None, cs] - chans[None, b, cs])
         quot /= den[:, :, None]
         np.maximum(consts[cs], quot.max(axis=(0, 1)), out=consts[cs])
-    return _clamped_inf_convolution(rows, chans, consts)
+    return consts
 
 
 def extend(problem: ExtensionProblem) -> np.ndarray:

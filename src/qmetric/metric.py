@@ -115,6 +115,10 @@ class FiniteMetricSpace:
     subspace keeps its parent's value, since its triples are some of the
     parent's; a space built without a scan records -inf (no bound).
     JoinedSpace._net_join reads it.
+
+    Validation also keeps the stored matrix's largest entry as _diameter
+    and its least entry off the diagonal as _least_distance (inf for one
+    point), which JoinedSpace and the bridge certificates read.
     """
 
     labels: tuple[str, ...]
@@ -157,6 +161,8 @@ class FiniteMetricSpace:
         _check_pointwise_axioms(d)
         d *= 0.5  # before the sum, so it cannot overflow; exact above TAU_METRIC
         d = d + d.T
+        np.fill_diagonal(d, math.inf)
+        least = float(d.min())
         np.fill_diagonal(d, 0.0)
         d.setflags(write=False)
         if worst_slack is None:
@@ -168,6 +174,8 @@ class FiniteMetricSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", d)
         object.__setattr__(self, "_worst_slack", worst_slack)
+        object.__setattr__(self, "_diameter", float(d.max()))
+        object.__setattr__(self, "_least_distance", least)
 
     @property
     def size(self) -> int:
@@ -198,7 +206,7 @@ class FiniteMetricSpace:
 
 
 def diameter(space: FiniteMetricSpace) -> float:
-    return float(space.dist.max())
+    return space._diameter
 
 
 def scale(space: FiniteMetricSpace, c: float) -> FiniteMetricSpace:
@@ -304,6 +312,11 @@ class JoinedSpace:
     union may be a pseudometric.  A net joined to its own space with an
     offset (_net_join, for approx_table rows) is a metric by a lemma, and
     is scanned only when rounding might break it.
+
+    A join keeps _tau >= 0, a bound on -(d(i,k) + d(k,j) - d(i,j)) in
+    exact arithmetic on the stored entries, over every mixed triple: from
+    the scan's least computed slack less its rounding, or from the lemma.
+    The forward bridge certificates read it.
     """
 
     x: FiniteMetricSpace
@@ -311,7 +324,7 @@ class JoinedSpace:
     cross: np.ndarray
 
     def __post_init__(self):
-        self._check(scan=True)
+        self._check()
 
     @classmethod
     def _net_join(cls, x: FiniteMetricSpace, y: FiniteMetricSpace, net, cross,
@@ -337,7 +350,8 @@ class JoinedSpace:
         therefore at least w - 14uM = w - 7 eps M.  The margin 16 eps (M +
         TAU_METRIC) covers that with room for the rounding of the test
         itself, so when w - margin >= -TAU_METRIC no computed slack is below
-        -TAU_METRIC and the scan is skipped.
+        -TAU_METRIC and the scan is skipped.  The join's _tau is then 5u
+        diam(y) + 3uM - w, the bound above on the stored entries' slacks.
 
         net is read by _point_indices, so each entry must be a point of y.
         It runs as for any join when that test fails, or when x, net,
@@ -347,21 +361,27 @@ class JoinedSpace:
         for name, val in (("x", x), ("y", y), ("cross", cross)):
             object.__setattr__(joined, name, val)
         idx = _point_indices(y, net)
-        margin = 16.0 * np.finfo(float).eps * (float(y.dist.max()) + offset + TAU_METRIC)
+        eps, diam = float(np.finfo(float).eps), y._diameter
+        margin = 16.0 * eps * (diam + offset + TAU_METRIC)
         proved = (offset >= 0 and len(idx) == x.size
                   and np.array_equal(x.dist, y.dist[np.ix_(idx, idx)])
                   and np.array_equal(cross, y.dist[idx] + offset)
                   and y._worst_slack - margin >= -TAU_METRIC)
-        joined._check(scan=not proved)
+        joined._check(2.5 * eps * diam + 1.5 * eps * (diam + offset) - y._worst_slack
+                      if proved else None)
         return joined
 
-    def _check(self, scan: bool) -> None:
-        """Check the cross matrix (_cross_matrix), then the mixed triples if
-        scan, and store the cross matrix read-only."""
+    def _check(self, tau=None) -> None:
+        """Check the cross matrix (_cross_matrix), then the mixed triples
+        unless the caller proved tau, and store the cross matrix read-only
+        and tau.  A scan's tau is 5uB - w, with w its least computed slack
+        (at most 0, from the triples (i, i, j)) and B the largest entry,
+        since each computed slack lies within 5uB of its exact value
+        (_net_join)."""
         c = _cross_matrix(self.cross, self.x, self.y)
-        if scan:
+        if tau is None:
             full = np.block([[self.x.dist, c], [c.T, self.y.dist]])
-            trip, _ = _triangle_violation(full, TAU_METRIC, self.x.size)
+            trip, worst = _triangle_violation(full, TAU_METRIC, self.x.size)
             if trip is not None:
                 i, k, j = trip
                 nx = self.x.size
@@ -369,14 +389,18 @@ class JoinedSpace:
                     return "X%d" % t if t < nx else "Y%d" % (t - nx)
                 raise InputError("joined metric fails the triangle inequality on (%s, %s, %s)"
                                  % (name(i), name(k), name(j)))
+            top = max(self.x._diameter, self.y._diameter, float(c.max()))
+            tau = 2.5 * float(np.finfo(float).eps) * top - worst
         c.setflags(write=False)
         object.__setattr__(self, "cross", c)
+        object.__setattr__(self, "_tau", tau)
 
     def mirrored(self) -> "JoinedSpace":
         """The same union with Y first.  Its triples are this join's, so it
         is not scanned again."""
         joined = object.__new__(JoinedSpace)
-        for name, val in (("x", self.y), ("y", self.x), ("cross", self.cross.T)):
+        for name, val in (("x", self.y), ("y", self.x), ("cross", self.cross.T),
+                          ("_tau", self._tau)):
             object.__setattr__(joined, name, val)
         return joined
 

@@ -22,7 +22,7 @@ from .funcspace import (MatrixFunction, _lipnorms, channel_slots, conv_spec,  # 
                         from_channels, lipnorm, to_channels)
 from .generate import random_product_state
 from .lpcore import TAU_LP
-from .mcshane import _realized_extension
+from .mcshane import _clamped_inf_convolution, _realized_constants
 from .metric import (TAU_METRIC, FiniteMetricSpace, JoinedSpace, _block_hausdorff, _cross_matrix,
                      epsilon_net)
 from .mk import _exact_distances
@@ -138,19 +138,22 @@ def _match_elements(bridge: Bridge, a_fns, lipnorms=None) -> list:
     certificate) pairs."""
     if not a_fns:
         return []
-    l_as, b_chans, reductions = _transport(bridge, a_fns, lipnorms)
+    l_as, b_chans, reductions, _ = _transport(bridge, a_fns, lipnorms)
     b_fns = [from_channels(bridge.y, bridge.algebra, b) for b in b_chans]
     return list(zip(b_fns, _certificates(bridge.threshold, bridge.algebra, l_as,
                                          _lipnorms(b_fns, conv_spec()), *reductions)))
 
 
 def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
-    """The sources' lipnorms (or the given ones), their images' channels
-    and the image-free part of their certificates.  The sources' channels
-    (k, nx, w) are extended once onto Y over the cross block, bit for bit
-    the Y rows of extend_channels over the joined metric, into (k, ny, w);
-    source_shift, q_at_source_shift and w_defect are reductions over both.
-    Returns (lipnorms, image channels, (shifts, q_at_shifts, w_defects))."""
+    """The sources' lipnorms (or the given ones), their images' channels,
+    the image-free part of their certificates, and what _image_bounds
+    reads.  The sources' channels (k, nx, w) are extended once onto Y over
+    the cross block, bit for bit the Y rows of extend_channels over the
+    joined metric, into (k, ny, w); source_shift, q_at_source_shift and
+    w_defect are reductions over both.  Returns (lipnorms, image channels,
+    (shifts, q_at_shifts, w_defects), (constants, sizes)), where the
+    constants (k, w) are those the kernel used, each channel's realized one
+    on X, and sizes (k, w) the largest |value| of each source channel."""
     for a_fn in a_fns:
         if a_fn.space.labels != bridge.x.labels:
             raise InputError("element must live on the bridge's X side")
@@ -163,7 +166,9 @@ def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
                              % l_a)
 
     a_chans = np.stack([to_channels(a_fn) for a_fn in a_fns])
-    ext = _realized_extension(bridge.joined.cross.T, bridge.x.dist, np.hstack(a_chans))
+    flat = np.hstack(a_chans)
+    consts = _realized_constants(bridge.x.dist, flat)
+    ext = _clamped_inf_convolution(bridge.joined.cross.T, flat, consts)
     b_chans = np.stack(np.split(ext, len(a_fns), axis=1))
 
     src, dst = np.array(bridge.w_set, dtype=int).reshape(-1, 2).T
@@ -174,7 +179,56 @@ def _transport(bridge: Bridge, a_fns, lipnorms=None) -> tuple:
     shifted = b_chans.copy()
     shifted[:, :, diag] -= shifts[:, None, None]
     q_at_shifts = np.abs(shifted).max(axis=(1, 2))
-    return l_as, b_chans, (shifts.tolist(), q_at_shifts.tolist(), w_defects.tolist())
+    return (l_as, b_chans, (shifts.tolist(), q_at_shifts.tolist(), w_defects.tolist()),
+            (consts.reshape(len(a_fns), -1), np.abs(a_chans).max(axis=1)))
+
+
+def _image_bounds(bridge: Bridge, l_as, consts, sizes) -> np.ndarray:
+    """Certified upper bounds on the conv seminorms of _transport's
+    images, in O(k w) per image: each at least what lipnorm computes for
+    its image.  l_as must be computed conv lipnorms of the sources, consts
+    and sizes (k, w) _transport's.
+
+    Lemma (McShane).  Let f_c be a source channel on X, L_c its kernel
+    constant, C the stored cross block with M = max C, and u = eps / 2.
+    The image channel is b_c(y) = clip(min_s fl(fl(L_c C[s,y]) + f_c(s)),
+    min f_c, max f_c).
+    - q part.  Clipping keeps each channel inside the source's range, so
+      the image's computed conv q part is at most the source's, which is
+      at most l_a; max, min, abs and the halving are monotone in floating
+      point too.
+    - Lipschitz part.  The join's _tau bounds -(C[s,y'] + d(y',y) -
+      C[s,y]) in exact arithmetic, so the exact minimum g_c over s has
+      g_c(y) - g_c(y') <= L_c (d(y,y') + tau).  Each candidate is within
+      delta_c = u (3 L_c M + max |f_c|) + s of its exact value ((2u + u^2)
+      L_c M + u |f_c| rounding, s the least subnormal for an underflow),
+      so is the minimum, and clipping is 1-Lipschitz.  So |b_c(y) -
+      b_c(y')| <= L_c (d(y,y') + tau) + 2 delta_c, and every quotient over
+      a pair of Y is at most V, the largest over c of L_c + (L_c tau + 2
+      delta_c) / d_min, with d_min Y's least distance.
+
+    The bound is max(l_a, fl(V) (1 + 16 eps)).  Every term of V is
+    nonnegative, so its at most 7 roundings leave fl(V) >= V (1 - u)^7,
+    and the factor, rounded once more, lifts that above V (1 + u)^2, which
+    covers lipnorm's rounding of each difference and quotient."""
+    eps = np.finfo(float).eps
+    joined = bridge.joined
+    delta = 0.5 * eps * (3.0 * consts * float(joined.cross.max()) + sizes)
+    delta += np.finfo(float).smallest_subnormal
+    lip = (consts + (consts * joined._tau + 2.0 * delta) / bridge.y._least_distance).max(axis=1)
+    return np.maximum(l_as, lip * (1.0 + 16.0 * eps))
+
+
+def _image_lipnorms(bridge: Bridge, l_as, b_chans, reach) -> list:
+    """The lipnorm_matched of each of _transport's images: its bound from
+    _image_bounds, or, where that bound exceeds 1 + TAU_LP, the image's
+    lipnorm, so that a certificate fails only when lipnorm fails it."""
+    l_bs = _image_bounds(bridge, l_as, *reach)
+    over = np.flatnonzero(l_bs > 1.0 + TAU_LP)
+    if over.size:
+        l_bs[over] = _lipnorms([from_channels(bridge.y, bridge.algebra, b_chans[j])
+                                for j in over], conv_spec())
+    return l_bs.tolist()
 
 
 def _certificates(threshold: float, algebra: Algebra, l_as, l_bs, shifts,
@@ -284,7 +338,9 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
                 samples: int) -> list:
     """propinquity_upper_bound of each row (net, x, cross, seed) against
     the common space y: one (delta_xy, bound, certificates) per row, in
-    order, bit for bit when every certificate is ok.  net is None for a
+    order, bit for bit when every certificate is ok, except that a forward
+    lipnorm_matched is _image_lipnorms': McShane's certified bound, or
+    lipnorm where the bound exceeds 1 + TAU_LP.  net is None for a
     caller's cross, or the indices of x in y with cross y.dist[net], and
     is build_bridge's net.  It is also the key of the row's bridge:
     consecutive rows with equal keys share one bridge pair, so they must
@@ -298,10 +354,8 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
     certified in one batch, after the group's first bridge is built.
     Rows then run one at a time.  A row builds its bridge pair only when
     its key differs from the previous row's, and drops the previous pair
-    first.  It leaves behind only its forward images' channels, their
-    reductions, its threshold and its backward certificates.  The images
-    also live on y, so their seminorms are one batch at the end of the
-    group.
+    first.  It leaves behind only its delta_xy, its threshold and its
+    certificates of both directions, not yet required ok.
 
     A table with a bad row or a failed certificate can raise a different
     first error than one row at a time would.  A group fails in this
@@ -335,27 +389,22 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
                 # after the group's first bridge, so bad bridge input fails before any solve
                 backward_solved = _exact_distances(
                     y, algebra, [pair for _, pairs in drawn for pair in pairs], spec)
-            transported, backward_certificates = ([], [], ([], [], [])), []
+            forward_certificates, backward_certificates = [], []
             if samples:
                 solved = _exact_distances(x, algebra, forward_pairs, spec)
-                transported = _transport(forward, [r.witness for r, _ in solved],
-                                         [lip for _, lip in solved])
+                l_as, b_chans, reductions, reach = _transport(
+                    forward, [r.witness for r, _ in solved], [lip for _, lip in solved])
+                forward_certificates = _certificates(
+                    forward.threshold, algebra, l_as,
+                    _image_lipnorms(forward, l_as, b_chans, reach), *reductions)
                 solved = backward_solved[i * samples:(i + 1) * samples]
                 backward_certificates = [cert for _, cert in _match_elements(
                     backward, [r.witness for r, _ in solved], [lip for _, lip in solved])]
-            pending.append((forward.delta_xy, forward.threshold, transported,
-                            backward_certificates))
+            pending.append((forward.delta_xy, forward_certificates, backward_certificates))
 
-        images = [from_channels(y, algebra, b) for _, _, (_, chans, _), _ in pending
-                  for b in chans]
-        l_bs = iter(_lipnorms(images, spec) if images else ())
-        del images
-        for delta_xy, threshold, (l_as, _, reductions), backward_certificates in pending:
+        for delta_xy, *batches in pending:
             certificates = []
-            for direction, batch in (
-                    ("forward", _certificates(threshold, algebra, l_as,
-                                              [next(l_bs) for _ in l_as], *reductions)),
-                    ("backward", backward_certificates)):
+            for direction, batch in zip(("forward", "backward"), batches):
                 for certificate in batch:
                     _require_ok(certificate)
                     certificate["direction"] = direction

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oracles import brute_triangle_violation, full_triangle_scan, gh_by_correspondences
 from qmetric import metric
 from qmetric.errors import InputError
-from qmetric.generate import circle_net, random_planar_space
+from qmetric.generate import circle_net, interval_net, random_planar_space
 from qmetric.metric import (
     TAU_METRIC,
     FiniteMetricSpace,
@@ -397,6 +398,52 @@ def test_net_join_agrees_with_the_full_scan(monkeypatch, rng):
         assert scans or want is None
         skipped, scanned = skipped + (not scans), scanned + bool(scans)
     assert skipped > 150 and scanned > 20
+
+
+def test_joins_bound_their_exact_mixed_slacks(rng):
+    """A join's _tau is at least -(d(i,k) + d(k,j) - d(i,j)) in exact
+    arithmetic on its stored entries, over every triple that mixes X and
+    Y, whether the lemma skipped its scan or a scan ran, and for the same
+    cross given as a caller's; the mirrored join keeps it."""
+    checked = 0
+    while checked < 30:
+        case = _net_join_case(rng)
+        if case is None:
+            continue
+        y, net, offset = case
+        x = y.subspace(net)
+        cross = y.dist[list(net)] + offset
+        try:
+            joins = [JoinedSpace._net_join(x, y, net, cross, offset), JoinedSpace(x, y, cross)]
+        except InputError:
+            continue
+        for joined in joins:
+            assert joined.mirrored()._tau == joined._tau >= 0.0
+            full = [[Fraction(v) for v in row] for row in joined.full_matrix().tolist()]
+            n, nx = len(full), x.size
+            least = min(full[i][k] + full[k][j] - full[i][j]
+                        for i in range(n) for k in range(n) for j in range(n)
+                        if len({t < nx for t in (i, k, j)}) == 2)
+            assert -least <= joined._tau
+        checked += 1
+
+
+def test_spaces_record_their_diameter_and_least_distance(rng):
+    """Validation keeps the stored matrix's largest entry, which diameter
+    returns, and its least entry off the diagonal (inf on one point), for
+    spaces built, restricted and read off a join."""
+    spaces = [circle_net(7), interval_net(1), scale(PATH4, 1e-6)]
+    for _ in range(10):
+        space = random_planar_space(int(rng.integers(1, 9)), rng)
+        spaces += [space, space.subspace(range(0, space.size, 2))]
+    two = FiniteMetricSpace(("u", "v"), np.array([[0.0, 2.0], [2.0, 0.0]]))
+    cross = np.array([[0.5, 2.5], [0.5, 1.5], [1.5, 0.5], [2.5, 0.5]])
+    spaces.append(JoinedSpace(PATH4, two, cross).metric_space(tuple("abcduv")))
+    for space in spaces:
+        d = space.dist
+        assert repr(diameter(space)) == repr(space._diameter) == repr(float(d.max()))
+        off = d[~np.eye(space.size, dtype=bool)]
+        assert space._least_distance == (float(off.min()) if off.size else math.inf)
 
 
 def test_net_join_scans_unless_the_lemma_applies(monkeypatch):

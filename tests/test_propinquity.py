@@ -11,12 +11,13 @@ from qmetric import funcspace, mcshane, metric, propinquity
 from qmetric.algebra import AlgElement, Algebra
 from qmetric.errors import BoundViolation, InputError
 from qmetric.funcspace import MatrixFunction, conv_spec, lipnorm, to_channels
-from qmetric.generate import circle_net, random_product_state
+from qmetric.generate import circle_net, interval_net, random_planar_space, random_product_state
 from qmetric.mcshane import extend_channels
-from qmetric.metric import FiniteMetricSpace, epsilon_net
+from qmetric.metric import TAU_METRIC, FiniteMetricSpace, epsilon_net, scale
 from qmetric.mk import mk_distance
-from qmetric.propinquity import (Bridge, _bridge, _match_elements, _transport, approx_table,
-                                 build_bridge, match_element, propinquity_upper_bound)
+from qmetric.propinquity import (Bridge, _bridge, _image_bounds, _match_elements, _transport,
+                                 approx_table, build_bridge, match_element,
+                                 propinquity_upper_bound)
 from qmetric.states import tracial_functional
 
 M2 = Algebra((2,))
@@ -29,6 +30,25 @@ CERT_KEYS = {"lipnorm_source", "lipnorm_matched", "source_shift",
 def _path(n, step=1.0):
     d = step * np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return FiniteMetricSpace(tuple("p%d" % i for i in range(n)), d.astype(float))
+
+
+def _assert_matches_reference(got, want, below=0.0):
+    """got's JSON is want's bit for bit, except that each forward
+    lipnorm_matched, a certified bound, lies in [want's (1 - below),
+    max(want's, lipnorm_source) (1 + 1e-12)].  The bound rests on the
+    source's constants, and an image's seminorm can fall short of them:
+    clipping at a channel's maximum shortens the steepest pair."""
+    got, want = json.loads(json.dumps(got)), json.loads(json.dumps(want))
+    rows = [got] if isinstance(got, dict) else got
+    certs = [c for row in rows for c in row["certificates"] if c["direction"] == "forward"]
+    wants = [c for row in ([want] if isinstance(want, dict) else want)
+             for c in row["certificates"] if c["direction"] == "forward"]
+    assert len(certs) == len(wants)
+    for cert, ref in zip(certs, wants):
+        assert (ref["lipnorm_matched"] * (1.0 - below) <= cert["lipnorm_matched"]
+                <= max(ref["lipnorm_matched"], ref["lipnorm_source"]) * (1.0 + 1e-12))
+        cert["lipnorm_matched"] = ref["lipnorm_matched"]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def _witness_on(space, rng):
@@ -142,7 +162,7 @@ def test_cross_block_transport_equals_the_joined_extension(algebra, rng):
         backward = _bridge(forward.joined.mirrored(), cross.T, EPS, algebra)
         for bridge, k in ((forward, 1), (forward, 3), (backward, 2)):
             sources = [random_sa_function(bridge.x, algebra, rng) for _ in range(k)]
-            _, b_chans, _ = _transport(bridge, sources, [1.0] * k)
+            _, b_chans, *_ = _transport(bridge, sources, [1.0] * k)
             nx = bridge.x.size
             ext = extend_channels(bridge.joined_metric, range(nx),
                                   np.hstack([to_channels(fn) for fn in sources]))
@@ -164,7 +184,7 @@ def test_transport_equals_the_point_loop(monkeypatch, rng, block):
         backward = _bridge(forward.joined.mirrored(), cross.T, EPS, m23)
         for bridge in (forward, backward):
             sources = [random_sa_function(bridge.x, m23, rng) for _ in range(3)]
-            _, b_chans, _ = _transport(bridge, sources, [1.0] * 3)
+            _, b_chans, *_ = _transport(bridge, sources, [1.0] * 3)
             want = loop_realized_extension(bridge.joined.cross.T, bridge.x.dist,
                                            np.hstack([to_channels(fn) for fn in sources]))
             assert b_chans.tobytes() == np.stack(np.split(want, 3, axis=1)).tobytes()
@@ -246,8 +266,10 @@ def test_a_near_hermitian_source_moves_w_defect_by_at_most_its_defect(rng):
 def test_bounds_equal_the_one_at_a_time_reference(samples):
     """A bound solves and certifies each direction's witnesses in one batch
     and reuses their certified lipnorms; its JSON is the reference's, a
-    fresh mk_distance and match_element per witness, and every
-    lipnorm_source is a fresh lipnorm of its witness."""
+    fresh mk_distance and match_element per witness, except that a
+    forward lipnorm_matched is a certified bound at most 1e-12 above the
+    reference's lipnorm, and every lipnorm_source is a fresh lipnorm of
+    its witness."""
     m23 = Algebra((2, 3))
     x = circle_net(10, "chord")
     net = epsilon_net(x, 0.6)
@@ -258,14 +280,14 @@ def test_bounds_equal_the_one_at_a_time_reference(samples):
                                       samples=samples, seed=seed)
         want, witnesses = one_at_a_time_bound(x.subspace(net), x, cross, EPS, m23,
                                               samples, seed)
-        assert json.dumps(pub.to_json_dict()) == json.dumps(want)
+        _assert_matches_reference(pub.to_json_dict(), want)
         assert len(witnesses) == 2 * samples
         for cert, witness in zip(pub.certificates, witnesses):
             assert cert["lipnorm_source"] == lipnorm(witness, spec)
     for seed in (2, 9):
         rows = approx_table(x, M2, [1.0, 0.5, 0.25], EPS, samples=samples, seed=seed)
         want, witnesses = one_at_a_time_table(x, M2, [1.0, 0.5, 0.25], EPS, samples, seed)
-        assert json.dumps(rows) == json.dumps(want)
+        _assert_matches_reference(rows, want)
         certs = [c for row in rows for c in row["certificates"]]
         assert len(certs) == len(witnesses) == 6 * samples
         for cert, witness in zip(certs, witnesses):
@@ -281,23 +303,25 @@ TABLE = [1.0, 0.5, 0.25, 0.05, 0.01]
 def test_tables_equal_the_one_at_a_time_reference(blocks, samples):
     """A table certifies its rows in groups of at most 32 functions per
     side and keeps one bridge pair across equal nets; its JSON is the
-    one-row-at-a-time reference's, whether its rows form one group (0, 1
-    and 3 samples) or each row is its own (40)."""
+    one-row-at-a-time reference's, up to the forward bounds (as above),
+    whether its rows form one group (0, 1 and 3 samples) or each row is
+    its own (40)."""
     algebra = Algebra(blocks)
     x = circle_net(10, "chord")
     assert [len(epsilon_net(x, e)) for e in TABLE] == [4, 10, 10, 10, 10]
     for seed in (4391, 7723)[:1 if samples == 40 else 2]:
         rows = approx_table(x, algebra, TABLE, EPS, samples=samples, seed=seed)
         want, _ = one_at_a_time_table(x, algebra, TABLE, EPS, samples, seed)
-        assert json.dumps(rows) == json.dumps(want)
+        _assert_matches_reference(rows, want)
 
 
 def test_each_witness_is_certified_once(monkeypatch):
-    """Per direction, one batched seminorm certifies the witnesses and one
-    checks their images; matching computes no source seminorm again.  A
-    table certifies all the witnesses and images that live on the full
-    space of a group of rows in one batch each, and builds one bridge pair
-    per distinct net."""
+    """Per direction, one batched seminorm certifies the witnesses, and
+    one checks the backward images; the forward images take McShane's
+    bound and run no seminorm.  Matching computes no source seminorm
+    again.  A table certifies all the witnesses that live on the full
+    space of a group of rows in one batch, and builds one bridge pair per
+    distinct net."""
     x = circle_net(10, "chord")
     sizes, real = [], funcspace._lip_parts
 
@@ -309,7 +333,7 @@ def test_each_witness_is_certified_once(monkeypatch):
     pub = propinquity_upper_bound(x.subspace([0, 3, 6]), x, x.dist[[0, 3, 6]], EPS, M2,
                                   samples=3, seed=4)
     assert len(pub.certificates) == 6
-    assert sizes == [3, 3, 3, 3]
+    assert sizes == [3, 3, 3]
 
     built, real_build = [], propinquity.build_bridge
 
@@ -319,18 +343,18 @@ def test_each_witness_is_certified_once(monkeypatch):
 
     monkeypatch.setattr(propinquity, "build_bridge", build_bridge_spy)
     nets = [tuple(x.labels[i] for i in epsilon_net(x, e)) for e in TABLE]
-    # one group of 5 rows: the full space's two batches hold 5 x 3
-    # functions, and each net's (forward witnesses, backward images) 3
+    # one group of 5 rows: the full space's batch holds 5 x 3 functions,
+    # and each net's (forward witnesses, backward images) 3
     sizes.clear()
     approx_table(x, M2, TABLE, EPS, samples=3, seed=4)
-    assert sizes == [15] + [3, 3] * 5 + [15]
+    assert sizes == [15] + [3, 3] * 5
     assert built == [nets[0], nets[1]]
     # at 12 samples a group holds 2 rows (24 <= 32 < 36): rows 0-1, 2-3
     # and 4, and the bridge of the full net is kept across groups
     sizes.clear()
     built.clear()
     approx_table(x, M2, TABLE, EPS, samples=12, seed=4)
-    assert sizes == ([24] + [12, 12] * 2 + [24]) * 2 + [12, 12, 12, 12]
+    assert sizes == ([24] + [12, 12] * 2) * 2 + [12, 12, 12]
     assert built == [nets[0], nets[1]]
 
 
@@ -346,16 +370,16 @@ def test_samples_must_be_a_nonnegative_integer(samples):
 @pytest.mark.parametrize("failing_side", ["y", "net"])
 def test_a_failed_image_certificate_raises(monkeypatch, failing_side):
     """An image seminorm above the ball fails its certificate, whether it
-    is checked in the table's batch on the full space (forward images) or
-    in its net's batch (backward images)."""
+    is the forward images' bound on the full space or the backward images'
+    batch on the net."""
     x = circle_net(10, "chord")
-    real = propinquity._lipnorms
-
-    def lipnorms(fns, spec):
-        on_y = fns[0].space is x
-        return [2.0] * len(fns) if on_y == (failing_side == "y") else real(fns, spec)
-
-    monkeypatch.setattr(propinquity, "_lipnorms", lipnorms)
+    if failing_side == "y":
+        monkeypatch.setattr(propinquity, "_image_lipnorms",
+                            lambda bridge, l_as, *args: [2.0] * len(l_as))
+    else:
+        real = propinquity._lipnorms
+        monkeypatch.setattr(propinquity, "_lipnorms", lambda fns, spec: (
+            real(fns, spec) if fns[0].space is x else [2.0] * len(fns)))
     with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 2,"):
         approx_table(x, M2, TABLE, EPS, samples=2, seed=3)
     with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 2,"):
@@ -542,7 +566,10 @@ def test_approx_nets_join_without_a_scan(monkeypatch):
     assert scans == []
     monkeypatch.setattr(metric.JoinedSpace, "_net_join",
                         classmethod(lambda cls, x, y, net, cross, offset: cls(x, y, cross)))
-    assert json.dumps(approx_table(space, M2, schedule, EPS, samples=3, seed=5)) == json.dumps(table)
+    # a scanned join bounds its mixed slacks from the scan, not by the
+    # lemma, so only the forward images' bounds may differ
+    _assert_matches_reference(approx_table(space, M2, schedule, EPS, samples=3, seed=5),
+                              table, below=1e-12)
     assert len(scans) == 5
 
 
@@ -584,3 +611,99 @@ def test_mirrored_join_builds_the_backward_bridge():
     assert got.joined_metric.dist.tobytes() == want.joined_metric.dist.tobytes()
     assert (got.epsilon, got.delta_xy, got.threshold, got.w_set) == (
         want.epsilon, want.delta_xy, want.threshold, want.w_set)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_forward_image_bounds_are_never_below_lipnorm(c):
+    """McShane's bound on a transported image is at least what lipnorm
+    computes for it, with no tolerance: planar, chord and arc circle and
+    interval spaces scaled by c, bridged from nets of one to all points (by
+    the lemma) and from a caller's cross (scanned), both ways, for
+    witnesses and for functions scaled into the ball, over M1, M2 and
+    M2+M3."""
+    rng = np.random.default_rng(29)
+    spec = conv_spec()
+    spaces = [random_planar_space(9, rng), circle_net(10, "chord"), circle_net(9, "arc"),
+              interval_net(8)]
+    for space in (scale(s, c) for s in spaces):
+        nets = {tuple(epsilon_net(space, e * space._diameter)) for e in (2.0, 0.6, 0.3, 1e-3)}
+        assert min(map(len, nets)) == 1 and max(map(len, nets)) == space.size
+        for algebra in (Algebra((1,)), M2, Algebra((2, 3))):
+            bridges = []
+            for net in sorted(nets, key=len):
+                cross = space.dist[list(net)]
+                bridges.append(build_bridge(space.subspace(net), space, cross, EPS, algebra,
+                                            net))
+            bridges.append(build_bridge(interval_net(3, 2.0 * c), space,
+                                        np.full((3, space.size), 2.0 * space._diameter),
+                                        EPS, algebra))
+            bridges += [_bridge(b.joined.mirrored(), b.joined.cross.T, EPS, algebra)
+                        for b in bridges[-2:]]
+            for bridge in bridges:
+                fn = random_sa_function(bridge.x, algebra, rng)
+                sources = [mk_distance(bridge.x, algebra,
+                                       random_product_state(bridge.x, algebra, rng),
+                                       random_product_state(bridge.x, algebra, rng),
+                                       spec).witness,
+                           # one point under M1 is a constant, already in the ball
+                           in_conv_unit_ball(fn) if lipnorm(fn, spec) else fn]
+                l_as, b_chans, _, reach = _transport(bridge, sources)
+                bounds = _image_bounds(bridge, l_as, *reach)
+                for bound, b in zip(bounds, b_chans):
+                    assert bound >= lipnorm(funcspace.from_channels(bridge.y, algebra, b), spec)
+
+
+def _fallback_input():
+    """A 5-point interval at step 1e-3 against a relabelled copy of itself,
+    across its own distances with the one from its first point to its last
+    raised by 0.9 TAU_METRIC: the join is accepted at a mixed slack near
+    -TAU_METRIC, so McShane's bound exceeds 1 + TAU_LP by about 1e-6."""
+    y = interval_net(5, 4e-3)
+    x = FiniteMetricSpace(("a", "b", "c", "d", "e"), y.dist)
+    cross = y.dist.copy()
+    cross[0, 4] += 0.9 * TAU_METRIC
+    return x, y, cross
+
+
+def test_a_loose_bound_falls_back_to_lipnorm(monkeypatch):
+    """Forward images whose bound exceeds 1 + TAU_LP are certified by
+    lipnorm: the bound's JSON is the one-at-a-time reference's bit for
+    bit, and without the fallback its certificates fail."""
+    x, y, cross = _fallback_input()
+    bridge = build_bridge(x, y, cross, EPS, M2)
+    assert TAU_METRIC * 0.8 < bridge.joined._tau < TAU_METRIC
+    on_y, real = [], propinquity._lipnorms
+
+    def lipnorms(fns, spec):
+        on_y.append(sum(fn.space is y for fn in fns))
+        return real(fns, spec)
+
+    monkeypatch.setattr(propinquity, "_lipnorms", lipnorms)
+    pub = propinquity_upper_bound(x, y, cross, EPS, M2, samples=3, seed=8)
+    # every forward image falls back; then the backward images' batch on x
+    assert on_y == [3, 0]
+    want, _ = one_at_a_time_bound(x, y, cross, EPS, M2, 3, 8)
+    assert json.dumps(pub.to_json_dict()) == json.dumps(want)
+    monkeypatch.setattr(propinquity, "_image_lipnorms", lambda bridge, l_as, b_chans, reach:
+                        _image_bounds(bridge, l_as, *reach).tolist())
+    with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 1.000000"):
+        propinquity_upper_bound(x, y, cross, EPS, M2, samples=3, seed=8)
+
+
+def test_approx_tables_on_chord_circles_never_fall_back(monkeypatch):
+    """On chord circles of 10 and 96 points every forward image takes
+    McShane's bound: no seminorm runs on the full space's images."""
+    calls, real = [], propinquity._lipnorms
+
+    def lipnorms(fns, spec):
+        calls.append(fns[0].space)
+        return real(fns, spec)
+
+    monkeypatch.setattr(propinquity, "_lipnorms", lipnorms)
+    for n in (10, 96):
+        space = circle_net(n, "chord")
+        schedule = [space._diameter / 2.0 ** (i + 1) for i in range(6)]
+        calls.clear()
+        rows = approx_table(space, M2, schedule, EPS, samples=3, seed=n)
+        assert calls and all(s is not space for s in calls)
+        assert all(c["ok"] for row in rows for c in row["certificates"])
