@@ -29,11 +29,12 @@
 # gh between 5-point circle and interval nets runs the exact search at its
 # cap and must report "kind": "exact"; gh on the 6-point circle, above the
 # cap, with no --cross must exit 2.
-# approx certifies each forward image by McShane's bound, so on the 6-point
-# bridge and on 64-point circles of diameter 1e6 (whose net joins are
-# scanned, the lemma's margin being too wide there) and 1e-3 (least
-# distance about 5e-5) every certificate must be ok and every forward
-# lipnorm_matched at most 1 + 1e-7. approx on a 160-point
+# approx certifies each forward image by McShane's bound, or by lipnorm
+# where that bound is loose, so on the 6-point bridge and on 64-point
+# circles of diameter 1e6 (whose net joins are scanned, the lemma's margin
+# being too wide there) and 1e-3 (least distance about 5e-5, where the
+# images fall back to lipnorm) every certificate must be ok and every
+# forward lipnorm_matched at most 1 + 1e-7. approx on a 160-point
 # circle joins each net to the space by the lemma, without a triangle scan;
 # a bridge over a caller's cross matrix is still scanned, so the circle's
 # own distances with d[0][0] = 10 must exit 2 naming (X0, X1, Y0). A

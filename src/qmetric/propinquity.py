@@ -36,6 +36,10 @@ _MAX_SAMPLES = 10_000
 # functions per side that one group of table rows certifies in one batch
 _GROUP_FUNCTIONS = 32
 
+# how far, relatively, a forward image's McShane bound may exceed its
+# source's lipnorm before the image takes lipnorm instead
+_BOUND_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class Bridge:
@@ -221,10 +225,13 @@ def _image_bounds(bridge: Bridge, l_as, consts, sizes) -> np.ndarray:
 
 def _image_lipnorms(bridge: Bridge, l_as, b_chans, reach) -> list:
     """The lipnorm_matched of each of _transport's images: its bound from
-    _image_bounds, or, where that bound exceeds 1 + TAU_LP, the image's
-    lipnorm, so that a certificate fails only when lipnorm fails it."""
+    _image_bounds, or the image's lipnorm where that bound exceeds 1 +
+    TAU_LP, so that a certificate fails only when lipnorm fails it, or
+    exceeds l_a (1 + _BOUND_SLACK), so that a bound is never more than
+    that above both its source's lipnorm and its image's."""
     l_bs = _image_bounds(bridge, l_as, *reach)
-    over = np.flatnonzero(l_bs > 1.0 + TAU_LP)
+    over = np.flatnonzero((l_bs > 1.0 + TAU_LP)
+                          | (l_bs > np.asarray(l_as) * (1.0 + _BOUND_SLACK)))
     if over.size:
         l_bs[over] = _lipnorms([from_channels(bridge.y, bridge.algebra, b_chans[j])
                                 for j in over], conv_spec())
@@ -340,11 +347,11 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
     the common space y: one (delta_xy, bound, certificates) per row, in
     order, bit for bit when every certificate is ok, except that a forward
     lipnorm_matched is _image_lipnorms': McShane's certified bound, or
-    lipnorm where the bound exceeds 1 + TAU_LP.  net is None for a
-    caller's cross, or the indices of x in y with cross y.dist[net], and
-    is build_bridge's net.  It is also the key of the row's bridge:
-    consecutive rows with equal keys share one bridge pair, so they must
-    have equal x and cross.
+    lipnorm where the bound exceeds 1 + TAU_LP or l_a (1 + _BOUND_SLACK).
+    net is None for a caller's cross, or the indices of x in y with cross
+    y.dist[net], and is build_bridge's net.  It is also the key of the
+    row's bridge: consecutive rows with equal keys share one bridge pair,
+    so they must have equal x and cross.
 
     Consecutive rows form a group while rows x samples <= _GROUP_FUNCTIONS,
     so at 32 samples or more each row is its own group.  A group draws
@@ -354,8 +361,8 @@ def _bound_rows(y: FiniteMetricSpace, rows, epsilon, algebra: Algebra,
     certified in one batch, after the group's first bridge is built.
     Rows then run one at a time.  A row builds its bridge pair only when
     its key differs from the previous row's, and drops the previous pair
-    first.  It leaves behind only its delta_xy, its threshold and its
-    certificates of both directions, not yet required ok.
+    first.  It leaves behind only its delta_xy and its certificates of
+    both directions, not yet required ok.
 
     A table with a bad row or a failed certificate can raise a different
     first error than one row at a time would.  A group fails in this

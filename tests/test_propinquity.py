@@ -32,12 +32,13 @@ def _path(n, step=1.0):
     return FiniteMetricSpace(tuple("p%d" % i for i in range(n)), d.astype(float))
 
 
-def _assert_matches_reference(got, want, below=0.0):
+def _assert_matches_reference(got, want):
     """got's JSON is want's bit for bit, except that each forward
-    lipnorm_matched, a certified bound, lies in [want's (1 - below),
-    max(want's, lipnorm_source) (1 + 1e-12)].  The bound rests on the
-    source's constants, and an image's seminorm can fall short of them:
-    clipping at a channel's maximum shortens the steepest pair."""
+    lipnorm_matched, a certified bound, lies in [ref, ref (1 + 1e-12)],
+    ref the reference's seminorm of the image, wherever ref is at least
+    lipnorm_source.  Where ref is below it, the upper end is
+    lipnorm_source (1 + 1e-12): the bound rests on the source's constants,
+    and clipping at a channel's maximum can shorten the steepest pair."""
     got, want = json.loads(json.dumps(got)), json.loads(json.dumps(want))
     rows = [got] if isinstance(got, dict) else got
     certs = [c for row in rows for c in row["certificates"] if c["direction"] == "forward"]
@@ -45,10 +46,19 @@ def _assert_matches_reference(got, want, below=0.0):
              for c in row["certificates"] if c["direction"] == "forward"]
     assert len(certs) == len(wants)
     for cert, ref in zip(certs, wants):
-        assert (ref["lipnorm_matched"] * (1.0 - below) <= cert["lipnorm_matched"]
-                <= max(ref["lipnorm_matched"], ref["lipnorm_source"]) * (1.0 + 1e-12))
+        _assert_bounds_image(cert, ref["lipnorm_matched"])
         cert["lipnorm_matched"] = ref["lipnorm_matched"]
     assert json.dumps(got) == json.dumps(want)
+
+
+def _assert_bounds_image(cert, seminorm):
+    """A forward certificate's lipnorm_matched lies in [seminorm, seminorm
+    (1 + 1e-12)], or, only where seminorm is below lipnorm_source, in
+    [seminorm, lipnorm_source (1 + 1e-12)]."""
+    if seminorm >= cert["lipnorm_source"]:
+        assert seminorm <= cert["lipnorm_matched"] <= seminorm * (1.0 + 1e-12)
+    else:
+        assert seminorm <= cert["lipnorm_matched"] <= cert["lipnorm_source"] * (1.0 + 1e-12)
 
 
 def _witness_on(space, rng):
@@ -566,11 +576,15 @@ def test_approx_nets_join_without_a_scan(monkeypatch):
     assert scans == []
     monkeypatch.setattr(metric.JoinedSpace, "_net_join",
                         classmethod(lambda cls, x, y, net, cross, offset: cls(x, y, cross)))
-    # a scanned join bounds its mixed slacks from the scan, not by the
-    # lemma, so only the forward images' bounds may differ
-    _assert_matches_reference(approx_table(space, M2, schedule, EPS, samples=3, seed=5),
-                              table, below=1e-12)
+    scanned = approx_table(space, M2, schedule, EPS, samples=3, seed=5)
     assert len(scans) == 5
+    monkeypatch.undo()
+    # a scanned join bounds its mixed slacks from the scan, not by the
+    # lemma, so only the forward images' bounds may differ, each within
+    # its window of the image's seminorm
+    want, _ = one_at_a_time_table(space, M2, schedule, EPS, 3, 5)
+    _assert_matches_reference(table, want)
+    _assert_matches_reference(scanned, want)
 
 
 def test_a_space_read_off_symmetric_joins_its_nets_without_a_scan(monkeypatch):
@@ -688,6 +702,37 @@ def test_a_loose_bound_falls_back_to_lipnorm(monkeypatch):
                         _image_bounds(bridge, l_as, *reach).tolist())
     with pytest.raises(BoundViolation, match="failed its certificate: lipnorm 1.000000"):
         propinquity_upper_bound(x, y, cross, EPS, M2, samples=3, seed=8)
+
+
+def test_a_bound_far_above_its_source_falls_back_to_lipnorm(monkeypatch):
+    """On a 10-point chord circle of diameter 2e-4 the candidates' rounding
+    over the least distance, about 4e-12, lifts McShane's bound more than
+    _BOUND_SLACK above its source's lipnorm: every forward image is
+    certified by lipnorm, and the table is the one-at-a-time reference's
+    bit for bit.  Without that fallback the bounds stand, more than 1e-12
+    above the images' seminorms."""
+    space = scale(circle_net(10, "chord"), 1e-4)
+    schedule = [space._diameter / 2.0 ** (i + 1) for i in range(3)]
+    want, _ = one_at_a_time_table(space, M2, schedule, 1e-7, 2, 3)
+    on_space, real = [], propinquity._lipnorms
+
+    def lipnorms(fns, spec):
+        on_space.append(sum(fn.space is space for fn in fns))
+        return real(fns, spec)
+
+    monkeypatch.setattr(propinquity, "_lipnorms", lipnorms)
+    rows = approx_table(space, M2, schedule, 1e-7, samples=2, seed=3)
+    assert sum(on_space) == 6
+    assert json.dumps(rows) == json.dumps(want)
+    monkeypatch.setattr(propinquity, "_BOUND_SLACK", math.inf)
+    on_space.clear()
+    rows = approx_table(space, M2, schedule, 1e-7, samples=2, seed=3)
+    assert sum(on_space) == 0
+    excess = [c["lipnorm_matched"] / r["lipnorm_matched"] - 1.0
+              for row, ref in zip(rows, want)
+              for c, r in zip(row["certificates"], ref["certificates"])
+              if c["direction"] == "forward"]
+    assert min(excess) >= 0.0 and max(excess) > 1e-12
 
 
 def test_approx_tables_on_chord_circles_never_fall_back(monkeypatch):
